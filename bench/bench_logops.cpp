@@ -289,7 +289,7 @@ void run_udp_syscalls_table() {
   }
   t.print(std::cout);
   std::printf("\n(counters summed over all 3 hosts; unbatched sys/dgram is "
-              "1.0 by construction — one sendto per datagram)\n");
+              "1.0 by construction — batches of one datagram)\n");
 }
 
 // Wall-clock cost of the full ordering pipeline per message, for reference.

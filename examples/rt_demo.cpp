@@ -1,5 +1,5 @@
 // Real-time demo: the same protocol stacks on actual threads, a real
-// clock, and file-backed stable storage — no simulator involved.
+// clock, and an on-disk segmented log — no simulator involved.
 //
 // Three replica threads run a counter RSM over a lossy in-process network;
 // one replica is killed mid-run and recovers from its on-disk logs. Run:
@@ -12,7 +12,7 @@
 #include "apps/kv_store.hpp"
 #include "apps/rsm.hpp"
 #include "rt/rt_cluster.hpp"
-#include "storage/file_storage.hpp"
+#include "storage/segment_log_storage.hpp"
 
 using namespace abcast;
 using namespace abcast::apps;
@@ -26,9 +26,12 @@ int main() {
   cfg.n = 3;
   cfg.net.drop_prob = 0.05;   // a genuinely lossy loopback network
   cfg.storage_factory = [dir](ProcessId p) {
-    // Crash-atomic, CRC-checked records on disk (fsync off for demo speed).
-    return std::make_unique<FileStableStorage>(
-        dir / ("replica" + std::to_string(p)), /*fsync_writes=*/false);
+    // CRC-checked records appended to an on-disk log, synced at each event
+    // loop pass before that pass's datagrams leave (group commit).
+    SegmentedLogConfig log;
+    log.dir = dir / ("replica" + std::to_string(p));
+    log.sync = SyncMode::kDeferred;
+    return std::make_unique<SegmentedLogStorage>(log);
   };
   rt::RtCluster cluster(cfg);
 

@@ -1,7 +1,8 @@
 // Fuzz family: every consensus-layer datagram payload
 // (src/consensus/consensus_wire.hpp). The first byte selects the message,
 // the rest is the payload handed to its decoder, exactly as an arbitrary
-// UDP datagram would reach it through drain_socket's Wire dispatch.
+// UDP datagram would reach it through UdpHost::handle_datagram's Wire
+// dispatch.
 #include "consensus/consensus_wire.hpp"
 
 #include "fuzz/fuzz_util.hpp"

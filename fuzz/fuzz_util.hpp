@@ -3,8 +3,8 @@
 // Every harness is one function `int fuzz_<family>(const uint8_t*, size_t)`
 // that dispatches the input across a whole decoder family by selector byte,
 // so a single corpus exercises every message layout the family owns. The
-// contract mirrors the production exception boundary (udp_env drain_socket,
-// the storage recovery paths): CodecError is the ONE accepted rejection
+// contract mirrors the production exception boundary
+// (UdpHost::handle_datagram, the storage recovery paths): CodecError is the ONE accepted rejection
 // path; any other exception, signal, sanitizer report, or invariant failure
 // escaping the harness is a bug.
 //

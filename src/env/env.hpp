@@ -2,8 +2,8 @@
 //
 // Protocol modules (failure detector, consensus, atomic broadcast, apps) are
 // written against Env + NodeApp only, so the same objects run under the
-// deterministic simulator (src/sim) and the threaded real-time runtime
-// (src/rt).
+// deterministic simulator (src/sim) and on the real-time hosts, which share
+// one event loop (src/rt: in-process channel; src/net: UDP sockets).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,8 @@ class Env {
   /// Number of processes in the group (the paper's Π).
   virtual std::uint32_t group_size() const = 0;
 
-  /// Current time (virtual in the simulator, steady-clock in rt).
+  /// Current time (virtual in the simulator, steady-clock on the real-time
+  /// hosts).
   virtual TimePoint now() const = 0;
 
   /// Runs `fn` once after `delay`, unless cancelled or the process crashes

@@ -3,14 +3,14 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
-#include <future>
 #include <stdexcept>
 
 #include "common/check.hpp"
@@ -50,11 +50,14 @@ int make_udp_socket(const std::string& host, std::uint16_t port,
 }  // namespace
 
 UdpHost::UdpHost(UdpConfig config)
-    : config_(std::move(config)),
-      rng_(config_.seed * 7919 + config_.self),
-      storage_(config_.storage_factory ? config_.storage_factory()
-                                       : std::make_unique<MemStableStorage>()),
-      epoch_(std::chrono::steady_clock::now()) {
+    : rt::EventLoop(config.self,
+                    static_cast<std::uint32_t>(config.peers.size()),
+                    config.seed * 7919 + config.self,
+                    config.storage_factory
+                        ? config.storage_factory()
+                        : std::make_unique<MemStableStorage>(),
+                    std::chrono::steady_clock::now()),
+      config_(std::move(config)) {
   ABCAST_CHECK(config_.self < config_.peers.size());
 
   if (config_.prebound_fd >= 0) {
@@ -82,17 +85,19 @@ UdpHost::UdpHost(UdpConfig config)
     peer_addrs_.emplace_back(ip, peer.port);
   }
 
-  if (config_.batch.enabled) {
-    ABCAST_CHECK(config_.batch.recv_batch >= 1);
-    ABCAST_CHECK(config_.batch.send_batch >= 1);
-    recv_ring_.assign(config_.batch.recv_batch, Bytes(kMaxDatagram));
-    recv_hdrs_.resize(config_.batch.recv_batch);
-    recv_iovs_.resize(config_.batch.recv_batch);
-    recv_addrs_.resize(config_.batch.recv_batch);
-    send_hdrs_.resize(config_.batch.send_batch);
-    send_iovs_.resize(config_.batch.send_batch);
-    send_addrs_.resize(config_.batch.send_batch);
-  }
+  // Unbatched is the same engine with batches of one.
+  const UdpBatchConfig& b = config_.batch;
+  const std::uint32_t recv_batch = b.enabled ? b.recv_batch : 1;
+  const std::uint32_t send_batch = b.enabled ? b.send_batch : 1;
+  ABCAST_CHECK(recv_batch >= 1);
+  ABCAST_CHECK(send_batch >= 1);
+  recv_ring_.assign(recv_batch, Bytes(kMaxDatagram));
+  recv_hdrs_.resize(recv_batch);
+  recv_iovs_.resize(recv_batch);
+  recv_addrs_.resize(recv_batch);
+  send_hdrs_.resize(send_batch);
+  send_iovs_.resize(send_batch);
+  send_addrs_.resize(send_batch);
 
   if (config_.registry != nullptr) {
     const obs::Labels labels{{"node", std::to_string(config_.self)}};
@@ -107,74 +112,12 @@ UdpHost::UdpHost(UdpConfig config)
     metrics_group_.bind("net_recv_errors", labels, &metrics_.recv_errors);
   }
 
-  if (::pipe(wake_fds_) != 0) {
-    ::close(fd_);
-    throw std::runtime_error("pipe() failed");
-  }
-  const int wf = ::fcntl(wake_fds_[0], F_GETFL, 0);
-  ::fcntl(wake_fds_[0], F_SETFL, wf | O_NONBLOCK);
-
-  thread_ = std::thread([this] { loop(); });
+  start_loop(fd_);
 }
 
 UdpHost::~UdpHost() {
-  shutdown();
-  if (fd_ >= 0) ::close(fd_);
-  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
-}
-
-void UdpHost::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  wake();
-  if (thread_.joinable()) thread_.join();
-}
-
-void UdpHost::wake() {
-  const char b = 1;
-  [[maybe_unused]] const auto n = ::write(wake_fds_[1], &b, 1);
-}
-
-TimePoint UdpHost::now() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
-TimerId UdpHost::schedule_after(Duration delay, std::function<void()> fn) {
-  if (delay < 0) delay = 0;
-  std::uint64_t id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Task t;
-    t.due = now() + delay;
-    t.seq = next_seq_++;
-    t.incarnation = incarnation_;
-    t.fn = std::move(fn);
-    id = t.seq;
-    live_timers_.insert(id);
-    tasks_.push(std::move(t));
-  }
-  wake();
-  return id;
-}
-
-void UdpHost::cancel_timer(TimerId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Erasing from the live set both cancels the timer and bounds the
-  // bookkeeping: an id for a timer that already fired (or belonged to a
-  // previous incarnation) is simply absent, so cancel-after-fire is a no-op
-  // instead of a leaked tombstone.
-  live_timers_.erase(id);
-}
-
-std::size_t UdpHost::pending_timer_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return live_timers_.size();
+  shutdown();  // the loop stops before any transport member dies
+  ::close(fd_);
 }
 
 Bytes UdpHost::make_frame(const Wire& msg) const {
@@ -191,28 +134,9 @@ void UdpHost::fill_dest(ProcessId to, sockaddr_in* addr) const {
   addr->sin_port = htons(peer_addrs_[to].second);
 }
 
-void UdpHost::send_frame(ProcessId to, const Bytes& frame) {
-  if (frame.size() > kMaxDatagram) {
-    metrics_.send_failures += 1;  // UDP cannot carry it; drop (unreliable)
-    return;
-  }
-  sockaddr_in addr;
-  fill_dest(to, &addr);
-  const auto n =
-      ::sendto(fd_, frame.data(), frame.size(), 0,
-               reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
-  metrics_.send_syscalls += 1;
-  if (n < 0) {
-    metrics_.send_failures += 1;  // full buffers etc.: a lost
-                                  // datagram, which UDP permits
-  } else {
-    metrics_.send_datagrams += 1;
-  }
-}
-
 void UdpHost::queue_frame(ProcessId to, const SharedBytes& frame) {
   if (frame.size() > kMaxDatagram) {
-    metrics_.send_failures += 1;
+    metrics_.send_failures += 1;  // UDP cannot carry it; drop (unreliable)
     return;
   }
   send_queue_.push_back(PendingSend{to, frame});
@@ -220,30 +144,21 @@ void UdpHost::queue_frame(ProcessId to, const SharedBytes& frame) {
 
 void UdpHost::send(ProcessId to, const Wire& msg) {
   ABCAST_CHECK(to < peer_addrs_.size());
-  if (config_.batch.enabled) {
-    queue_frame(to, SharedBytes(make_frame(msg)));
-  } else {
-    send_frame(to, make_frame(msg));
-  }
+  queue_frame(to, SharedBytes(make_frame(msg)));
 }
 
 void UdpHost::multisend(const Wire& msg) {
-  if (config_.batch.enabled) {
-    // One encode, one refcounted frame, group_size() queue entries — and
-    // (send_batch permitting) one sendmmsg for the lot at the pass flush.
-    const SharedBytes frame(make_frame(msg));
-    for (ProcessId to = 0; to < group_size(); ++to) queue_frame(to, frame);
-    return;
-  }
-  const Bytes frame = make_frame(msg);  // one encode for all recipients
-  for (ProcessId to = 0; to < group_size(); ++to) send_frame(to, frame);
+  // One encode, one refcounted frame, group_size() queue entries — and
+  // (send_batch permitting) one sendmmsg for the lot at the barrier.
+  const SharedBytes frame(make_frame(msg));
+  for (ProcessId to = 0; to < group_size(); ++to) queue_frame(to, frame);
 }
 
-void UdpHost::flush_send_queue() {
+void UdpHost::release_sends() {
+  const std::size_t max_batch = send_hdrs_.size();
   std::size_t done = 0;
   while (done < send_queue_.size()) {
-    const std::size_t batch = std::min<std::size_t>(
-        config_.batch.send_batch, send_queue_.size() - done);
+    const std::size_t batch = std::min(max_batch, send_queue_.size() - done);
     for (std::size_t i = 0; i < batch; ++i) {
       const PendingSend& p = send_queue_[done + i];
       const Bytes& frame = p.frame.get();
@@ -261,9 +176,9 @@ void UdpHost::flush_send_queue() {
     metrics_.send_syscalls += 1;
     if (sent < 0) {
       if (errno == EINTR) continue;
-      // EAGAIN / hard error: drop the rest of the queue. Same contract as
-      // the unbatched path's failed sendto — a lost datagram, which the
-      // protocol's retransmission machinery already tolerates.
+      // EAGAIN / hard error: drop the rest of the queue — lost datagrams,
+      // which UDP permits and the protocol's retransmission machinery
+      // already tolerates.
       metrics_.send_failures += send_queue_.size() - done;
       break;
     }
@@ -273,117 +188,21 @@ void UdpHost::flush_send_queue() {
   send_queue_.clear();
 }
 
-void UdpHost::flush_io() {
-  // Durability BEFORE visibility: a deferred-sync storage backend must make
-  // this pass's log records crash-proof before any datagram that could
-  // reveal them leaves the process (DESIGN.md §16). Throwing here follows
-  // the StorageIoError contract: log either completes or the process dies.
-  storage_->flush();
-  if (!send_queue_.empty()) flush_send_queue();
-}
-
-void UdpHost::start_node(const NodeFactory& factory, bool recovering) {
-  std::promise<void> done;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Task t;
-    t.due = now();
-    t.seq = next_seq_++;
-    t.fn = [this, &factory, recovering, &done] {
-      ABCAST_CHECK_MSG(node_ == nullptr, "udp node already up");
-      node_ = factory(*this);
-      up_.store(true);
-      node_->start(recovering);
-      done.set_value();
-    };
-    tasks_.push(std::move(t));
-  }
-  wake();
-  done.get_future().get();
-}
-
-void UdpHost::crash_node() {
-  std::promise<void> done;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Task t;
-    t.due = now();
-    t.seq = next_seq_++;
-    t.fn = [this, &done] {
-      ABCAST_CHECK_MSG(node_ != nullptr, "udp node already down");
-      up_.store(false);
-      node_.reset();
-      send_queue_.clear();  // unsent datagrams die with the process
-      {
-        std::lock_guard<std::mutex> inner(mu_);
-        incarnation_ += 1;
-        live_timers_.clear();  // ids of the dead incarnation can never fire
-      }
-      done.set_value();
-    };
-    tasks_.push(std::move(t));
-  }
-  wake();
-  done.get_future().get();
-}
-
-bool UdpHost::call(const std::function<void()>& fn) {
-  ABCAST_CHECK(std::this_thread::get_id() != thread_.get_id());
-  std::promise<bool> done;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Task t;
-    t.due = now();
-    t.seq = next_seq_++;
-    t.fn = [this, &fn, &done] {
-      if (node_ == nullptr) {
-        done.set_value(false);
-        return;
-      }
-      fn();
-      done.set_value(true);
-    };
-    tasks_.push(std::move(t));
-  }
-  wake();
-  return done.get_future().get();
-}
-
 void UdpHost::handle_datagram(const std::uint8_t* data, std::size_t size) {
-  if (node_ == nullptr) return;  // down: arriving datagrams are lost
   try {
     BufReader r(data, size);
     const ProcessId from = r.u32();
     const Wire wire = Wire::decode(r);
     r.expect_done();
     if (from >= config_.peers.size()) return;
-    node_->on_message(from, wire);
+    deliver(from, wire);
   } catch (const CodecError&) {
     // Malformed datagram (stray traffic): drop, as UDP semantics allow.
   }
 }
 
-void UdpHost::drain_socket() {
-  if (config_.batch.enabled) {
-    drain_socket_batched();
-    return;
-  }
-  std::uint8_t buf[kMaxDatagram];
-  for (;;) {
-    const auto n = ::recvfrom(fd_, buf, sizeof buf, 0, nullptr, nullptr);
-    metrics_.recv_syscalls += 1;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN && errno != EWOULDBLOCK) metrics_.recv_errors += 1;
-      return;  // would-block: socket drained; real errors are counted
-    }
-    metrics_.recv_datagrams += 1;
-    handle_datagram(buf, static_cast<std::size_t>(n));
-  }
-}
-
-void UdpHost::drain_socket_batched() {
-  const unsigned batch = config_.batch.recv_batch;
+void UdpHost::drain_input() {
+  const auto batch = static_cast<unsigned>(recv_hdrs_.size());
   for (;;) {
     for (unsigned i = 0; i < batch; ++i) {
       recv_iovs_[i].iov_base = recv_ring_[i].data();
@@ -399,7 +218,7 @@ void UdpHost::drain_socket_batched() {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno != EAGAIN && errno != EWOULDBLOCK) metrics_.recv_errors += 1;
-      return;
+      return;  // would-block: socket drained; real errors are counted
     }
     metrics_.recv_datagrams += static_cast<std::uint64_t>(n);
     for (int i = 0; i < n; ++i) {
@@ -407,64 +226,6 @@ void UdpHost::drain_socket_batched() {
                       recv_hdrs_[static_cast<std::size_t>(i)].msg_len);
     }
     if (static_cast<unsigned>(n) < batch) return;  // socket drained
-  }
-}
-
-void UdpHost::loop() {
-  for (;;) {
-    // End-of-pass I/O barrier: everything the previous pass logged becomes
-    // durable, then everything it queued goes out, then we sleep.
-    flush_io();
-
-    // Compute poll timeout from the earliest due task.
-    int timeout_ms = 1000;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stop_) return;
-      if (!tasks_.empty()) {
-        const auto wait = tasks_.top().due - now();
-        timeout_ms = wait <= 0 ? 0 : static_cast<int>(wait / 1'000'000 + 1);
-      }
-    }
-
-    pollfd fds[2];
-    fds[0] = {fd_, POLLIN, 0};
-    fds[1] = {wake_fds_[0], POLLIN, 0};
-    const int pr = ::poll(fds, 2, timeout_ms);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      // Unspecified revents on failure: fall through with the zeroed
-      // revents so due tasks still run, rather than reading garbage.
-      fds[0].revents = 0;
-      fds[1].revents = 0;
-    }
-
-    if (fds[1].revents & POLLIN) {
-      std::uint8_t sink[64];
-      while (::read(wake_fds_[0], sink, sizeof sink) > 0) {
-      }
-    }
-    if (fds[0].revents & POLLIN) drain_socket();
-
-    // Run everything due.
-    for (;;) {
-      Task task;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stop_) return;
-        if (tasks_.empty() || tasks_.top().due > now()) break;
-        task = tasks_.top();
-        tasks_.pop();
-        if (task.incarnation != 0) {
-          if (task.incarnation != incarnation_) continue;
-          // Fire only timers still alive; erasing keeps the table bounded
-          // by outstanding timers (cancel/fire both remove the entry).
-          if (live_timers_.erase(task.seq) == 0) continue;
-          if (node_ == nullptr) continue;
-        }
-      }
-      task.fn();
-    }
   }
 }
 

@@ -7,23 +7,18 @@
 // backoff, fill ticks) that the simulator exercised against injected loss
 // here covers genuine kernel-buffer drops and datagram loss.
 //
-// Structure mirrors the rt runtime: one event-loop thread per host,
-// poll()-driven with the timer queue's next deadline as the poll timeout.
-// Datagrams are framed as [u32 sender pid][Wire]; anything malformed or
-// from an unknown peer is dropped (CodecError can never propagate past the
-// loop — unreliable transport semantics).
+// UdpHost is a transport on the shared rt::EventLoop, which owns the loop
+// thread, the timers, the node lifecycle and the per-pass barrier
+// (storage().flush() before any queued datagram is released). The socket is
+// the loop's input fd. Datagrams are framed as [u32 sender pid][Wire];
+// anything malformed or from an unknown peer is dropped (CodecError can
+// never propagate past the loop — unreliable transport semantics).
 //
-// Batched I/O (DESIGN.md §16): with UdpBatchConfig::enabled the host
-// coalesces syscalls at both ends of the hot path. Outbound frames queue on
-// a loop-thread-only send queue and are flushed with sendmmsg() once per
-// event-loop pass — each mmsghdr carries its own destination, so one
-// syscall covers every recipient of a multisend plus everything else the
-// pass produced. Inbound, recvmmsg() drains up to recv_batch datagrams per
-// syscall into a preallocated buffer ring feeding the same decode path.
-// The flush point doubles as the storage durability barrier: each pass runs
-// storage().flush() BEFORE releasing queued datagrams, so a deferred-sync
-// backend (SegmentedLogStorage) is externally indistinguishable from a
-// synchronous one — classic group commit.
+// I/O (DESIGN.md §16.2): send/multisend queue refcounted frames — a
+// multisend encodes once — and the barrier releases the queue with
+// sendmmsg(), each mmsghdr carrying its own destination. Inbound,
+// recvmmsg() drains into a preallocated buffer ring feeding the decode
+// path. UdpBatchConfig sets how many datagrams one syscall may carry.
 //
 // Limitations (documented, inherent to UDP): a datagram larger than the
 // ~64 KB UDP limit cannot be sent and is silently dropped, so deployments
@@ -31,24 +26,17 @@
 // state transfer to keep state messages small.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <queue>
 #include <string>
-#include <thread>
-#include <tuple>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/relaxed_counter.hpp"
-#include "common/rng.hpp"
 #include "env/env.hpp"
 #include "obs/metrics.hpp"
+#include "rt/event_loop.hpp"
 #include "storage/mem_storage.hpp"
 
 // Forward-declared here so the header stays free of <sys/socket.h>; defined
@@ -65,9 +53,8 @@ struct UdpPeer {
   std::uint16_t port = 0;
 };
 
-/// Syscall batching knobs. Off by default: the one-syscall-per-datagram
-/// path remains the reference behavior; benches and tests flip this on to
-/// measure/exercise the batched engine.
+/// Syscall batching knobs. Off by default, which means batches of one: the
+/// same sendmmsg/recvmmsg engine moving one datagram per syscall.
 struct UdpBatchConfig {
   bool enabled = false;
   /// Max datagrams drained per recvmmsg() call (buffer ring size).
@@ -81,10 +68,10 @@ struct UdpBatchConfig {
 /// syscall/datagram pairs are what the batching bench reads: batching on
 /// should show send_syscalls << send_datagrams.
 struct NetMetrics {
-  RelaxedU64 send_syscalls;   // sendto/sendmmsg calls issued
+  RelaxedU64 send_syscalls;   // sendmmsg calls issued
   RelaxedU64 send_datagrams;  // datagrams handed to the kernel
   RelaxedU64 send_failures;   // oversized or kernel-rejected datagrams
-  RelaxedU64 recv_syscalls;   // recvfrom/recvmmsg calls issued
+  RelaxedU64 recv_syscalls;   // recvmmsg calls issued
   RelaxedU64 recv_datagrams;  // datagrams received
   RelaxedU64 recv_errors;     // receive-side errno other than would-block
 };
@@ -105,7 +92,7 @@ struct UdpConfig {
   obs::MetricsRegistry* registry = nullptr;
 };
 
-class UdpHost final : public Env {
+class UdpHost final : public rt::EventLoop {
  public:
   /// Binds a socket to peers[config.self] (port 0 = ephemeral; see
   /// local_port()) — or adopts config.prebound_fd — and starts the event
@@ -114,38 +101,16 @@ class UdpHost final : public Env {
   ~UdpHost() override;
 
   // Env (called from the event-loop thread only)
-  ProcessId self() const override { return config_.self; }
-  std::uint32_t group_size() const override {
-    return static_cast<std::uint32_t>(config_.peers.size());
-  }
-  TimePoint now() const override;
-  TimerId schedule_after(Duration delay, std::function<void()> fn) override;
-  void cancel_timer(TimerId id) override;
   void send(ProcessId to, const Wire& msg) override;
-  /// Frames the datagram once ([u32 self][Wire]) and sends it to every
-  /// peer — one encode per multisend instead of one per recipient. Under
-  /// batching the copies are queue entries sharing one refcounted frame.
+  /// Frames the datagram once ([u32 self][Wire]) and queues it for every
+  /// peer: group_size() queue entries sharing one refcounted frame.
   void multisend(const Wire& msg) override;
-  StableStorage& storage() override { return *storage_; }
-  Rng& rng() override { return rng_; }
   obs::MetricsRegistry* metrics_registry() override {
     return config_.registry;
   }
 
-  // ---- lifecycle (external threads) --------------------------------------
-  /// Constructs the protocol stack via `factory` and starts it.
-  void start_node(const NodeFactory& factory, bool recovering);
-  /// Crash: destroys the stack (volatile state dies); the socket stays
-  /// open but arriving datagrams are dropped, like the paper's model.
-  void crash_node();
-
-  /// Runs `fn` on the event-loop thread and waits; false if down.
-  bool call(const std::function<void()>& fn);
-
-  bool is_up() const { return up_.load(); }
   /// The actually bound port (useful when configured with port 0).
   std::uint16_t local_port() const { return local_port_; }
-  NodeApp* node_unsafe() { return node_.get(); }
 
   /// Datagrams that failed to send (e.g. oversized) — observability for
   /// the UDP size limitation.
@@ -154,81 +119,39 @@ class UdpHost final : public Env {
   }
   const NetMetrics& net_metrics() const { return metrics_; }
 
-  /// Timer-table entries currently alive (scheduled and neither fired nor
-  /// cancelled). Regression hook for the cancelled-timer leak: stays
-  /// bounded by the number of OUTSTANDING timers no matter how many
-  /// cancel/fire cycles have run.
-  std::size_t pending_timer_entries() const;
-
-  void shutdown();
-
  private:
-  struct Task {
-    TimePoint due = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t incarnation = 0;  // 0 = not incarnation-bound
-    std::function<void()> fn;
-
-    bool operator>(const Task& o) const {
-      return std::tie(due, seq) > std::tie(o.due, o.seq);
-    }
-  };
-
-  /// One queued outbound datagram (batched mode). The frame is refcounted:
-  /// a multisend queues group_size() entries over a single encode.
+  /// One queued outbound datagram. The frame is refcounted: a multisend
+  /// queues group_size() entries over a single encode.
   struct PendingSend {
     ProcessId to = 0;
     SharedBytes frame;
   };
 
-  void loop();
-  void drain_socket();
-  void drain_socket_batched();
+  /// Hands the queue to the kernel in sendmmsg chunks.
+  void release_sends() override;
+  void drop_sends() override { send_queue_.clear(); }
+  /// Drains the socket in recvmmsg chunks.
+  void drain_input() override;
   void handle_datagram(const std::uint8_t* data, std::size_t size);
-  /// The per-pass I/O barrier: storage flush first (durability), THEN the
-  /// queued datagrams (visibility). No-ops when batching is off except for
-  /// the storage flush, which deferred-sync backends always need.
-  void flush_io();
-  void flush_send_queue();
-  void wake();
   Bytes make_frame(const Wire& msg) const;
-  void send_frame(ProcessId to, const Bytes& frame);
   void queue_frame(ProcessId to, const SharedBytes& frame);
   void fill_dest(ProcessId to, sockaddr_in* addr) const;
 
   UdpConfig config_;
-  Rng rng_;
-  std::unique_ptr<StableStorage> storage_;
   int fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  // self-pipe to interrupt poll()
   std::uint16_t local_port_ = 0;
   std::vector<std::pair<std::uint32_t, std::uint16_t>> peer_addrs_;
-  std::chrono::steady_clock::time_point epoch_;
 
-  mutable std::mutex mu_;
-  std::priority_queue<Task, std::vector<Task>, std::greater<>> tasks_;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t incarnation_ = 1;
-  /// Incarnation-bound timers scheduled but not yet fired or cancelled.
-  /// cancel_timer erases; the pop path fires only ids still present. This
-  /// replaces the old grow-only cancelled-ids list, whose entries leaked
-  /// whenever a timer fired (or died with its incarnation) after cancel.
-  std::unordered_set<std::uint64_t> live_timers_;
-  bool stop_ = false;
-
-  std::atomic<bool> up_{false};
   NetMetrics metrics_;
   obs::MetricsGroup metrics_group_;
-  std::unique_ptr<NodeApp> node_;  // event-loop thread only
 
-  // Batched-I/O state, event-loop thread only (Env serializes callbacks).
+  // Event-loop thread only (Env serializes callbacks). The header arrays
+  // are sized to the batch, so their sizes are the per-syscall limits.
   std::vector<PendingSend> send_queue_;
-  std::vector<Bytes> recv_ring_;  // recv_batch preallocated datagram buffers
+  std::vector<Bytes> recv_ring_;  // preallocated datagram buffers
   std::vector<mmsghdr> send_hdrs_, recv_hdrs_;
   std::vector<iovec> send_iovs_, recv_iovs_;
   std::vector<sockaddr_in> send_addrs_, recv_addrs_;
-
-  std::thread thread_;  // declared last: joins before members die
 };
 
 /// Convenience for tests and demos: builds n hosts on ephemeral localhost

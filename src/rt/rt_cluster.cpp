@@ -1,7 +1,6 @@
 #include "rt/rt_cluster.hpp"
 
-#include <chrono>
-#include <future>
+#include <thread>
 
 #include "common/check.hpp"
 
@@ -12,196 +11,50 @@ using Clock = std::chrono::steady_clock;
 // ----------------------------------------------------------------- RtHost
 
 RtHost::RtHost(RtCluster& cluster, ProcessId id)
-    : cluster_(cluster), id_(id),
-      rng_(cluster.config_.seed * 1000003 + id),
-      storage_(cluster.config_.storage_factory
-                   ? cluster.config_.storage_factory(id)
-                   : std::make_unique<MemStableStorage>()) {
+    : EventLoop(id, cluster.n(), cluster.config_.seed * 1000003 + id,
+                cluster.config_.storage_factory
+                    ? cluster.config_.storage_factory(id)
+                    : std::make_unique<MemStableStorage>(),
+                cluster.epoch_),
+      cluster_(cluster) {
   if (cluster.config_.trace_capacity > 0) {
     recorder_ = std::make_unique<obs::TraceRecorder>(
         id, cluster.config_.trace_capacity);
     recorder_->set_clock([this] { return now(); });
     tracing_storage_ = std::make_unique<TracingStorage>(
-        *storage_, *recorder_, [this] { return now(); });
+        EventLoop::storage(), *recorder_, [this] { return now(); });
   }
-  thread_ = std::thread([this] { loop(); });
+  start_loop();
 }
+
+RtHost::~RtHost() { shutdown(); }
 
 obs::MetricsRegistry* RtHost::metrics_registry() {
   return &cluster_.metrics_registry();
 }
 
-RtHost::~RtHost() { shutdown(); }
-
-void RtHost::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-std::uint32_t RtHost::group_size() const { return cluster_.n(); }
-
-TimePoint RtHost::now() const { return cluster_.now(); }
-
-TimerId RtHost::schedule_after(Duration delay, std::function<void()> fn) {
-  if (delay < 0) delay = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  Task t;
-  t.due = now() + delay;
-  t.seq = next_seq_++;
-  t.incarnation = incarnation_;
-  t.only_if_up = true;
-  t.fn = std::move(fn);
-  const TimerId id = t.seq;
-  tasks_.push(std::move(t));
-  cv_.notify_all();
-  return id;
-}
-
-void RtHost::cancel_timer(TimerId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cancelled_.push_back(id);
-}
-
 void RtHost::send(ProcessId to, const Wire& msg) {
-  cluster_.transmit(id_, to, msg, rng_);
+  ABCAST_CHECK(to < group_size());
+  outbox_.emplace_back(to, msg);
 }
 
-void RtHost::enqueue(Task task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    task.seq = next_seq_++;
-    tasks_.push(std::move(task));
-  }
-  cv_.notify_all();
-}
-
-void RtHost::enqueue_message(TimePoint due, ProcessId from, Wire msg) {
-  Task t;
-  t.due = due;
-  t.incarnation = 0;  // network delivery: dropped (not deferred) when down
-  t.only_if_up = true;
-  t.fn = [this, from, m = std::move(msg)] {
-    if (node_) node_->on_message(from, m);
-  };
-  enqueue(std::move(t));
-}
-
-void RtHost::post(std::function<void()> fn, bool only_if_up) {
-  Task t;
-  t.due = now();
-  t.incarnation = 0;
-  t.only_if_up = only_if_up;
-  t.fn = [this, only_if_up, f = std::move(fn)] {
-    if (only_if_up && node_ == nullptr) return;
-    f();
-  };
-  enqueue(std::move(t));
-}
-
-bool RtHost::call(const std::function<void()>& fn) {
-  // External threads only; calling from the host thread would self-deadlock.
-  ABCAST_CHECK(std::this_thread::get_id() != thread_.get_id());
-  std::promise<bool> done;
-  Task t;
-  t.due = now();
-  t.incarnation = 0;
-  t.only_if_up = false;
-  t.fn = [this, &fn, &done] {
-    if (node_ == nullptr) {
-      done.set_value(false);
-      return;
-    }
-    fn();
-    done.set_value(true);
-  };
-  enqueue(std::move(t));
-  return done.get_future().get();
-}
-
-void RtHost::start_node(const NodeFactory& factory, bool recovering) {
-  ABCAST_CHECK(std::this_thread::get_id() != thread_.get_id());
-  std::promise<void> done;
-  Task t;
-  t.due = now();
-  t.incarnation = 0;
-  t.only_if_up = false;
-  t.fn = [this, &factory, recovering, &done] {
-    ABCAST_CHECK_MSG(node_ == nullptr, "rt process already up");
-    if (recovering && recorder_) {
-      recorder_->record(obs::EventKind::kRecoverBegin, now());
-    }
-    node_ = factory(*this);
-    up_.store(true);
-    node_->start(recovering);
-    if (recovering && recorder_) {
-      recorder_->record(obs::EventKind::kRecoverEnd, now());
-    }
-    done.set_value();
-  };
-  enqueue(std::move(t));
-  done.get_future().get();
-}
-
-void RtHost::crash_node() {
-  ABCAST_CHECK(std::this_thread::get_id() != thread_.get_id());
-  std::promise<void> done;
-  Task t;
-  t.due = now();
-  t.incarnation = 0;
-  t.only_if_up = false;
-  t.fn = [this, &done] {
-    ABCAST_CHECK_MSG(node_ != nullptr, "rt process already down");
-    up_.store(false);
-    node_.reset();  // volatile state dies here
-    if (recorder_) recorder_->record(obs::EventKind::kCrash, now());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      incarnation_ += 1;  // pending timers become stale
-      cancelled_.clear();
-    }
-    done.set_value();
-  };
-  enqueue(std::move(t));
-  done.get_future().get();
-}
-
-void RtHost::loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    if (tasks_.empty()) {
-      cv_.wait(lock);
+void RtHost::release_sends() {
+  const RtNetConfig& net = cluster_.config_.net;
+  for (auto& [to, msg] : outbox_) {
+    RtHost& peer = cluster_.host(to);
+    if (to == self()) {
+      peer.deliver_at(now(), self(), std::move(msg));
       continue;
     }
-    const TimePoint due = tasks_.top().due;
-    const TimePoint current = now();
-    if (due > current) {
-      cv_.wait_for(lock, std::chrono::nanoseconds(due - current));
-      continue;
+    if (rng().chance(net.drop_prob)) continue;
+    peer.deliver_at(now() + rng().uniform(net.delay_min, net.delay_max),
+                    self(), msg);
+    if (rng().chance(net.dup_prob)) {
+      peer.deliver_at(now() + rng().uniform(net.delay_min, net.delay_max),
+                      self(), std::move(msg));
     }
-    Task task = tasks_.top();
-    tasks_.pop();
-    // Timer bookkeeping: skip cancelled or stale-incarnation timers.
-    if (task.incarnation != 0) {
-      if (task.incarnation != incarnation_) continue;
-      bool was_cancelled = false;
-      for (auto it = cancelled_.begin(); it != cancelled_.end(); ++it) {
-        if (*it == task.seq) {
-          cancelled_.erase(it);
-          was_cancelled = true;
-          break;
-        }
-      }
-      if (was_cancelled) continue;
-      if (node_ == nullptr) continue;
-    }
-    lock.unlock();
-    task.fn();
-    lock.lock();
   }
+  outbox_.clear();
 }
 
 // -------------------------------------------------------------- RtCluster
@@ -216,6 +69,8 @@ RtCluster::RtCluster(RtConfig config)
 }
 
 RtCluster::~RtCluster() {
+  // Every loop stops before any host dies: a pass releasing sends touches
+  // its peers.
   for (auto& h : hosts_) h->shutdown();
 }
 
@@ -254,24 +109,6 @@ bool RtCluster::wait_for(const std::function<bool()>& pred, Duration timeout,
     std::this_thread::sleep_for(std::chrono::nanoseconds(poll));
   }
   return pred();
-}
-
-void RtCluster::transmit(ProcessId from, ProcessId to, const Wire& msg,
-                         Rng& rng) {
-  ABCAST_CHECK(to < config_.n);
-  RtHost& target = host(to);
-  if (from == to) {
-    target.enqueue_message(now(), from, msg);
-    return;
-  }
-  const RtNetConfig& net = config_.net;
-  if (rng.chance(net.drop_prob)) return;
-  target.enqueue_message(now() + rng.uniform(net.delay_min, net.delay_max),
-                         from, msg);
-  if (rng.chance(net.dup_prob)) {
-    target.enqueue_message(now() + rng.uniform(net.delay_min, net.delay_max),
-                           from, msg);
-  }
 }
 
 }  // namespace abcast::rt

@@ -1,0 +1,206 @@
+// Contracts of the event loop the real-time hosts share (rt/event_loop.hpp),
+// checked on each of its transports: RtHost's in-process channel, and
+// UdpHost with batching off (batches of one) and on.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <string>
+#include <thread>
+
+#include "net/udp_env.hpp"
+#include "rt/rt_cluster.hpp"
+#include "storage/mem_storage.hpp"
+
+using namespace abcast;
+
+namespace {
+
+using StorageFactory = std::function<std::unique_ptr<StableStorage>(ProcessId)>;
+
+/// n RtHosts of one RtCluster.
+struct RtHosts {
+  static constexpr const char* kName = "RtHost";
+
+  RtHosts(std::uint32_t n, StorageFactory storage)
+      : cluster(rt::RtConfig{
+            .n = n, .seed = 31, .storage_factory = std::move(storage)}) {}
+  void start_all(NodeFactory factory) {
+    cluster.set_node_factory(std::move(factory));
+    cluster.start_all();
+  }
+  rt::RtHost& host(ProcessId p) { return cluster.host(p); }
+
+  rt::RtCluster cluster;
+};
+
+/// n UdpHosts on loopback ports, with UDP batching off or on.
+template <bool kBatched>
+struct UdpHosts {
+  static constexpr const char* kName = kBatched ? "UdpBatched" : "UdpUnbatched";
+
+  UdpHosts(std::uint32_t n, StorageFactory storage)
+      : hosts(net::make_local_udp_cluster(n, 31, batch(), nullptr,
+                                          by_index(std::move(storage)))) {}
+  void start_all(const NodeFactory& factory) {
+    for (auto& h : hosts) h->start_node(factory, /*recovering=*/false);
+  }
+  net::UdpHost& host(ProcessId p) { return *hosts[p]; }
+
+  static net::UdpBatchConfig batch() {
+    net::UdpBatchConfig b;
+    b.enabled = kBatched;
+    return b;
+  }
+  /// make_local_udp_cluster builds host i with the i-th factory call.
+  static std::function<std::unique_ptr<StableStorage>()> by_index(
+      StorageFactory storage) {
+    if (!storage) return {};
+    auto next = std::make_shared<ProcessId>(0);
+    return [storage = std::move(storage), next] { return storage((*next)++); };
+  }
+
+  std::vector<std::unique_ptr<net::UdpHost>> hosts;
+};
+
+/// Counts the puts and erases issued since the last flush(): what a
+/// deferred-sync backend would still lose to a crash.
+class CountingStorage final : public StableStorage {
+ public:
+  explicit CountingStorage(std::atomic<int>& unflushed)
+      : unflushed_(unflushed) {}
+
+  void put(std::string_view key, const Bytes& value) override {
+    inner_.put(key, value);
+    unflushed_ += 1;
+  }
+  std::optional<Bytes> get(std::string_view key) override {
+    return inner_.get(key);
+  }
+  void erase(std::string_view key) override {
+    inner_.erase(key);
+    unflushed_ += 1;
+  }
+  void flush() override { unflushed_ = 0; }
+  std::vector<std::string> keys_with_prefix(std::string_view prefix) override {
+    return inner_.keys_with_prefix(prefix);
+  }
+  std::uint64_t footprint_bytes() override { return inner_.footprint_bytes(); }
+  const StorageStats& stats() const override { return inner_.stats(); }
+
+ private:
+  MemStableStorage inner_;
+  std::atomic<int>& unflushed_;
+};
+
+/// On every datagram, records how many of the sender's log writes were
+/// still unflushed at that instant.
+struct DurabilityProbe final : NodeApp {
+  DurabilityProbe(std::atomic<int>& sender_unflushed, std::atomic<int>& seen)
+      : sender_unflushed_(sender_unflushed), seen_(seen) {}
+  void start(bool) override {}
+  void on_message(ProcessId, const Wire&) override {
+    seen_.store(sender_unflushed_.load());
+  }
+  std::atomic<int>& sender_unflushed_;
+  std::atomic<int>& seen_;
+};
+
+/// Does nothing: a stand-in protocol stack for loop-level tests.
+struct IdleApp final : NodeApp {
+  void start(bool) override {}
+  void on_message(ProcessId, const Wire&) override {}
+};
+
+template <typename Hosts>
+class HostLoop : public ::testing::Test {};
+
+struct HostKindName {
+  template <typename Hosts>
+  static std::string GetName(int) {
+    return Hosts::kName;
+  }
+};
+
+using HostKinds = ::testing::Types<RtHosts, UdpHosts<false>, UdpHosts<true>>;
+TYPED_TEST_SUITE(HostLoop, HostKinds, HostKindName);
+
+}  // namespace
+
+// Stable storage is all that survives a crash (§3), so a log write must be
+// durable before any datagram that could reveal it leaves the process:
+// StableStorage::flush() before the send, on every send path. Node 0 logs,
+// sends to node 1 and then holds its loop for 100 ms inside the same
+// handler; node 1 reads how many of node 0's writes were unflushed when the
+// datagram arrived. A host that transmits from inside send() lets it arrive
+// during the hold, before any barrier, and reads 1.
+TYPED_TEST(HostLoop, StorageFlushedBeforeEverySend) {
+  std::array<std::atomic<int>, 2> unflushed{};
+  std::atomic<int> seen{-1};
+  TypeParam c(2, [&unflushed](ProcessId p) {
+    return std::make_unique<CountingStorage>(unflushed[p]);
+  });
+  c.start_all([&unflushed, &seen](Env&) {
+    return std::make_unique<DurabilityProbe>(unflushed[0], seen);
+  });
+
+  auto& sender = c.host(0);
+  ASSERT_TRUE(sender.call([&sender] {
+    sender.storage().put("probe", Bytes{1});
+    sender.send(1, Wire{MsgType::kAbGossip, Bytes{2}});
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (seen.load() < 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(seen.load(), 0);
+}
+
+namespace {
+
+// Regression test for the cancelled-timer leak: a grow-only list of
+// cancelled ids, pruned only when the timer it named popped, kept a
+// tombstone forever for every cancel-after-fire (the common pattern: a
+// protocol cancels its retry timer from the handler that timer triggered)
+// and made every pop an O(tombstones) scan. The live-timer table keeps the
+// bookkeeping bounded by OUTSTANDING timers.
+template <typename Hosts>
+void expect_timer_table_bounded() {
+  Hosts c(1, {});
+  c.start_all([](Env&) { return std::make_unique<IdleApp>(); });
+  auto& h = c.host(0);
+  for (int i = 0; i < 500; ++i) {
+    TimerId fired_id = 0;
+    std::atomic<bool> fired{false};
+    h.call([&] {
+      fired_id = h.schedule_after(0, [&fired] { fired.store(true); });
+    });
+    while (!fired.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    h.call([&] { h.cancel_timer(fired_id); });  // cancel AFTER it fired
+
+    // And the cancel-before-fire side: schedule far out, cancel at once.
+    h.call([&] {
+      const TimerId id = h.schedule_after(seconds(3600), [] {});
+      h.cancel_timer(id);
+    });
+  }
+  // 1000 cancels later, nothing may linger (IdleApp schedules no timers of
+  // its own). The grow-only list held ~500 tombstones here.
+  EXPECT_EQ(h.pending_timer_entries(), 0u);
+}
+
+}  // namespace
+
+TEST(Rt, TimerBookkeepingBoundedUnderCancelAfterFireLoop) {
+  expect_timer_table_bounded<RtHosts>();
+}
+
+TEST(Udp, TimerBookkeepingBoundedUnderCancelAfterFireLoop) {
+  expect_timer_table_bounded<UdpHosts<false>>();
+}

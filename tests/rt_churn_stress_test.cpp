@@ -152,8 +152,8 @@ TEST(RtChurnStress, ConcurrentBroadcastSurvivesCrashRecoverChurn) {
 
 // A tighter loop on the lifecycle lock ordering alone: crash/recover from
 // one thread while another calls into the host and a third snapshots. No
-// protocol traffic to hide behind — this isolates RtHost task-queue and
-// up_/node_ handoff discipline.
+// protocol traffic to hide behind — this isolates the event loop's task
+// queue and up_/node_ handoff discipline.
 TEST(RtChurnStress, LifecycleCallSnapshotInterleaving) {
   rt::RtConfig cfg{.n = 2, .seed = 13};
   core::StackConfig stack;

@@ -10,7 +10,7 @@
 #include "apps/rsm.hpp"
 #include "obs/trace_check.hpp"
 #include "rt/rt_cluster.hpp"
-#include "storage/file_storage.hpp"
+#include "storage/segment_log_storage.hpp"
 
 using namespace abcast;
 using namespace abcast::apps;
@@ -179,8 +179,11 @@ TEST(Rt, FileBackedStorageSurvives) {
   {
     rt::RtConfig cfg{.n = 3, .seed = 5};
     cfg.storage_factory = [dir](ProcessId p) {
-      return std::make_unique<FileStableStorage>(
-          dir / ("node" + std::to_string(p)), /*fsync_writes=*/false);
+      // The production log: records sync at each loop pass's barrier.
+      SegmentedLogConfig log;
+      log.dir = dir / ("node" + std::to_string(p));
+      log.sync = SyncMode::kDeferred;
+      return std::make_unique<SegmentedLogStorage>(log);
     };
     core::StackConfig stack;
     stack.ab.log_unordered = true;
