@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
-#include "storage/file_storage.hpp"
 #include "storage/mem_storage.hpp"
 #include "storage/segment_log_storage.hpp"
 
@@ -69,42 +68,9 @@ void BM_MemStoragePut(benchmark::State& state) {
 }
 BENCHMARK(BM_MemStoragePut);
 
-void BM_FileStoragePut(benchmark::State& state) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("abcast_bench_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  {
-    FileStableStorage storage(dir, /*fsync_writes=*/false);
-    const Bytes value(256, 'v');
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-      storage.put("cons/prop/" + std::to_string(i++ % 100), value);
-    }
-  }
-  std::filesystem::remove_all(dir);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FileStoragePut);
-
-void BM_FileStoragePutFsync(benchmark::State& state) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("abcast_bench_f_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  {
-    FileStableStorage storage(dir, /*fsync_writes=*/true);
-    const Bytes value(256, 'v');
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-      storage.put("cons/prop/" + std::to_string(i++ % 100), value);
-    }
-  }
-  std::filesystem::remove_all(dir);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FileStoragePutFsync);
-
-// The segmented-log backend (DESIGN.md §16), against the file-per-record
-// numbers above: one buffered append per put instead of tmp+rename.
+// The segmented-log backend (DESIGN.md §16): one buffered append per put.
+// E15a (bench_logops) keeps the file-per-record backend's fsync row as the
+// baseline it is measured against.
 void BM_SegLogPut(benchmark::State& state) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("abcast_bench_sl_" + std::to_string(::getpid()));

@@ -26,11 +26,12 @@ struct McOutcome {
 /// `group_count` groups of 3; every multicast goes to `dest_count` groups.
 McOutcome run_once(std::uint32_t group_count, std::uint32_t dest_count,
                    std::uint64_t seed) {
-  GroupTopology topology;
+  group::GroupConfig layout;
+  layout.n_nodes = group_count * 3;
   for (std::uint32_t g = 0; g < group_count; ++g) {
     std::vector<ProcessId> members;
     for (ProcessId i = 0; i < 3; ++i) members.push_back(g * 3 + i);
-    topology.groups.push_back(members);
+    layout.members.push_back(members);
   }
   sim::Simulation sim(
       {.n = group_count * 3, .seed = seed});
@@ -40,7 +41,7 @@ McOutcome run_once(std::uint32_t group_count, std::uint32_t dest_count,
   std::map<McId, std::uint32_t> want;  // deliveries still outstanding
   sim.set_node_factory([&](Env& env) {
     return std::make_unique<MulticastNode>(
-        env, topology, MulticastConfig{},
+        env, layout, MulticastConfig{},
         [&](const McDelivery& d) {
           auto it = want.find(d.id);
           if (it == want.end()) return;

@@ -85,7 +85,7 @@ ShardRunResult run_keyed_open_loop(ShardedCluster& c, int total, int clients,
   r.delivered = c.aggregate_delivered();
   r.elapsed = c.sim().now() - start;
   r.group_min = r.delivered;
-  for (std::uint32_t g = 0; g < c.layout().n_groups; ++g) {
+  for (std::uint32_t g = 0; g < c.layout().group_count(); ++g) {
     auto& ab = c.node(0)->stack(g).ab();
     r.rounds = std::max(r.rounds, ab.round());
     r.group_min = std::min(r.group_min, ab.agreed().total());

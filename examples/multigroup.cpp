@@ -30,7 +30,8 @@ const char* kGroupNames[] = {"users", "orders", "billing"};
 }  // namespace
 
 int main() {
-  const GroupTopology topology{{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}};
+  const group::GroupConfig layout{
+      .n_nodes = 9, .members = {{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}};
   sim::Simulation sim({.n = 9, .seed = 31});
 
   // Per-process delivery logs (payload strings) for the final report.
@@ -39,7 +40,7 @@ int main() {
     const ProcessId pid = env.self();
     log[pid].clear();
     return std::make_unique<MulticastNode>(
-        env, topology, MulticastConfig{},
+        env, layout, MulticastConfig{},
         [&log, pid](const McDelivery& d) {
           log[pid].push_back(str_of(d.payload));
         });
@@ -70,7 +71,7 @@ int main() {
       seconds(60));
 
   for (std::uint32_t g = 0; g < 3; ++g) {
-    const ProcessId rep = topology.groups[g][0];
+    const ProcessId rep = layout.members[g][0];
     std::printf("%s service (replica p%u) delivered, in order:\n",
                 kGroupNames[g], rep);
     for (const auto& e : log[rep]) std::printf("    %s\n", e.c_str());

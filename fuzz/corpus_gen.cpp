@@ -17,6 +17,7 @@
 #include "core/gossip_wire.hpp"
 #include "core/vector_clock.hpp"
 #include "group/group_wire.hpp"
+#include "multicast/multicast_wire.hpp"
 #include "obs/trace.hpp"
 #include "scenario/scenario.hpp"
 #include "storage/sealed_record.hpp"
@@ -139,6 +140,14 @@ void group_wire_seeds(CorpusWriter& w) {
   w.seed("group_wire", 1,
          encode_to_bytes(group::ShardCommandMsg::pair(0xdeadbeefull, 1,
                                                       {1, 1}, 4, {2, 2, 2})));
+
+  multicast::FillMsg fill;
+  fill.id = MsgId{4, 0x100000002ull};
+  fill.from_group = 1;
+  fill.proposed_ts = 17;
+  fill.dests = {0, 1, 3};
+  fill.payload = {5, 6};
+  w.seed("group_wire", 2, encode_to_bytes(fill));
 }
 
 void vector_clock_seeds(CorpusWriter& w) {

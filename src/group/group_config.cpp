@@ -10,7 +10,6 @@ GroupConfig GroupConfig::uniform(std::uint32_t n_nodes,
   ABCAST_CHECK(n_nodes > 0 && n_groups > 0);
   GroupConfig c;
   c.n_nodes = n_nodes;
-  c.n_groups = n_groups;
   c.members.resize(n_groups);
   for (auto& row : c.members) {
     row.resize(n_nodes);
@@ -19,39 +18,13 @@ GroupConfig GroupConfig::uniform(std::uint32_t n_nodes,
   return c;
 }
 
-GroupConfig GroupConfig::striped(std::uint32_t n_nodes,
-                                 std::uint32_t n_groups,
-                                 std::uint32_t replicas) {
-  ABCAST_CHECK(n_nodes > 0 && n_groups > 0);
-  ABCAST_CHECK(replicas > 0 && replicas <= n_nodes);
-  GroupConfig c;
-  c.n_nodes = n_nodes;
-  c.n_groups = n_groups;
-  c.members.resize(n_groups);
-  for (std::uint32_t g = 0; g < n_groups; ++g) {
-    for (std::uint32_t i = 0; i < replicas; ++i) {
-      c.members[g].push_back((g + i) % n_nodes);
-    }
-    // Member order must be deterministic but need not be sorted; keep the
-    // stripe rotation so member 0 differs across groups (spreads the
-    // proposer role when the stacks elect by index).
-  }
-  return c;
-}
-
-bool GroupConfig::serves(ProcessId node, std::uint32_t g) const {
-  if (g >= members.size()) return false;
-  const auto& row = members[g];
-  return std::find(row.begin(), row.end(), node) != row.end();
-}
-
-std::uint32_t GroupConfig::member_index(std::uint32_t g,
-                                        ProcessId node) const {
-  ABCAST_CHECK(g < members.size());
+std::optional<ProcessId> GroupConfig::member_index(std::uint32_t g,
+                                                  ProcessId node) const {
+  if (g >= members.size()) return std::nullopt;
   const auto& row = members[g];
   const auto it = std::find(row.begin(), row.end(), node);
-  ABCAST_CHECK_MSG(it != row.end(), "node does not serve this group");
-  return static_cast<std::uint32_t>(it - row.begin());
+  if (it == row.end()) return std::nullopt;
+  return static_cast<ProcessId>(it - row.begin());
 }
 
 std::vector<std::uint32_t> GroupConfig::groups_of(ProcessId node) const {
@@ -63,8 +36,7 @@ std::vector<std::uint32_t> GroupConfig::groups_of(ProcessId node) const {
 }
 
 bool GroupConfig::valid() const {
-  if (n_nodes == 0 || n_groups == 0) return false;
-  if (members.size() != n_groups) return false;
+  if (n_nodes == 0 || members.empty()) return false;
   for (const auto& row : members) {
     if (row.empty()) return false;
     std::set<ProcessId> seen;

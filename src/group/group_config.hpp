@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -23,9 +24,10 @@ namespace abcast::group {
 
 struct GroupConfig {
   std::uint32_t n_nodes = 0;
-  std::uint32_t n_groups = 0;
   /// members[g] = global ProcessIds serving group g, in member-index order
-  /// (a per-group stack addresses its peers by index into this row).
+  /// (a per-group stack addresses its peers by index into this row). Rows
+  /// may overlap (the sharded KV: every node in every row) or be disjoint
+  /// (§6.4 multicast: each node in exactly one row).
   std::vector<std::vector<ProcessId>> members;
 
   /// Every node serves every group — full replication, N orders. This is
@@ -33,16 +35,17 @@ struct GroupConfig {
   /// submit to (and repair) any group.
   static GroupConfig uniform(std::uint32_t n_nodes, std::uint32_t n_groups);
 
-  /// Groups stripe over overlapping windows of `replicas` consecutive nodes
-  /// (group g = nodes g, g+1, …, g+replicas-1 mod n). Exercises layouts
-  /// where nodes serve only a subset of groups.
-  static GroupConfig striped(std::uint32_t n_nodes, std::uint32_t n_groups,
-                             std::uint32_t replicas);
+  std::uint32_t group_count() const {
+    return static_cast<std::uint32_t>(members.size());
+  }
 
-  bool serves(ProcessId node, std::uint32_t g) const;
+  bool serves(ProcessId node, std::uint32_t g) const {
+    return member_index(g, node).has_value();
+  }
 
-  /// Index of `node` within members[g]; aborts if the node does not serve g.
-  std::uint32_t member_index(std::uint32_t g, ProcessId node) const;
+  /// Index of `node` within members[g]; nothing when g is not a group of
+  /// the layout or `node` does not serve it.
+  std::optional<ProcessId> member_index(std::uint32_t g, ProcessId node) const;
 
   /// Groups served by `node`, ascending.
   std::vector<std::uint32_t> groups_of(ProcessId node) const;
@@ -58,14 +61,14 @@ struct GroupConfig {
 class GroupRouter {
  public:
   explicit GroupRouter(GroupConfig config) : config_(std::move(config)) {
-    ABCAST_CHECK(config_.n_groups > 0);
+    ABCAST_CHECK(config_.group_count() > 0);
   }
 
   /// FNV-1a over the key bytes; stable across platforms and runs.
   static std::uint64_t key_hash(std::string_view key);
 
   std::uint32_t group_of_key(std::string_view key) const {
-    return static_cast<std::uint32_t>(key_hash(key) % config_.n_groups);
+    return static_cast<std::uint32_t>(key_hash(key) % config_.group_count());
   }
 
   const GroupConfig& config() const { return config_; }

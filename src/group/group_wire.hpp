@@ -6,10 +6,10 @@
 //
 //     Wire{kGroupEnvelope, encode(GroupEnvelopeMsg{group, inner})}
 //
-// by the per-group host env on the way out, and unwrapped by the
-// ShardedKvNode demux on the way in. Transports (sim, rt, UDP) see one
-// opaque Wire per datagram and need no changes — the whole multiplexing
-// lives inside the NodeApp crash boundary.
+// by wrap() on the way out and opened by unwrap() on the way in (both in
+// group_env.hpp), for the sharded KV and §6.4 multicast alike. Transports
+// (sim, rt, UDP) see one opaque Wire per datagram and need no changes —
+// the whole multiplexing lives inside the NodeApp crash boundary.
 #pragma once
 
 #include <cstdint>

@@ -72,7 +72,7 @@ bool ShardedCluster::await_quiesced(Duration timeout) {
         for (ProcessId p = 0; p < sim_.n(); ++p) {
           if (node(p) == nullptr) return false;
         }
-        for (std::uint32_t g = 0; g < layout().n_groups; ++g) {
+        for (std::uint32_t g = 0; g < layout().group_count(); ++g) {
           std::uint64_t total = 0;
           bool first = true;
           for (const ProcessId p : layout().members[g]) {
@@ -116,7 +116,7 @@ std::uint64_t ShardedCluster::shard_digest(std::uint32_t g) {
 
 std::uint64_t ShardedCluster::aggregate_delivered() {
   std::uint64_t total = 0;
-  for (std::uint32_t g = 0; g < layout().n_groups; ++g) {
+  for (std::uint32_t g = 0; g < layout().group_count(); ++g) {
     const ProcessId p = layout().members[g].front();
     ShardedKvNode* n = node(p);
     ABCAST_CHECK(n != nullptr);

@@ -1,6 +1,5 @@
 #include "group/sharded_kv.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace abcast::group {
@@ -202,8 +201,7 @@ ShardedKvNode::ShardedKvNode(Env& env, ShardedKvOptions options)
   ABCAST_CHECK_MSG(options_.layout.valid(), "invalid group layout");
   ABCAST_CHECK(options_.layout.n_nodes == env_.group_size());
   for (const std::uint32_t g : options_.layout.groups_of(env_.self())) {
-    slots_.push_back(std::make_unique<Slot>(env_, g,
-                                            options_.layout.members[g],
+    slots_.push_back(std::make_unique<Slot>(env_, options_.layout, g,
                                             tracker_, metrics_,
                                             options_.stack));
     tracker_.attach(g, &slots_.back()->sink);
@@ -234,32 +232,14 @@ void ShardedKvNode::start(bool recovering) {
 }
 
 void ShardedKvNode::on_message(ProcessId from, const Wire& msg) {
-  if (msg.type != kGroupEnvelope) {
-    metrics_.envelope_drops += 1;
-    return;
-  }
-  GroupEnvelopeMsg envelope;
-  try {
-    envelope = decode_from_bytes<GroupEnvelopeMsg>(msg.payload);
-  } catch (const CodecError&) {
-    metrics_.envelope_drops += 1;
-    return;
-  }
-  Slot* slot = find_slot(envelope.group);
+  const auto opened = unwrap(options_.layout, from, msg);
+  Slot* slot = opened ? find_slot(opened->group) : nullptr;
   if (slot == nullptr) {
     metrics_.envelope_drops += 1;
     return;
   }
-  // Translate the global sender id into the group's member index space.
-  const auto& row = options_.layout.members[envelope.group];
-  const auto it = std::find(row.begin(), row.end(), from);
-  if (it == row.end()) {
-    metrics_.envelope_drops += 1;
-    return;
-  }
   metrics_.envelopes_rx += 1;
-  slot->stack.on_message(static_cast<ProcessId>(it - row.begin()),
-                         envelope.inner);
+  slot->stack.on_message(opened->from, opened->inner);
 }
 
 MsgId ShardedKvNode::submit(std::string_view key, Bytes kv_command) {

@@ -158,7 +158,7 @@ struct ShardedKvOptions {
 };
 
 /// The multi-group NodeApp: one GroupHostEnv + ShardSink + NodeStack per
-/// group this node serves, a demux routing kGroupEnvelope datagrams to the
+/// group this node serves, a demux routing unwrapped envelopes to the
 /// right stack, key-hash submission routing, and the cross-shard commit
 /// machinery. Transports see a single ordinary NodeApp.
 class ShardedKvNode final : public NodeApp {
@@ -198,11 +198,11 @@ class ShardedKvNode final : public NodeApp {
     ShardSink sink;
     core::NodeStack stack;
 
-    Slot(Env& parent, std::uint32_t g, std::vector<ProcessId> members,
+    Slot(Env& parent, const GroupConfig& layout, std::uint32_t g,
          PairTracker& tracker, GroupMetrics& metrics,
          const core::StackConfig& config)
         : gid(g),
-          genv(parent, g, std::move(members)),
+          genv(parent, layout, g),
           sink(genv, g, tracker, metrics),
           stack(genv, config, sink) {}
   };

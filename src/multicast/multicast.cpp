@@ -6,6 +6,7 @@
 #include "common/check.hpp"
 #include "common/codec.hpp"
 #include "core/app_msg.hpp"
+#include "multicast/multicast_wire.hpp"
 
 namespace abcast::multicast {
 namespace {
@@ -42,44 +43,46 @@ struct FinalMsg {
   }
 };
 
-// Inter-group datagram: pushes one group's proposal (and the multicast
-// itself, so unseeded groups can bootstrap it).
-struct FillMsg {
-  McId id;
-  std::uint32_t from_group = 0;
-  std::uint64_t proposed_ts = 0;
-  std::vector<std::uint32_t> dests;
-  Bytes payload;
+// The one group `self` serves. Rows must be disjoint: a node in two rows
+// would need two multicast stacks.
+std::uint32_t own_group(const group::GroupConfig& layout, std::uint32_t n,
+                        ProcessId self) {
+  ABCAST_CHECK_MSG(layout.valid(), "invalid group layout");
+  ABCAST_CHECK_MSG(layout.n_nodes == n, "layout does not match the host");
+  for (ProcessId p = 0; p < n; ++p) {
+    ABCAST_CHECK_MSG(layout.groups_of(p).size() <= 1,
+                     "groups must be disjoint");
+  }
+  const auto mine = layout.groups_of(self);
+  ABCAST_CHECK_MSG(mine.size() == 1, "process belongs to no group");
+  return mine.front();
+}
 
-  void encode(BufWriter& w) const {
-    w.msg_id(id);
-    w.u32(from_group);
-    w.u64(proposed_ts);
-    w.vec(dests, [](BufWriter& ww, std::uint32_t g) { ww.u32(g); });
-    w.bytes(payload);
+// A FILL enters only if its sender serves the group it speaks for and every
+// group it names exists, that one included. Anything else could A-broadcast
+// a PROPOSE naming unknown groups into our order, where fill_tick would
+// chase it on every pass and every recovery would replay it.
+bool admissible(const group::GroupConfig& layout, const FillMsg& fill,
+                ProcessId from) {
+  if (!layout.serves(from, fill.from_group)) return false;
+  bool names_from_group = false;
+  for (const auto g : fill.dests) {
+    if (g >= layout.group_count()) return false;
+    names_from_group = names_from_group || g == fill.from_group;
   }
-  static FillMsg decode(BufReader& r) {
-    FillMsg m;
-    m.id = r.msg_id();
-    m.from_group = r.u32();
-    m.proposed_ts = r.u64();
-    m.dests = r.vec<std::uint32_t>([](BufReader& rr) { return rr.u32(); });
-    m.payload = r.bytes();
-    return m;
-  }
-};
+  return names_from_group;
+}
 
 }  // namespace
 
 // ----------------------------------------------------------- MulticastNode
 
-MulticastNode::MulticastNode(Env& env, const GroupTopology& topology,
+MulticastNode::MulticastNode(Env& env, const group::GroupConfig& layout,
                              MulticastConfig config, McDeliverFn deliver)
-    : env_(env), topology_(topology),
-      group_id_(topology_.group_of(env.self())),
-      group_env_(env, topology_.groups[group_id_]) {
-  topology_.validate(env.group_size());
-  service_ = std::make_unique<MulticastService>(env_, topology_, group_id_,
+    : layout_(layout),
+      group_id_(own_group(layout_, env.group_size(), env.self())),
+      group_env_(env, layout_, group_id_) {
+  service_ = std::make_unique<MulticastService>(env, layout_, group_id_,
                                                 config, std::move(deliver));
   stack_ = std::make_unique<core::NodeStack>(group_env_, config.stack,
                                              *service_);
@@ -94,13 +97,15 @@ void MulticastNode::start(bool recovering) {
 }
 
 void MulticastNode::on_message(ProcessId from, const Wire& msg) {
-  if (service_->handles(msg.type)) {
+  if (msg.type == MsgType::kMgFill) {
     service_->on_message(from, msg);
     return;
   }
-  // Group-stack traffic arrives from group members only; translate the
-  // global pid into the member index the stack expects.
-  stack_->on_message(group_env_.member_index(from), msg);
+  // Group-stack traffic: only our own group's envelopes, from its members.
+  const auto opened = group::unwrap(layout_, from, msg);
+  if (opened && opened->group == group_id_) {
+    stack_->on_message(opened->from, opened->inner);
+  }
 }
 
 McId MulticastNode::mcast(Bytes payload,
@@ -110,11 +115,12 @@ McId MulticastNode::mcast(Bytes payload,
 
 // -------------------------------------------------------- MulticastService
 
-MulticastService::MulticastService(Env& env, const GroupTopology& topology,
+MulticastService::MulticastService(Env& env,
+                                   const group::GroupConfig& layout,
                                    std::uint32_t group_id,
                                    MulticastConfig config,
                                    McDeliverFn deliver)
-    : env_(env), topology_(topology), group_id_(group_id), config_(config),
+    : env_(env), layout_(layout), group_id_(group_id), config_(config),
       deliver_(std::move(deliver)) {
   ABCAST_CHECK(config_.fill_period > 0);
   // The multicast state must be reconstructible from the AB delivery
@@ -138,7 +144,7 @@ McId MulticastService::mcast(Bytes payload,
                     dest_groups.end());
   ABCAST_CHECK_MSG(!dest_groups.empty(), "multicast needs destinations");
   for (const auto g : dest_groups) {
-    ABCAST_CHECK_MSG(g < topology_.group_count(), "unknown group");
+    ABCAST_CHECK_MSG(g < layout_.group_count(), "unknown group");
   }
   ABCAST_CHECK_MSG(std::find(dest_groups.begin(), dest_groups.end(),
                              group_id_) != dest_groups.end(),
@@ -262,7 +268,7 @@ void MulticastService::send_fill(const McId& id, const Pending& p,
   fill.dests = p.dests;
   fill.payload = p.payload;
   const Wire wire = make_wire(MsgType::kMgFill, fill);
-  for (const ProcessId member : topology_.groups[to_group]) {
+  for (const ProcessId member : layout_.members[to_group]) {
     env_.send(member, wire);
   }
 }
@@ -281,8 +287,13 @@ void MulticastService::fill_tick() {
 
 void MulticastService::on_message(ProcessId global_from, const Wire& msg) {
   ABCAST_CHECK(msg.type == MsgType::kMgFill);
-  const auto fill = decode_from_bytes<FillMsg>(msg.payload);
-  ABCAST_CHECK(fill.from_group < topology_.group_count());
+  FillMsg fill;
+  try {
+    fill = decode_from_bytes<FillMsg>(msg.payload);
+  } catch (const CodecError&) {
+    return;
+  }
+  if (!admissible(layout_, fill, global_from)) return;
   if (fill.from_group == group_id_) return;  // stray
 
   auto it = pending_.find(fill.id);

@@ -23,6 +23,11 @@
 //      soon as no still-pending message could receive a smaller final
 //      timestamp (Skeen's deliverability condition).
 //
+// Each process serves exactly one group: its stack runs on the group
+// layer's GroupHostEnv facade over a GroupConfig of disjoint rows, so its
+// datagrams travel in the same envelope as the sharded KV's. FILLs are the
+// one message outside the envelope.
+//
 // Crash-recovery for free: all per-group multicast state (clock, pending
 // set, proposed/final timestamps) is a deterministic function of the
 // group's AB delivery sequence, so the AB layer's replay rebuilds it after
@@ -42,7 +47,8 @@
 
 #include "core/delivery_sink.hpp"
 #include "core/node_stack.hpp"
-#include "multicast/group_env.hpp"
+#include "group/group_config.hpp"
+#include "group/group_env.hpp"
 
 namespace abcast::multicast {
 
@@ -71,8 +77,9 @@ class MulticastService;
 /// layer. Construct via factory in a simulation/rt host.
 class MulticastNode final : public NodeApp {
  public:
-  /// `topology` must list disjoint groups covering this process.
-  MulticastNode(Env& env, const GroupTopology& topology,
+  /// `layout` must place every node in at most one row (disjoint groups),
+  /// this process in exactly one.
+  MulticastNode(Env& env, const group::GroupConfig& layout,
                 MulticastConfig config, McDeliverFn deliver);
   ~MulticastNode() override;
 
@@ -89,10 +96,9 @@ class MulticastNode final : public NodeApp {
   std::uint32_t group() const { return group_id_; }
 
  private:
-  Env& env_;
-  GroupTopology topology_;
+  group::GroupConfig layout_;
   std::uint32_t group_id_;
-  GroupEnv group_env_;
+  group::GroupHostEnv group_env_;
   std::unique_ptr<MulticastService> service_;  // is the stack's sink
   std::unique_ptr<core::NodeStack> stack_;
 };
@@ -101,7 +107,7 @@ class MulticastNode final : public NodeApp {
 /// normal use goes through MulticastNode.
 class MulticastService final : public core::DeliverySink {
  public:
-  MulticastService(Env& env, const GroupTopology& topology,
+  MulticastService(Env& env, const group::GroupConfig& layout,
                    std::uint32_t group_id, MulticastConfig config,
                    McDeliverFn deliver);
 
@@ -115,7 +121,7 @@ class MulticastService final : public core::DeliverySink {
   // DeliverySink: every group-AB delivery flows through here.
   void deliver(const core::AppMsg& msg) override;
 
-  bool handles(MsgType type) const { return type == MsgType::kMgFill; }
+  /// A kMgFill datagram; dropped unless it passes the layout checks.
   void on_message(ProcessId global_from, const Wire& msg);
 
   // Introspection for tests/benches.
@@ -142,7 +148,7 @@ class MulticastService final : public core::DeliverySink {
   void send_fill(const McId& id, const Pending& p, std::uint32_t to_group);
 
   Env& env_;  // the GLOBAL env (fill datagrams cross groups)
-  GroupTopology topology_;
+  group::GroupConfig layout_;
   std::uint32_t group_id_;
   MulticastConfig config_;
   McDeliverFn deliver_;

@@ -57,8 +57,8 @@ struct SimConfig {
   std::uint64_t seed = 1;
   NetConfig net;
   /// Per-process stable storage; defaults to MemStableStorage. Supply
-  /// DiscardStorage for crash-stop baselines or FileStableStorage for
-  /// durability integration tests. Every host's storage is wrapped in a
+  /// DiscardStorage for crash-stop baselines or SegmentedLogStorage for
+  /// on-disk integration tests. Every host's storage is wrapped in a
   /// FaultyStorage decorator (a passthrough until faults are configured).
   std::function<std::unique_ptr<StableStorage>(ProcessId)> storage_factory;
   /// RNG-driven storage fault rates applied to every host's decorator.

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "apps/kv_store.hpp"
 #include "common/rng.hpp"
 #include "group/group_config.hpp"
+#include "group/group_env.hpp"
 #include "group/sharded_cluster.hpp"
 #include "obs/trace_check.hpp"
 #include "scenario/load.hpp"
@@ -51,7 +53,7 @@ void expect_trace_ok(ShardedCluster& c, std::uint32_t groups) {
 TEST(GroupConfig, UniformLayoutServesEveryGroupEverywhere) {
   const auto layout = GroupConfig::uniform(3, 4);
   ASSERT_TRUE(layout.valid());
-  EXPECT_EQ(layout.n_groups, 4u);
+  EXPECT_EQ(layout.group_count(), 4u);
   for (ProcessId p = 0; p < 3; ++p) {
     for (std::uint32_t g = 0; g < 4; ++g) {
       EXPECT_TRUE(layout.serves(p, g));
@@ -61,24 +63,41 @@ TEST(GroupConfig, UniformLayoutServesEveryGroupEverywhere) {
   // Member indices are a permutation-free enumeration of the node set.
   for (std::uint32_t g = 0; g < 4; ++g) {
     std::set<std::uint32_t> idx;
-    for (ProcessId p = 0; p < 3; ++p) idx.insert(layout.member_index(g, p));
+    for (ProcessId p = 0; p < 3; ++p) idx.insert(*layout.member_index(g, p));
     EXPECT_EQ(idx.size(), 3u);
   }
 }
 
-TEST(GroupConfig, StripedLayoutPlacesReplicaSubsets) {
-  const auto layout = GroupConfig::striped(5, 5, 3);
+TEST(GroupConfig, DisjointRowsPlaceEachNodeInOneGroup) {
+  const GroupConfig layout{.n_nodes = 6, .members = {{0, 1, 2}, {3, 4, 5}}};
   ASSERT_TRUE(layout.valid());
-  for (std::uint32_t g = 0; g < 5; ++g) {
-    EXPECT_EQ(layout.members[g].size(), 3u);
+  EXPECT_EQ(layout.group_count(), 2u);
+  for (ProcessId p = 0; p < 6; ++p) {
+    EXPECT_EQ(layout.groups_of(p), std::vector<std::uint32_t>{p / 3});
   }
-  // Each node serves exactly replicas-many groups (the stripes rotate).
-  for (ProcessId p = 0; p < 5; ++p) {
-    EXPECT_EQ(layout.groups_of(p).size(), 3u);
-  }
-  // Rotation: consecutive groups start at consecutive nodes, so group
-  // leaders (member 0) differ.
-  EXPECT_NE(layout.members[0][0], layout.members[1][0]);
+  EXPECT_EQ(layout.member_index(1, 4), std::optional<ProcessId>{1});
+  // A non-member and an unknown group are answers, not aborts.
+  EXPECT_EQ(layout.member_index(0, 4), std::nullopt);
+  EXPECT_EQ(layout.member_index(9, 0), std::nullopt);
+  EXPECT_FALSE(layout.serves(4, 0));
+  EXPECT_FALSE((GroupConfig{.n_nodes = 6, .members = {}}).valid());
+}
+
+TEST(GroupEnvelope, UnwrapChecksGroupAndSenderAgainstTheLayout) {
+  const GroupConfig layout{.n_nodes = 6, .members = {{0, 1, 2}, {3, 4, 5}}};
+  const Wire inner{MsgType::kAbGossip, Bytes{1, 2, 3}};
+  const auto opened = unwrap(layout, 5, wrap(1, inner));
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(opened->group, 1u);
+  EXPECT_EQ(opened->from, 2u);  // p5 is member 2 of group 1
+  EXPECT_EQ(opened->inner.type, inner.type);
+  EXPECT_EQ(encode_to_bytes(opened->inner), encode_to_bytes(inner));
+
+  EXPECT_FALSE(unwrap(layout, 0, wrap(1, inner)));  // p0 is not in group 1
+  EXPECT_FALSE(unwrap(layout, 7, wrap(1, inner)));  // no such node
+  EXPECT_FALSE(unwrap(layout, 5, wrap(2, inner)));  // no such group
+  EXPECT_FALSE(unwrap(layout, 5, inner));           // not an envelope
+  EXPECT_FALSE(unwrap(layout, 5, Wire{kGroupEnvelope, Bytes{0x01}}));
 }
 
 TEST(GroupRouter, KeyHashIsDeterministicAndInRange) {
@@ -170,16 +189,17 @@ TEST(ShardedKv, PartitionsAndConvergesAcrossGroups) {
 TEST(ShardedKv, EnvelopeDemuxDropsGarbageNotCrashes) {
   ShardedCluster c(make_config(3, 2, 103));
   c.start_all();
-  // Hand the demux a non-envelope type, an unknown group, and a truncated
-  // envelope; all must be counted, none may throw.
+  // Hand the demux a non-envelope type, an unknown group, a truncated
+  // envelope, and an envelope from a node outside the layout; all must be
+  // counted, none may throw.
   auto* n0 = c.node(0);
   ASSERT_NE(n0, nullptr);
+  const Wire gossip{MsgType::kAbGossip, Bytes{}};
   n0->on_message(1, Wire{MsgType::kAbGossip, Bytes{1, 2, 3}});
-  n0->on_message(1, make_wire(kGroupEnvelope,
-                              GroupEnvelopeMsg{
-                                  9, Wire{MsgType::kAbGossip, Bytes{}}}));
+  n0->on_message(1, wrap(9, gossip));
   n0->on_message(1, Wire{kGroupEnvelope, Bytes{0x01}});
-  EXPECT_EQ(n0->metrics().envelope_drops.load(), 3u);
+  n0->on_message(7, wrap(0, gossip));
+  EXPECT_EQ(n0->metrics().envelope_drops.load(), 4u);
 
   const auto a = c.submit_may_crash(0, "x", KvCommand::put("x", "1"));
   ASSERT_TRUE(a.completed);

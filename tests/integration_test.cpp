@@ -1,5 +1,5 @@
 // End-to-end integration scenarios: partitions, majority loss, long
-// downtime, file-backed hosts inside the simulator, and a mixed-fault
+// downtime, log-backed hosts inside the simulator, and a mixed-fault
 // marathon — the situations a deployment actually meets.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,7 @@
 
 #include "harness/fixture.hpp"
 #include "sim/fault_plan.hpp"
-#include "storage/file_storage.hpp"
+#include "storage/segment_log_storage.hpp"
 
 using namespace abcast;
 using namespace abcast::harness;
@@ -133,21 +133,27 @@ TEST(Integration, FileBackedHostsInsideSimulator) {
     cfg.sim.n = 3;
     cfg.sim.seed = 56;
     cfg.sim.storage_factory = [dir](ProcessId p) {
-      return std::make_unique<FileStableStorage>(
-          dir / ("node" + std::to_string(p)), /*fsync_writes=*/false);
+      SegmentedLogConfig log;
+      log.dir = dir / ("node" + std::to_string(p));
+      log.sync = SyncMode::kNone;
+      return std::make_unique<SegmentedLogStorage>(log);
     };
     Cluster c(cfg);
     c.start_all();
     auto ids = c.broadcast_many(0, 8);
     ASSERT_TRUE(c.await_delivery(ids));
     c.sim().crash(1);
-    c.sim().recover(1);  // recovery reads the on-disk consensus log
+    c.sim().recover(1);  // recovery reads the consensus log back
     for (const auto& id : ids) {
       EXPECT_TRUE(c.stack(1)->ab().is_delivered(id));
     }
     c.oracle().check();
   }
-  EXPECT_FALSE(fs::is_empty(dir / "node1"));
+  // The log is on disk: reopening node 1's directory alone recovers it.
+  SegmentedLogConfig reopened;
+  reopened.dir = dir / "node1";
+  reopened.sync = SyncMode::kNone;
+  EXPECT_FALSE(SegmentedLogStorage(reopened).keys_with_prefix("").empty());
   fs::remove_all(dir);
 }
 

@@ -4,30 +4,41 @@
 // totally ordered (member sequences are prefixes of each other);
 // (b) across groups, any two multicasts that share a destination are
 // delivered in the same relative order at every destination; (c) liveness
-// through initiator crashes, member crashes, loss and partitions.
+// through initiator crashes, member crashes, loss and partitions; (d) the
+// network boundary: datagrams from outside a group and FILLs naming unknown
+// groups are dropped, never ordered; (e) the same node over real threads and
+// real UDP sockets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
+#include <mutex>
+#include <thread>
 
+#include "core/ab_wire.hpp"
 #include "multicast/multicast.hpp"
+#include "multicast/multicast_wire.hpp"
+#include "net/udp_env.hpp"
+#include "rt/rt_cluster.hpp"
 #include "sim/simulation.hpp"
 
 using namespace abcast;
 using namespace abcast::multicast;
+using group::GroupConfig;
 
 namespace {
 
 struct McCluster {
-  McCluster(sim::SimConfig sim_cfg, GroupTopology topo,
+  McCluster(sim::SimConfig sim_cfg, GroupConfig layout_in,
             MulticastConfig mc_cfg = {})
-      : sim(sim_cfg), topology(std::move(topo)), delivered(sim_cfg.n) {
+      : sim(sim_cfg), layout(std::move(layout_in)), delivered(sim_cfg.n) {
     sim.set_node_factory([this, mc_cfg](Env& env) {
       const ProcessId pid = env.self();
       // A fresh incarnation replays its delivery sequence from scratch.
       delivered[pid].clear();
       return std::make_unique<MulticastNode>(
-          env, topology, mc_cfg, [this, pid](const McDelivery& d) {
+          env, layout, mc_cfg, [this, pid](const McDelivery& d) {
             delivered[pid].push_back(d.id);
           });
     });
@@ -48,7 +59,7 @@ struct McCluster {
   bool delivered_at_groups(const McId& id,
                            const std::vector<std::uint32_t>& groups) {
     for (const auto g : groups) {
-      for (const ProcessId p : topology.groups[g]) {
+      for (const ProcessId p : layout.members[g]) {
         if (!sim.host(p).is_up()) return false;
         const auto& seq = delivered[p];
         if (std::find(seq.begin(), seq.end(), id) == seq.end()) return false;
@@ -72,7 +83,7 @@ struct McCluster {
 
   /// (a) per-group prefix consistency; (b) pairwise cross-group order.
   void check_order() {
-    for (const auto& group : topology.groups) {
+    for (const auto& group : layout.members) {
       for (std::size_t i = 0; i + 1 < group.size(); ++i) {
         const auto& a = delivered[group[i]];
         const auto& b = delivered[group[i + 1]];
@@ -109,24 +120,91 @@ struct McCluster {
   }
 
   sim::Simulation sim;
-  GroupTopology topology;
+  GroupConfig layout;
   std::vector<std::vector<McId>> delivered;
 };
 
-GroupTopology two_groups() { return GroupTopology{{{0, 1, 2}, {3, 4, 5}}}; }
-GroupTopology three_groups() {
-  return GroupTopology{{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}};
+GroupConfig two_groups() {
+  return GroupConfig{.n_nodes = 6, .members = {{0, 1, 2}, {3, 4, 5}}};
+}
+GroupConfig three_groups() {
+  return GroupConfig{.n_nodes = 9,
+                     .members = {{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}};
+}
+
+Wire fill_wire(std::uint32_t from_group, std::vector<std::uint32_t> dests) {
+  FillMsg fill;
+  fill.id = McId{3, 1};
+  fill.from_group = from_group;
+  fill.proposed_ts = 1;
+  fill.dests = std::move(dests);
+  return make_wire(MsgType::kMgFill, fill);
+}
+
+/// Six multicasts to both groups of two_groups(), one per initiator, on six
+/// real-time hosts (loop threads and the wall clock). Returns each process's
+/// delivery sequence once all six arrived everywhere or 60 s passed, with
+/// the hosts' loops already stopped.
+std::vector<std::vector<McId>> run_on_real_time_hosts(
+    const std::vector<rt::EventLoop*>& hosts) {
+  const GroupConfig layout = two_groups();
+  std::mutex mu;
+  std::vector<std::vector<McId>> delivered(hosts.size());
+  const NodeFactory factory = [&](Env& env) {
+    const ProcessId pid = env.self();
+    return std::make_unique<MulticastNode>(
+        env, layout, MulticastConfig{},
+        [&mu, &delivered, pid](const McDelivery& d) {
+          std::lock_guard<std::mutex> lock(mu);
+          delivered[pid].push_back(d.id);
+        });
+  };
+  for (auto* host : hosts) host->start_node(factory, /*recovering=*/false);
+
+  std::size_t sent = 0;
+  for (auto* host : hosts) {
+    const bool ran = host->call([host] {
+      static_cast<MulticastNode*>(host->node_unsafe())->mcast({}, {0, 1});
+    });
+    if (ran) sent += 1;
+  }
+  const auto all_arrived = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const auto& seq : delivered) {
+      if (seq.size() < sent) return false;
+    }
+    return true;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!all_arrived() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (auto* host : hosts) host->shutdown();
+  return delivered;
+}
+
+/// Every process delivered all six multicasts, in one order.
+void expect_one_order_of_six(const std::vector<std::vector<McId>>& delivered) {
+  ASSERT_EQ(delivered.size(), 6u);
+  EXPECT_EQ(delivered[0].size(), 6u);
+  for (ProcessId p = 1; p < 6; ++p) {
+    EXPECT_EQ(delivered[p], delivered[0]) << "p" << p;
+  }
 }
 
 }  // namespace
 
-TEST(GroupTopology, GroupOfAndValidation) {
-  const auto topo = two_groups();
-  EXPECT_EQ(topo.group_of(0), 0u);
-  EXPECT_EQ(topo.group_of(5), 1u);
-  topo.validate(6);
-  GroupTopology overlapping{{{0, 1}, {1, 2}}};
-  EXPECT_THROW(overlapping.validate(3), InvariantViolation);
+TEST(Multicast, RejectsLayoutsWithoutOneGroupPerProcess) {
+  // p1 in two rows would need two multicast stacks.
+  EXPECT_THROW(
+      McCluster({.n = 3, .seed = 12},
+                GroupConfig{.n_nodes = 3, .members = {{0, 1}, {1, 2}}}),
+      InvariantViolation);
+  // p2 in no row has no group to anchor its multicasts in.
+  EXPECT_THROW(McCluster({.n = 3, .seed = 12},
+                         GroupConfig{.n_nodes = 3, .members = {{0, 1}}}),
+               InvariantViolation);
 }
 
 TEST(Multicast, SingleGroupFastPath) {
@@ -318,59 +396,61 @@ TEST(Multicast, PropertySweepUnderChurnAndLoss) {
   }
 }
 
-// ----------------------------------------------- multicast on the rt runtime
+// ------------------------------------------- the network boundary (FILLs)
 
-#include <mutex>
+TEST(Multicast, DropsGroupTrafficFromNonMembers) {
+  McCluster c({.n = 6, .seed = 13}, two_groups());
+  auto& ab = c.node(0)->stack().ab();
+  const auto before = ab.metrics().gossip_received.load();
+  // A group-0 stack message whose global sender, p4, serves group 1.
+  c.node(0)->on_message(
+      4, group::wrap(0, make_wire(MsgType::kAbGossip, core::GossipMsg{})));
+  EXPECT_EQ(ab.metrics().gossip_received.load(), before);
+}
 
-#include "rt/rt_cluster.hpp"
+TEST(Multicast, DropsFillsFromUnknownOrForeignGroups) {
+  McCluster c({.n = 6, .seed = 14}, two_groups());
+  auto* n0 = c.node(0);
+  n0->on_message(3, fill_wire(9, {0, 9}));  // no group 9
+  n0->on_message(1, fill_wire(1, {0, 1}));  // p1 does not serve group 1
+  n0->on_message(3, fill_wire(1, {0}));     // group 1 not a destination
+  n0->on_message(3, Wire{MsgType::kMgFill, Bytes{0x01}});  // truncated
+  EXPECT_EQ(n0->stack().ab().metrics().broadcasts.load(), 0u);
+  EXPECT_EQ(n0->service().pending_count(), 0u);
+}
+
+TEST(Multicast, DropsFillNamingUnknownDestination) {
+  McCluster c({.n = 6, .seed = 15}, two_groups());
+  // Bootstrapping this FILL would A-broadcast a PROPOSE for group 99 into
+  // group 0's order: a decided message fill_tick cannot serve, replayed on
+  // every recovery. Checked before any simulated time passes.
+  c.node(0)->on_message(3, fill_wire(1, {0, 1, 99}));
+  EXPECT_EQ(c.node(0)->stack().ab().metrics().broadcasts.load(), 0u);
+  // The group still orders well-formed multicasts afterwards.
+  const McId id = c.mcast(3, {0, 1});
+  ASSERT_TRUE(c.await({{id, {0, 1}}}));
+  c.check_order();
+}
+
+// --------------------------------------- multicast on the real-time hosts
 
 TEST(Multicast, RunsOnTheRealTimeRuntime) {
   // The multicast node is Env-agnostic: the same code runs over threads
-  // and the steady clock.
+  // and the steady clock, here on the in-process lossy channel...
   rt::RtConfig cfg{.n = 6, .seed = 30};
   cfg.net.drop_prob = 0.05;
   rt::RtCluster cluster(cfg);
-  const GroupTopology topology{{{0, 1, 2}, {3, 4, 5}}};
+  std::vector<rt::EventLoop*> hosts;
+  for (ProcessId p = 0; p < 6; ++p) hosts.push_back(&cluster.host(p));
+  expect_one_order_of_six(run_on_real_time_hosts(hosts));
+}
 
-  std::mutex mu;
-  std::vector<std::vector<McId>> delivered(6);
-  cluster.set_node_factory([&](Env& env) {
-    const ProcessId pid = env.self();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      delivered[pid].clear();
-    }
-    return std::make_unique<MulticastNode>(
-        env, topology, MulticastConfig{},
-        [&mu, &delivered, pid](const McDelivery& d) {
-          std::lock_guard<std::mutex> lock(mu);
-          delivered[pid].push_back(d.id);
-        });
-  });
-  cluster.start_all();
-
-  std::vector<McId> ids;
-  for (int i = 0; i < 6; ++i) {
-    auto& host = cluster.host(static_cast<ProcessId>(i % 6));
-    ASSERT_TRUE(host.call([&] {
-      ids.push_back(static_cast<MulticastNode*>(host.node_unsafe())
-                        ->mcast({}, {0, 1}));
-    }));
-  }
-  ASSERT_TRUE(cluster.wait_for(
-      [&] {
-        std::lock_guard<std::mutex> lock(mu);
-        for (ProcessId p = 0; p < 6; ++p) {
-          if (delivered[p].size() < ids.size()) return false;
-        }
-        return true;
-      },
-      seconds(60)));
-  // Same order at every process (all messages went to both groups).
-  std::lock_guard<std::mutex> lock(mu);
-  for (ProcessId p = 1; p < 6; ++p) {
-    EXPECT_EQ(delivered[p], delivered[0]) << "p" << p;
-  }
+TEST(Multicast, RunsOverUdpSockets) {
+  // ...and here with every envelope and FILL crossing a loopback socket.
+  auto udp = net::make_local_udp_cluster(6, 31);
+  std::vector<rt::EventLoop*> hosts;
+  for (auto& host : udp) hosts.push_back(host.get());
+  expect_one_order_of_six(run_on_real_time_hosts(hosts));
 }
 
 TEST(Multicast, DeterministicAcrossRuns) {

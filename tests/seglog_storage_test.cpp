@@ -1,7 +1,8 @@
 // Group-commit segmented-log backend (DESIGN.md §16): round-trip + reopen
 // recovery, torn-tail truncation, segment roll, compaction, the group-commit
 // flusher under concurrent proposers, the deferred flush barrier, and the
-// crash-point sweep pinning recovery byte-identical to the file backend.
+// crash-point sweep pinning recovery byte-identical to an in-memory
+// reference fed the same faults.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,7 +13,7 @@
 
 #include "common/rng.hpp"
 #include "storage/faulty_storage.hpp"
-#include "storage/file_storage.hpp"
+#include "storage/mem_storage.hpp"
 #include "storage/segment_log_storage.hpp"
 
 using namespace abcast;
@@ -236,14 +237,15 @@ TEST(SegLog, DeferredModeSyncsOnlyAtFlush) {
 
 // The oracle sweep: the same op sequence, the same seeded FaultyStorage
 // decorator, the same armed crash-point — run over the segmented log and
-// over the file-per-record backend. Both must crash at the same op, and
-// after reopening from disk both must hold byte-identical record maps.
-// 100 seeds × 3 crash phases exercises before-op, torn-write, and after-op
-// windows across puts, overwrites, and erases.
-TEST(SegLog, CrashPointSweepRecoversIdenticallyToFileBackend) {
+// over MemStableStorage. FaultyStorage tears a write in the decorator (the
+// backend gets a complete put of damaged bytes), so the in-memory store
+// holds exactly what a correct recovery must rebuild. Both must crash at
+// the same op, and the log reopened from disk must hold a byte-identical
+// record map. 100 seeds × 3 crash phases exercises before-op, torn-write,
+// and after-op windows across puts, overwrites, and erases.
+TEST(SegLog, CrashPointSweepRecoversIdenticallyToMemReference) {
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     TempDir seg_dir;
-    TempDir file_dir;
     // Script the op sequence up front (so both backends replay it
     // identically) from a generator the fault RNG never touches.
     Rng script(seed * 2654435761ull + 17);
@@ -268,19 +270,18 @@ TEST(SegLog, CrashPointSweepRecoversIdenticallyToFileBackend) {
       ops.push_back(std::move(op));
     }
 
+    FaultyStorage mem(std::make_unique<MemStableStorage>(),
+                      Rng(seed + 1));  // same fault stream: identical tears
+    mem.arm_crash_at_op(static_cast<std::uint64_t>(crash_at), phase);
     {
       FaultyStorage seg(std::make_unique<SegmentedLogStorage>(
                             cfg_at(seg_dir.path(), SyncMode::kEachPut)),
                         Rng(seed + 1));
-      FaultyStorage file(
-          std::make_unique<FileStableStorage>(file_dir.path(), false),
-          Rng(seed + 1));  // same fault stream: identical torn writes
       seg.arm_crash_at_op(static_cast<std::uint64_t>(crash_at), phase);
-      file.arm_crash_at_op(static_cast<std::uint64_t>(crash_at), phase);
 
       for (const auto& op : ops) {
         bool seg_crashed = false;
-        bool file_crashed = false;
+        bool mem_crashed = false;
         try {
           if (op.is_erase) {
             seg.erase(op.key);
@@ -292,22 +293,21 @@ TEST(SegLog, CrashPointSweepRecoversIdenticallyToFileBackend) {
         }
         try {
           if (op.is_erase) {
-            file.erase(op.key);
+            mem.erase(op.key);
           } else {
-            file.put(op.key, op.value);
+            mem.put(op.key, op.value);
           }
         } catch (const SimulatedCrash&) {
-          file_crashed = true;
+          mem_crashed = true;
         }
-        ASSERT_EQ(seg_crashed, file_crashed) << "seed " << seed;
+        ASSERT_EQ(seg_crashed, mem_crashed) << "seed " << seed;
         if (seg_crashed) break;
       }
     }
 
-    // "Recover": reopen both from their on-disk state alone.
+    // "Recover": reopen the log from its on-disk state alone.
     SegmentedLogStorage seg(cfg_at(seg_dir.path(), SyncMode::kEachPut));
-    FileStableStorage file(file_dir.path(), false);
-    ASSERT_EQ(dump(seg), dump(file))
+    ASSERT_EQ(dump(seg), dump(mem.inner()))
         << "recovery divergence at seed " << seed << " phase "
         << static_cast<int>(phase) << " crash_at " << crash_at;
   }

@@ -1,12 +1,12 @@
-// Round-trip tests for every wire-message layout in core/, consensus/, and
-// group/.
+// Round-trip tests for every wire-message layout in core/, consensus/,
+// group/ and multicast/.
 //
 // Each encode-bearing payload struct must round-trip byte-exactly through
 // its own encode/decode pair, and each must be REGISTERED here with an
 // `ablint:roundtrip <Name>` marker — tools/ablint cross-references the
 // markers against the encode() definitions in src/core + src/consensus +
-// src/group and fails the build when a payload has no registered
-// round-trip test.
+// src/group + src/multicast and fails the build when a payload has no
+// registered round-trip test.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "core/gossip_wire.hpp"
 #include "core/vector_clock.hpp"
 #include "group/group_wire.hpp"
+#include "multicast/multicast_wire.hpp"
 
 namespace abcast {
 namespace {
@@ -192,6 +193,18 @@ TEST(WireRoundtrip, ShardCommandMsg) {
   Bytes enc = encode_to_bytes(group::ShardCommandMsg::plain({1}));
   enc[0] = 0x7f;  // unknown kind byte must raise CodecError, not UB
   EXPECT_THROW(decode_from_bytes<group::ShardCommandMsg>(enc), CodecError);
+}
+
+// ablint:roundtrip FillMsg
+TEST(WireRoundtrip, FillMsg) {
+  multicast::FillMsg fill;
+  fill.id = MsgId{4, 0x100000002ull};
+  fill.from_group = 1;
+  fill.proposed_ts = 17;
+  fill.dests = {0, 1, 3};
+  fill.payload = Bytes{5, 6};
+  expect_roundtrip(fill);
+  expect_roundtrip(multicast::FillMsg{});
 }
 
 // A malformed buffer must raise CodecError, never read out of bounds.

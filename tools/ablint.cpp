@@ -13,10 +13,10 @@
 //                       layouts are not.
 //
 //   roundtrip-registered  Every payload struct with a `void encode(BufWriter`
-//                       member in src/core, src/consensus or src/group has a
-//                       registered round-trip test: a `ablint:roundtrip
-//                       <Name>` marker somewhere under tests/ (see
-//                       wire_roundtrip_test.cpp).
+//                       member in src/core, src/consensus, src/group or
+//                       src/multicast has a registered round-trip test: a
+//                       `ablint:roundtrip <Name>` marker somewhere under
+//                       tests/ (see wire_roundtrip_test.cpp).
 //
 //   raw-wire-access     No `memcpy(` / `reinterpret_cast<` in src/ outside
 //                       common/codec.{hpp,cpp} — every wire buffer goes
@@ -158,7 +158,8 @@ std::vector<Diag> check_wire_tag_homes(const std::vector<SourceFile>& src) {
 bool in_roundtrip_scope(const std::string& path) {
   return path.rfind("src/core/", 0) == 0 ||
          path.rfind("src/consensus/", 0) == 0 ||
-         path.rfind("src/group/", 0) == 0;
+         path.rfind("src/group/", 0) == 0 ||
+         path.rfind("src/multicast/", 0) == 0;
 }
 
 std::vector<Diag> check_roundtrip_registered(
@@ -542,6 +543,15 @@ int selftest() {
            "roundtrip-registered");
     expect("roundtrip-registered clean on registered src/group payload",
            check_roundtrip_registered({group_payload}, {group_marker}), 0,
+           "roundtrip-registered");
+
+    // So are src/multicast payloads (the FILL datagram).
+    const auto mc_payload = mem_file("src/multicast/multicast_wire.hpp",
+                                     "struct FillMsg {\n"
+                                     "  void encode(BufWriter& w) const;\n"
+                                     "};\n");
+    expect("roundtrip-registered fires on unregistered src/multicast payload",
+           check_roundtrip_registered({mc_payload}, {}), 1,
            "roundtrip-registered");
 
     // A nested scoped enum must not shadow the payload struct's name.
