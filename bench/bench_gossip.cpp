@@ -74,7 +74,6 @@ BacklogOutcome run_backlog(int backlog, bool digest) {
   cfg.sim.seed = 801;
   cfg.stack.ab.digest_gossip = digest;
   cfg.stack.ab.eager_dissemination = true;  // both modes get the 1-hop path
-  cfg.stack.ab.suppress_idle_gossip = digest;
   cfg.stack.ab.delta_reply_interval = millis(1);
   Cluster c(cfg);
   c.start_all();

@@ -41,8 +41,7 @@ McOutcome run_once(std::uint32_t group_count, std::uint32_t dest_count,
   std::map<McId, std::uint32_t> want;  // deliveries still outstanding
   sim.set_node_factory([&](Env& env) {
     return std::make_unique<MulticastNode>(
-        env, layout, MulticastConfig{},
-        [&](const McDelivery& d) {
+        env, layout, [&](const McDelivery& d) {
           auto it = want.find(d.id);
           if (it == want.end()) return;
           if (--it->second == 0) done[d.id] = sim.now();

@@ -40,8 +40,7 @@ int main() {
     const ProcessId pid = env.self();
     log[pid].clear();
     return std::make_unique<MulticastNode>(
-        env, layout, MulticastConfig{},
-        [&log, pid](const McDelivery& d) {
+        env, layout, [&log, pid](const McDelivery& d) {
           log[pid].push_back(str_of(d.payload));
         });
   });

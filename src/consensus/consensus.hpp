@@ -39,18 +39,6 @@ namespace abcast {
 
 using InstanceId = std::uint64_t;
 
-struct ConsensusConfig {
-  /// Period of the engine driver tick (retries, retransmissions).
-  Duration tick_period = millis(25);
-  /// How long a proposer/round waits before retrying with a new
-  /// ballot/round.
-  Duration progress_timeout = millis(150);
-  /// Initial spacing between DECIDED retransmissions to unacked peers;
-  /// doubles per attempt up to `retransmit_max`.
-  Duration retransmit_initial = millis(50);
-  Duration retransmit_max = seconds(1);
-};
-
 /// Engine-agnostic counters for experiments.
 struct ConsensusMetrics {
   RelaxedU64 proposals;          // distinct instances proposed to
@@ -141,8 +129,7 @@ enum class ConsensusKind { kPaxos, kCoord };
 
 /// Builds an engine. `oracle` must outlive the engine.
 std::unique_ptr<ConsensusService> make_consensus(ConsensusKind kind, Env& env,
-                                                 const LeaderOracle& oracle,
-                                                 ConsensusConfig config = {});
+                                                 const LeaderOracle& oracle);
 
 const char* to_string(ConsensusKind kind);
 

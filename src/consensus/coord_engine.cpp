@@ -13,9 +13,8 @@ using consensus_wire::EstimateMsg;
 using consensus_wire::NewEstimateMsg;
 using consensus_wire::RoundMsg;
 
-CoordEngine::CoordEngine(Env& env, const LeaderOracle& oracle,
-                         ConsensusConfig config)
-    : EngineBase(env, oracle, config, MsgType::kCoordDecide,
+CoordEngine::CoordEngine(Env& env, const LeaderOracle& oracle)
+    : EngineBase(env, oracle, MsgType::kCoordDecide,
                  MsgType::kCoordDecideAck) {}
 
 void CoordEngine::persist(InstanceId k, const Instance& inst) {
@@ -165,7 +164,7 @@ void CoordEngine::engine_tick() {
           if (inst.acks.count(p) == 0) env_.send(p, wire);
         }
       } else if (inst.has_est &&
-                 now - inst.last_estimate_sent >= config_.tick_period) {
+                 now - inst.last_estimate_sent >= kTickPeriod) {
         // Still collecting: keep soliciting participation — peers that were
         // down during the first multisend must eventually hear about the
         // instance or the estimate quorum never forms.
@@ -173,12 +172,12 @@ void CoordEngine::engine_tick() {
       }
     } else {
       // Fair-lossy channel: keep re-sending our estimate for this round.
-      if (now - inst.last_estimate_sent >= config_.tick_period) {
+      if (now - inst.last_estimate_sent >= kTickPeriod) {
         send_estimate(k, inst);
       }
       // Move on only when the round stalled AND the detector suspects the
       // coordinator — never while it is trusted (◇S-style accuracy use).
-      if (now - inst.round_started > config_.progress_timeout &&
+      if (now - inst.round_started > kProgressTimeout &&
           !oracle_.trusted(coord)) {
         advance_round(k, inst);
       }

@@ -27,7 +27,7 @@ namespace abcast {
 
 class CoordEngine final : public EngineBase {
  public:
-  CoordEngine(Env& env, const LeaderOracle& oracle, ConsensusConfig config);
+  CoordEngine(Env& env, const LeaderOracle& oracle);
 
   bool handles(MsgType type) const override {
     return type >= MsgType::kCoordEstimate && type <= MsgType::kCoordDecideAck;

@@ -16,13 +16,11 @@ using consensus_wire::DecidedAckMsg;
 using consensus_wire::DecidedMsg;
 
 EngineBase::EngineBase(Env& env, const LeaderOracle& oracle,
-                       ConsensusConfig config, MsgType decided_type,
-                       MsgType ack_type)
-    : env_(env), oracle_(oracle), config_(config),
+                       MsgType decided_type, MsgType ack_type)
+    : env_(env), oracle_(oracle),
       storage_(env.storage(), "cons"), trunc_mark_(storage_, "trunc"),
       decided_type_(decided_type), ack_type_(ack_type),
       tracer_(env.tracer()) {
-  ABCAST_CHECK(config_.tick_period > 0);
   bind_metrics();
 }
 
@@ -166,7 +164,7 @@ void EngineBase::learn_decision(InstanceId k, const Bytes& value,
       if (p != env_.self()) rt.unacked.insert(p);
     }
     rt.next_at = env_.now();
-    rt.interval = config_.retransmit_initial;
+    rt.interval = kRetransmitInitial;
     if (!rt.unacked.empty()) retransmit_.emplace(k, std::move(rt));
   } else {
     metrics_.decided_learned += 1;
@@ -267,11 +265,11 @@ void EngineBase::tick() {
     if (now < rt.next_at) continue;
     const auto wire = make_wire(decided_type_, DecidedMsg{k, decisions_.at(k)});
     for (const ProcessId p : rt.unacked) env_.send(p, wire);
-    rt.interval = std::min(rt.interval * 2, config_.retransmit_max);
+    rt.interval = std::min(rt.interval * 2, kRetransmitMax);
     rt.next_at = now + rt.interval;
   }
 
-  env_.schedule_after(config_.tick_period, [this] { tick(); });
+  env_.schedule_after(kTickPeriod, [this] { tick(); });
 }
 
 }  // namespace abcast

@@ -39,8 +39,19 @@ class EngineBase : public ConsensusService {
  protected:
   /// `decided_type`/`ack_type` are the engine-specific MsgTypes used for the
   /// shared decision-dissemination sub-protocol.
-  EngineBase(Env& env, const LeaderOracle& oracle, ConsensusConfig config,
-             MsgType decided_type, MsgType ack_type);
+  EngineBase(Env& env, const LeaderOracle& oracle, MsgType decided_type,
+             MsgType ack_type);
+
+  // ---- timing, fixed inside the black box --------------------------------
+  /// Period of the engine driver tick (retries, retransmissions).
+  static constexpr Duration kTickPeriod = millis(25);
+  /// How long a proposer/round waits before retrying with a new
+  /// ballot/round.
+  static constexpr Duration kProgressTimeout = millis(150);
+  /// Initial spacing between DECIDED retransmissions to unacked peers;
+  /// doubles per attempt up to kRetransmitMax.
+  static constexpr Duration kRetransmitInitial = millis(50);
+  static constexpr Duration kRetransmitMax = seconds(1);
 
   // ---- hooks implemented by the concrete engine -------------------------
   /// Called from start() after proposals/decisions are loaded.
@@ -102,7 +113,6 @@ class EngineBase : public ConsensusService {
 
   Env& env_;
   const LeaderOracle& oracle_;
-  ConsensusConfig config_;
   ScopedStorage storage_;
   ConsensusMetrics metrics_;
 

@@ -5,13 +5,12 @@
 namespace abcast {
 
 std::unique_ptr<ConsensusService> make_consensus(ConsensusKind kind, Env& env,
-                                                 const LeaderOracle& oracle,
-                                                 ConsensusConfig config) {
+                                                 const LeaderOracle& oracle) {
   switch (kind) {
     case ConsensusKind::kPaxos:
-      return std::make_unique<PaxosEngine>(env, oracle, config);
+      return std::make_unique<PaxosEngine>(env, oracle);
     case ConsensusKind::kCoord:
-      return std::make_unique<CoordEngine>(env, oracle, config);
+      return std::make_unique<CoordEngine>(env, oracle);
   }
   return nullptr;
 }

@@ -17,9 +17,8 @@ using consensus_wire::NackMsg;
 using consensus_wire::PrepareMsg;
 using consensus_wire::PromiseMsg;
 
-PaxosEngine::PaxosEngine(Env& env, const LeaderOracle& oracle,
-                         ConsensusConfig config)
-    : EngineBase(env, oracle, config, MsgType::kPaxosDecided,
+PaxosEngine::PaxosEngine(Env& env, const LeaderOracle& oracle)
+    : EngineBase(env, oracle, MsgType::kPaxosDecided,
                  MsgType::kPaxosDecidedAck) {}
 
 // Ballot b > 0 encodes attempt a and owner p as b = a * n + p + 1.
@@ -133,7 +132,7 @@ void PaxosEngine::drive(InstanceId k, Instance& inst) {
   // staggered by process id so impatient processes wake one at a time.
   const TimePoint now = env_.now();
   const Duration patience =
-      config_.progress_timeout * static_cast<Duration>(3 + 2 * env_.self());
+      kProgressTimeout * static_cast<Duration>(3 + 2 * env_.self());
   const bool nominated = oracle_.leader() == env_.self();
   const bool impatient =
       inst.phase == Phase::kIdle && now - inst.idle_since > patience;
@@ -149,7 +148,7 @@ void PaxosEngine::drive(InstanceId k, Instance& inst) {
 
   if (inst.phase == Phase::kIdle) {
     start_ballot(k, inst);
-  } else if (now - inst.phase_started > config_.progress_timeout) {
+  } else if (now - inst.phase_started > kProgressTimeout) {
     start_ballot(k, inst);
   }
 }

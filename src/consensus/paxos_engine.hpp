@@ -24,7 +24,7 @@ namespace abcast {
 
 class PaxosEngine final : public EngineBase {
  public:
-  PaxosEngine(Env& env, const LeaderOracle& oracle, ConsensusConfig config);
+  PaxosEngine(Env& env, const LeaderOracle& oracle);
 
   bool handles(MsgType type) const override {
     return type >= MsgType::kPaxosPrepare && type <= MsgType::kPaxosDecidedAck;

@@ -20,6 +20,23 @@ namespace {
 constexpr const char* kCkptKey = "ckpt";
 constexpr const char* kUnorderedKey = "unord";
 
+/// Digest mode's keepalive floor: a fully idle process still gossips every
+/// this many ticks.
+constexpr std::uint32_t kGossipKeepalivePeriods = 8;
+
+// §5.3 catch-up session timing.
+/// Chunks a session sends per burst before waiting for the receiver's ack
+/// (bounds in-flight state bytes per lagging peer).
+constexpr std::uint32_t kStateBurstChunks = 4;
+/// Go-back timer of the stop-and-wait window: when the last burst is not
+/// fully acked within this interval, the sender rewinds its cursor to the
+/// receiver's last ack and resends.
+constexpr Duration kStateRetransmitInterval = millis(30);
+/// A session that has heard nothing from its receiver for this long is
+/// dropped (the receiver's next gossip recreates it). Also bounds how long
+/// a stuck session may defer checkpoint compaction.
+constexpr Duration kStateSessionTimeout = millis(600);
+
 std::string unordered_item_key(const MsgId& id) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "u/%010u-%020llu", id.sender,
@@ -501,14 +518,13 @@ void AtomicBroadcast::send_gossip_now() {
 bool AtomicBroadcast::gossip_needed() const {
   if (gossip_dirty_) return true;
   if (gossip_k_ > k_) return true;  // we lag: keep soliciting help
-  const auto my_cover =
-      options_.digest_gossip ? compute_cover() : std::vector<std::uint64_t>{};
+  const auto my_cover = compute_cover();
   for (std::size_t p = 0; p < peers_.size(); ++p) {
     if (p == env_.self()) continue;
     const PeerView& view = peers_[p];
     if (!view.heard) return true;
     if (view.k < k_ || view.total < agreed_.total()) return true;
-    if (!my_cover.empty() && view.cover.size() == my_cover.size()) {
+    if (view.cover.size() == my_cover.size()) {
       for (std::size_t q = 0; q < my_cover.size(); ++q) {
         // Either direction: the peer lags us (keep advertising so it pulls)
         // or we lag the peer (our digest is the pull).
@@ -522,13 +538,13 @@ bool AtomicBroadcast::gossip_needed() const {
 void AtomicBroadcast::gossip_tick() {
   gc_state_sessions();
   bool send = true;
-  if (options_.suppress_idle_gossip) {
+  if (options_.digest_gossip) {
+    // Digest mode skips idle ticks. Keepalive floor: even a fully idle
+    // group gossips every N periods, so the fair-lossy channel still
+    // delivers our view infinitely often (the round-lag and cover-lag
+    // repairs below depend on that). Full-set mode sends on every tick.
     idle_ticks_ += 1;
-    // Keepalive floor: even a fully idle group gossips every N periods, so
-    // the fair-lossy channel still delivers our view infinitely often (the
-    // round-lag and cover-lag repairs below depend on that).
-    send = idle_ticks_ >= options_.gossip_keepalive_periods ||
-           gossip_needed();
+    send = idle_ticks_ >= kGossipKeepalivePeriods || gossip_needed();
   }
   if (send) {
     send_gossip_now();
@@ -905,7 +921,7 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
         options_.max_state_bytes > state_snap_header_bytes()
             ? options_.max_state_bytes - state_snap_header_bytes()
             : 1;
-    for (std::uint32_t b = 0; b < options_.state_burst_chunks &&
+    for (std::uint32_t b = 0; b < kStateBurstChunks &&
                               s.sent_snap_bytes < snap_cache_.size();
          ++b) {
       StateChunkMsg c;
@@ -927,7 +943,7 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
       env_.send(to, wire);
       s.sent_snap_bytes += len;
     }
-    s.resend_at = now + options_.state_retransmit_interval;
+    s.resend_at = now + kStateRetransmitInterval;
     return;
   }
 
@@ -947,7 +963,7 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
   const std::vector<AppMsg>& suffix = agreed_.suffix();
   const std::size_t header = state_chunk_header_bytes();
   const std::size_t budget = std::max(options_.max_state_bytes, header + 1);
-  for (std::uint32_t b = 0; b < options_.state_burst_chunks; ++b) {
+  for (std::uint32_t b = 0; b < kStateBurstChunks; ++b) {
     StateChunkMsg c;
     c.k = state_k;
     c.offset = s.sent_total;
@@ -975,14 +991,14 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
     s.sent_total = pos;
     if (c.final_chunk) break;
   }
-  s.resend_at = now + options_.state_retransmit_interval;
+  s.resend_at = now + kStateRetransmitInterval;
 }
 
 void AtomicBroadcast::gc_state_sessions() {
   if (state_sessions_.empty()) return;
   const TimePoint now = env_.now();
   for (auto it = state_sessions_.begin(); it != state_sessions_.end();) {
-    if (now - it->second.last_heard > options_.state_session_timeout) {
+    if (now - it->second.last_heard > kStateSessionTimeout) {
       it = state_sessions_.erase(it);
     } else {
       ++it;
@@ -994,7 +1010,7 @@ bool AtomicBroadcast::compaction_deferred() const {
   // While any live session still streams, compacting would clear the suffix
   // it reads from (tail phase) or retire the snapshot version in flight
   // (snapshot phase) and restart the transfer — a livelock when checkpoints
-  // outpace one transfer. Sessions are GC'd after state_session_timeout, so
+  // outpace one transfer. Sessions are GC'd after kStateSessionTimeout, so
   // a dead receiver defers compaction only boundedly.
   for (const auto& [peer, s] : state_sessions_) {
     (void)peer;

@@ -189,6 +189,8 @@ class AtomicBroadcast {
 
   void send_gossip_now();
   void gossip_tick();
+  /// Digest mode's idle test: false when nothing changed since the last
+  /// send and every peer is heard from and level with us.
   bool gossip_needed() const;
   void send_eager_deltas();
   /// Ships `plan` to `to` in datagrams of at most Options::max_delta_bytes

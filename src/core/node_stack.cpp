@@ -9,8 +9,8 @@ namespace abcast::core {
 
 NodeStack::NodeStack(Env& env, StackConfig config, DeliverySink& sink)
     : env_(env),
-      fd_(make_failure_detector(config.fd_kind, env, config.fd)),
-      cons_(make_consensus(config.engine, env, *fd_, config.consensus)),
+      fd_(make_failure_detector(config.fd_kind, env)),
+      cons_(make_consensus(config.engine, env, *fd_)),
       ab_(env, *cons_, sink, config.ab) {
   cons_->set_decided_callback(
       [this](InstanceId k, const Bytes& v) { ab_.on_decided(k, v); });

@@ -17,14 +17,12 @@
 #include "core/atomic_broadcast.hpp"
 #include "core/options.hpp"
 #include "env/env.hpp"
-#include "fd/failure_detector.hpp"
+#include "fd/failure_detector_base.hpp"
 
 namespace abcast::core {
 
 struct StackConfig {
-  FdConfig fd;
   FdKind fd_kind = FdKind::kEpoch;
-  ConsensusConfig consensus;
   ConsensusKind engine = ConsensusKind::kPaxos;
   Options ab;
 };

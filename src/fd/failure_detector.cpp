@@ -21,12 +21,8 @@ struct HeartbeatMsg {
 
 }  // namespace
 
-EpochFailureDetector::EpochFailureDetector(Env& env, FdConfig config)
-    : env_(env), config_(config), storage_(env.storage(), "fd"),
-      peers_(env.group_size()) {
-  ABCAST_CHECK(config_.heartbeat_period > 0);
-  ABCAST_CHECK(config_.initial_timeout > 0);
-}
+EpochFailureDetector::EpochFailureDetector(Env& env)
+    : env_(env), storage_(env.storage(), "fd"), peers_(env.group_size()) {}
 
 void EpochFailureDetector::start(bool recovering) {
   (void)recovering;  // the epoch record itself tells us whether we lived before
@@ -38,7 +34,7 @@ void EpochFailureDetector::start(bool recovering) {
   const TimePoint now = env_.now();
   for (ProcessId p = 0; p < env_.group_size(); ++p) {
     auto& st = peers_[p];
-    st.timeout = config_.initial_timeout;
+    st.timeout = kInitialTimeout;
     // Start optimistic: trust everyone until the first timeout expires.
     st.trusted = true;
     st.last_heard = now;
@@ -59,7 +55,7 @@ void EpochFailureDetector::tick() {
     }
   }
 
-  env_.schedule_after(config_.heartbeat_period, [this] { tick(); });
+  env_.schedule_after(kHeartbeatPeriod, [this] { tick(); });
 }
 
 void EpochFailureDetector::on_message(ProcessId from, const Wire& msg) {
@@ -70,7 +66,7 @@ void EpochFailureDetector::on_message(ProcessId from, const Wire& msg) {
   if (was_suspected && hb.epoch == st.epoch) {
     // The peer was alive all along — we were too impatient. Back off.
     wrong_suspicions_ += 1;
-    st.timeout += config_.timeout_increment;
+    st.timeout += kTimeoutIncrement;
   }
   st.last_heard = env_.now();
   st.epoch = std::max(st.epoch, hb.epoch);

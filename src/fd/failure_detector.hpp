@@ -24,20 +24,11 @@
 
 namespace abcast {
 
-struct FdConfig {
-  /// Heartbeat multicast period.
-  Duration heartbeat_period = millis(20);
-  /// Initial per-peer suspicion timeout.
-  Duration initial_timeout = millis(100);
-  /// Added to a peer's timeout each time a suspicion of it proves wrong.
-  Duration timeout_increment = millis(50);
-};
-
 class EpochFailureDetector final : public FailureDetector {
  public:
   /// `storage` scope used: "fd/". The detector logs exactly one record (its
   /// epoch) per start/recovery.
-  EpochFailureDetector(Env& env, FdConfig config);
+  explicit EpochFailureDetector(Env& env);
 
   /// Loads and bumps the epoch, then starts the heartbeat task. Call once.
   void start(bool recovering) override;
@@ -80,7 +71,6 @@ class EpochFailureDetector final : public FailureDetector {
   void tick();
 
   Env& env_;
-  FdConfig config_;
   ScopedStorage storage_;
   std::uint64_t epoch_ = 0;
   std::vector<PeerState> peers_;

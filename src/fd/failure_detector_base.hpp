@@ -22,8 +22,6 @@
 
 namespace abcast {
 
-struct FdConfig;  // defined in failure_detector.hpp
-
 class FailureDetector : public LeaderOracle {
  public:
   /// Starts heartbeating and monitoring. Call once per incarnation.
@@ -42,13 +40,21 @@ class FailureDetector : public LeaderOracle {
 
   /// Wrong-suspicion count — an accuracy metric for experiments.
   virtual std::uint64_t wrong_suspicions() const = 0;
+
+ protected:
+  // ---- timing shared by both detectors ----------------------------------
+  /// Heartbeat multicast period.
+  static constexpr Duration kHeartbeatPeriod = millis(20);
+  /// Initial per-peer suspicion timeout.
+  static constexpr Duration kInitialTimeout = millis(100);
+  /// Added to a peer's timeout each time a suspicion of it proves wrong.
+  static constexpr Duration kTimeoutIncrement = millis(50);
 };
 
 enum class FdKind { kEpoch, kSuspectList };
 
 const char* to_string(FdKind kind);
 
-std::unique_ptr<FailureDetector> make_failure_detector(FdKind kind, Env& env,
-                                                       const FdConfig& config);
+std::unique_ptr<FailureDetector> make_failure_detector(FdKind kind, Env& env);
 
 }  // namespace abcast

@@ -6,17 +6,14 @@
 
 namespace abcast {
 
-SuspectListDetector::SuspectListDetector(Env& env, FdConfig config)
-    : env_(env), config_(config), peers_(env.group_size()) {
-  ABCAST_CHECK(config_.heartbeat_period > 0);
-  ABCAST_CHECK(config_.initial_timeout > 0);
-}
+SuspectListDetector::SuspectListDetector(Env& env)
+    : env_(env), peers_(env.group_size()) {}
 
 void SuspectListDetector::start(bool recovering) {
   (void)recovering;  // nothing persistent: bounded output, no epoch log
   const TimePoint now = env_.now();
   for (auto& st : peers_) {
-    st.timeout = config_.initial_timeout;
+    st.timeout = kInitialTimeout;
     st.trusted = true;
     st.last_heard = now;
   }
@@ -35,7 +32,7 @@ void SuspectListDetector::tick() {
       st.trusted = false;
     }
   }
-  env_.schedule_after(config_.heartbeat_period, [this] { tick(); });
+  env_.schedule_after(kHeartbeatPeriod, [this] { tick(); });
 }
 
 void SuspectListDetector::on_message(ProcessId from, const Wire& msg) {
@@ -47,7 +44,7 @@ void SuspectListDetector::on_message(ProcessId from, const Wire& msg) {
     // so the timeout grows on all of them (the cost of bounded output the
     // paper alludes to in §3.5).
     wrong_suspicions_ += 1;
-    st.timeout += config_.timeout_increment;
+    st.timeout += kTimeoutIncrement;
   }
   st.last_heard = env_.now();
   st.trusted = true;
@@ -92,13 +89,12 @@ const char* to_string(FdKind kind) {
   return "?";
 }
 
-std::unique_ptr<FailureDetector> make_failure_detector(
-    FdKind kind, Env& env, const FdConfig& config) {
+std::unique_ptr<FailureDetector> make_failure_detector(FdKind kind, Env& env) {
   switch (kind) {
     case FdKind::kEpoch:
-      return std::make_unique<EpochFailureDetector>(env, config);
+      return std::make_unique<EpochFailureDetector>(env);
     case FdKind::kSuspectList:
-      return std::make_unique<SuspectListDetector>(env, config);
+      return std::make_unique<SuspectListDetector>(env);
   }
   return nullptr;
 }

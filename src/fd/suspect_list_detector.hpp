@@ -13,14 +13,13 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "fd/failure_detector.hpp"
 #include "fd/failure_detector_base.hpp"
 
 namespace abcast {
 
 class SuspectListDetector final : public FailureDetector {
  public:
-  SuspectListDetector(Env& env, FdConfig config);
+  explicit SuspectListDetector(Env& env);
 
   void start(bool recovering) override;
   bool handles(MsgType type) const override {
@@ -50,7 +49,6 @@ class SuspectListDetector final : public FailureDetector {
   void tick();
 
   Env& env_;
-  FdConfig config_;
   std::vector<PeerState> peers_;
   std::uint64_t wrong_suspicions_ = 0;
 };

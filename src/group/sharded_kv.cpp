@@ -3,6 +3,14 @@
 #include <utility>
 
 namespace abcast::group {
+namespace {
+
+/// Cadence of the hold-repair scan, and how long a one-sided hold must lag
+/// before its payload is re-broadcast into the partner group.
+constexpr Duration kRepairInterval = millis(150);
+constexpr Duration kRepairGrace = millis(300);
+
+}  // namespace
 
 // ---------------------------------------------------------------- tracker
 
@@ -325,15 +333,14 @@ const ShardedKvNode::Slot* ShardedKvNode::find_slot(std::uint32_t g) const {
 }
 
 void ShardedKvNode::arm_repair_timer() {
-  repair_timer_ = env_.schedule_after(options_.repair_interval, [this] {
+  repair_timer_ = env_.schedule_after(kRepairInterval, [this] {
     run_repair();
     arm_repair_timer();
   });
 }
 
 void ShardedKvNode::run_repair() {
-  for (const auto& lag :
-       tracker_.lagging(env_.now(), options_.repair_grace)) {
+  for (const auto& lag : tracker_.lagging(env_.now(), kRepairGrace)) {
     Slot* slot = find_slot(lag.lagging_group);
     if (slot == nullptr) continue;
     metrics_.pair_repairs += 1;

@@ -151,10 +151,6 @@ struct ShardedKvOptions {
   GroupConfig layout;
   /// Per-group stack configuration (every group runs the same profile).
   core::StackConfig stack;
-  /// Cadence of the hold-repair scan, and how long a one-sided hold must
-  /// lag before its payload is re-broadcast into the partner group.
-  Duration repair_interval = millis(150);
-  Duration repair_grace = millis(300);
 };
 
 /// The multi-group NodeApp: one GroupHostEnv + ShardSink + NodeStack per

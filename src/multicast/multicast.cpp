@@ -15,6 +15,9 @@ namespace {
 constexpr std::uint32_t kProposeTag = 0x4D475052;  // "MGPR"
 constexpr std::uint32_t kFinalTag = 0x4D47464E;    // "MGFN"
 
+/// Period of the FILL retry task (inter-group proposal exchange).
+constexpr Duration kFillPeriod = millis(40);
+
 struct ProposeMsg {
   McId id;
   std::vector<std::uint32_t> dests;
@@ -78,14 +81,14 @@ bool admissible(const group::GroupConfig& layout, const FillMsg& fill,
 // ----------------------------------------------------------- MulticastNode
 
 MulticastNode::MulticastNode(Env& env, const group::GroupConfig& layout,
-                             MulticastConfig config, McDeliverFn deliver)
+                             McDeliverFn deliver)
     : layout_(layout),
       group_id_(own_group(layout_, env.group_size(), env.self())),
       group_env_(env, layout_, group_id_) {
   service_ = std::make_unique<MulticastService>(env, layout_, group_id_,
-                                                config, std::move(deliver));
-  stack_ = std::make_unique<core::NodeStack>(group_env_, config.stack,
-                                             *service_);
+                                                std::move(deliver));
+  stack_ = std::make_unique<core::NodeStack>(
+      group_env_, core::StackConfig{}, *service_);
   service_->bind(stack_.get());
 }
 
@@ -118,19 +121,9 @@ McId MulticastNode::mcast(Bytes payload,
 MulticastService::MulticastService(Env& env,
                                    const group::GroupConfig& layout,
                                    std::uint32_t group_id,
-                                   MulticastConfig config,
                                    McDeliverFn deliver)
-    : env_(env), layout_(layout), group_id_(group_id), config_(config),
-      deliver_(std::move(deliver)) {
-  ABCAST_CHECK(config_.fill_period > 0);
-  // The multicast state must be reconstructible from the AB delivery
-  // sequence alone; app-level checkpoint folding would hide the control
-  // messages replay needs.
-  ABCAST_CHECK_MSG(!config_.stack.ab.app_checkpointing,
-                   "multicast does not support app_checkpointing");
-  ABCAST_CHECK_MSG(!config_.stack.ab.checkpointing,
-                   "multicast does not support (k, Agreed) checkpointing");
-}
+    : env_(env), layout_(layout), group_id_(group_id),
+      deliver_(std::move(deliver)) {}
 
 void MulticastService::start() {
   ABCAST_CHECK_MSG(stack_ != nullptr, "service not bound to a stack");
@@ -282,7 +275,7 @@ void MulticastService::fill_tick() {
       if (p.remote.count(g) == 0) send_fill(id, p, g);
     }
   }
-  env_.schedule_after(config_.fill_period, [this] { fill_tick(); });
+  env_.schedule_after(kFillPeriod, [this] { fill_tick(); });
 }
 
 void MulticastService::on_message(ProcessId global_from, const Wire& msg) {

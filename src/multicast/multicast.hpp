@@ -65,12 +65,6 @@ struct McDelivery {
 
 using McDeliverFn = std::function<void(const McDelivery&)>;
 
-struct MulticastConfig {
-  /// Period of the FILL retry task (inter-group proposal exchange).
-  Duration fill_period = millis(40);
-  core::StackConfig stack;
-};
-
 class MulticastService;
 
 /// The per-process node: a group-scoped protocol stack plus the multicast
@@ -78,9 +72,11 @@ class MulticastService;
 class MulticastNode final : public NodeApp {
  public:
   /// `layout` must place every node in at most one row (disjoint groups),
-  /// this process in exactly one.
+  /// this process in exactly one. The group stack runs the default
+  /// StackConfig: the multicast state is rebuilt from the AB delivery
+  /// sequence alone, so neither checkpoint kind may fold it away.
   MulticastNode(Env& env, const group::GroupConfig& layout,
-                MulticastConfig config, McDeliverFn deliver);
+                McDeliverFn deliver);
   ~MulticastNode() override;
 
   void start(bool recovering) override;
@@ -108,8 +104,7 @@ class MulticastNode final : public NodeApp {
 class MulticastService final : public core::DeliverySink {
  public:
   MulticastService(Env& env, const group::GroupConfig& layout,
-                   std::uint32_t group_id, MulticastConfig config,
-                   McDeliverFn deliver);
+                   std::uint32_t group_id, McDeliverFn deliver);
 
   /// Wires the group stack (whose AB carries the control messages).
   void bind(core::NodeStack* stack) { stack_ = stack; }
@@ -150,7 +145,6 @@ class MulticastService final : public core::DeliverySink {
   Env& env_;  // the GLOBAL env (fill datagrams cross groups)
   group::GroupConfig layout_;
   std::uint32_t group_id_;
-  MulticastConfig config_;
   McDeliverFn deliver_;
   core::NodeStack* stack_ = nullptr;
 

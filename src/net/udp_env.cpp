@@ -19,7 +19,14 @@
 namespace abcast::net {
 namespace {
 
-constexpr std::size_t kMaxDatagram = 64 * 1024;
+/// The largest UDP payload IPv4 carries (65535 - 8 UDP - 20 IP header
+/// bytes). A bigger frame would fail inside sendmmsg, taking the datagrams
+/// queued behind it down too.
+constexpr std::size_t kMaxDatagram = 65507;
+
+/// Datagrams per sendmmsg()/recvmmsg() call when batching is on; the
+/// receive ring holds this many buffers.
+constexpr std::uint32_t kBatch = 16;
 
 int make_udp_socket(const std::string& host, std::uint16_t port,
                     std::uint16_t* bound_port) {
@@ -86,18 +93,14 @@ UdpHost::UdpHost(UdpConfig config)
   }
 
   // Unbatched is the same engine with batches of one.
-  const UdpBatchConfig& b = config_.batch;
-  const std::uint32_t recv_batch = b.enabled ? b.recv_batch : 1;
-  const std::uint32_t send_batch = b.enabled ? b.send_batch : 1;
-  ABCAST_CHECK(recv_batch >= 1);
-  ABCAST_CHECK(send_batch >= 1);
-  recv_ring_.assign(recv_batch, Bytes(kMaxDatagram));
-  recv_hdrs_.resize(recv_batch);
-  recv_iovs_.resize(recv_batch);
-  recv_addrs_.resize(recv_batch);
-  send_hdrs_.resize(send_batch);
-  send_iovs_.resize(send_batch);
-  send_addrs_.resize(send_batch);
+  const std::uint32_t batch = config_.batch.enabled ? kBatch : 1;
+  recv_ring_.assign(batch, Bytes(kMaxDatagram));
+  recv_hdrs_.resize(batch);
+  recv_iovs_.resize(batch);
+  recv_addrs_.resize(batch);
+  send_hdrs_.resize(batch);
+  send_iovs_.resize(batch);
+  send_addrs_.resize(batch);
 
   if (config_.registry != nullptr) {
     const obs::Labels labels{{"node", std::to_string(config_.self)}};
@@ -149,7 +152,7 @@ void UdpHost::send(ProcessId to, const Wire& msg) {
 
 void UdpHost::multisend(const Wire& msg) {
   // One encode, one refcounted frame, group_size() queue entries — and
-  // (send_batch permitting) one sendmmsg for the lot at the barrier.
+  // (batching permitting) one sendmmsg for the lot at the barrier.
   const SharedBytes frame(make_frame(msg));
   for (ProcessId to = 0; to < group_size(); ++to) queue_frame(to, frame);
 }

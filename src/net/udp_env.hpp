@@ -18,12 +18,15 @@
 // multisend encodes once — and the barrier releases the queue with
 // sendmmsg(), each mmsghdr carrying its own destination. Inbound,
 // recvmmsg() drains into a preallocated buffer ring feeding the decode
-// path. UdpBatchConfig sets how many datagrams one syscall may carry.
+// path. UdpBatchConfig sets whether one syscall may carry many datagrams.
 //
-// Limitations (documented, inherent to UDP): a datagram larger than the
-// ~64 KB UDP limit cannot be sent and is silently dropped, so deployments
-// with long histories should enable application checkpointing + trimmed
-// state transfer to keep state messages small.
+// Limitations (inherent to UDP over IPv4): a datagram carries at most 65507
+// payload bytes. A frame above that is dropped when it is queued and
+// counted in send_failures; the rest of the pass still goes out. Digest
+// deltas and catch-up state are already chunked below the limit
+// (Options::max_delta_bytes, max_state_bytes). Full-set gossip and
+// consensus proposals are not: a large enough Unordered backlog makes them
+// too big, which Options::max_proposal_msgs bounds only for proposals.
 #pragma once
 
 #include <cstdint>
@@ -53,14 +56,11 @@ struct UdpPeer {
   std::uint16_t port = 0;
 };
 
-/// Syscall batching knobs. Off by default, which means batches of one: the
-/// same sendmmsg/recvmmsg engine moving one datagram per syscall.
+/// Syscall batching. Off by default, which means batches of one: the same
+/// sendmmsg/recvmmsg engine moving one datagram per syscall. On, one
+/// syscall moves up to 16 datagrams each way.
 struct UdpBatchConfig {
   bool enabled = false;
-  /// Max datagrams drained per recvmmsg() call (buffer ring size).
-  std::uint32_t recv_batch = 16;
-  /// Max datagrams flushed per sendmmsg() call.
-  std::uint32_t send_batch = 16;
 };
 
 /// Transport-level counters, bound into the metrics registry (when one is

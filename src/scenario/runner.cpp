@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <memory>
+#include <type_traits>
 
 #include "harness/fixture.hpp"
 
@@ -15,6 +16,14 @@ namespace {
 /// scenario line plus these constants fully determine a run.
 constexpr double kDropProb = 0.005;
 constexpr double kDupProb = 0.005;
+
+/// Width of the SLO latency windows.
+constexpr Duration kSloWindow = millis(100);
+/// Budget for each drain phase (deliveries, then quiescence).
+constexpr Duration kDrainTimeout = seconds(120);
+/// Per-host trace ring capacity: large enough that nothing drops, or the
+/// strict checker verdict would be meaningless.
+constexpr std::size_t kTraceCapacity = 1 << 17;
 
 /// Retries recovery of `p` until it sticks (a recovery can die on its own
 /// storage fault; the paper allows crashing during recovery).
@@ -72,7 +81,7 @@ struct Installer {
 
   void operator()(const SkewClause&) const {
     // Applied before start (timers armed at start must already be skewed);
-    // see run_scenario.
+    // see start_under_faults.
   }
 
   void operator()(const DiskClause& cl) const {
@@ -139,7 +148,7 @@ struct Installer {
 
   void operator()(const WinClause&) const {
     // Configuration, not a timed fault: pipeline_window is applied to the
-    // cluster config before start (like skew); see run_scenario.
+    // cluster config before start (like skew); see scenario_stack.
   }
 };
 
@@ -164,51 +173,57 @@ std::uint64_t fnv1a_order(const std::vector<MsgId>& order) {
   return h;
 }
 
-/// The multi-group twin of run_scenario's body (s.groups > 1). Same fault
-/// installation, horizon cleanup, and recovery pump over the raw sim; the
-/// audits differ because there is no live oracle between app and stack:
-/// delivery of required submissions is checked per owning group, replica
-/// convergence by shard digest equality, and safety by the strict
-/// check_sharded_trace (per-group order + cross-shard atomicity).
-RunResult run_sharded_scenario(const Scenario& s, const RunOptions& opts) {
-  RunResult result;
+// ---- the parts both runners share -----------------------------------------
 
-  group::ShardedClusterConfig cfg;
-  cfg.sim.n = s.n;
-  cfg.sim.seed = s.seed * 2654435761ull + 1;
-  cfg.sim.trace_capacity = opts.trace_capacity;
-  cfg.sim.storage_factory = opts.storage_factory;
-  cfg.sim.net.drop_prob = kDropProb;
-  cfg.sim.net.dup_prob = kDupProb;
-  cfg.node.layout = group::GroupConfig::uniform(s.n, s.groups);
-  cfg.node.stack.engine = s.engine;
+/// The simulator a scenario runs on: seeded from the scenario, with the
+/// fixed channel spice and a trace ring the strict checker can trust.
+sim::SimConfig scenario_sim(const Scenario& s,
+                            const StorageFactory& storage_factory) {
+  sim::SimConfig cfg;
+  cfg.n = s.n;
+  cfg.seed = s.seed * 2654435761ull + 1;
+  cfg.trace_capacity = kTraceCapacity;
+  cfg.storage_factory = storage_factory;
+  cfg.net.drop_prob = kDropProb;
+  cfg.net.dup_prob = kDupProb;
+  return cfg;
+}
+
+/// The (per-group) stack a scenario selects: its engine, the alternative
+/// protocol with 50 ms checkpoints, its gossip mode and its window α.
+core::StackConfig scenario_stack(const Scenario& s) {
+  core::StackConfig cfg;
+  cfg.engine = s.engine;
   if (s.alternative) {
-    cfg.node.stack.ab = core::Options::alternative();
-    cfg.node.stack.ab.checkpoint_period = millis(50);
+    cfg.ab = core::Options::alternative();
+    cfg.ab.checkpoint_period = millis(50);
   }
-  if (s.digest_gossip) {
-    cfg.node.stack.ab.digest_gossip = true;
-    cfg.node.stack.ab.suppress_idle_gossip = true;
-  }
-  cfg.node.stack.ab.pipeline_window = scenario_window(s);
-  const std::size_t max_state_bytes = cfg.node.stack.ab.max_state_bytes;
+  cfg.ab.digest_gossip = s.digest_gossip;
+  cfg.ab.pipeline_window = scenario_window(s);
+  return cfg;
+}
 
-  group::ShardedCluster c(cfg);
-  auto* sim = &c.sim();
-
+/// Skews timers (a host property, applied before any timer is armed),
+/// starts every process and installs the fault clauses.
+void start_under_faults(sim::Simulation& sim, const Scenario& s) {
   for (const auto& clause : s.clauses) {
     if (const auto* sk = std::get_if<SkewClause>(&clause)) {
-      sim->set_timer_scale(sk->node, sk->scale);
+      sim.set_timer_scale(sk->node, sk->scale);
     }
   }
-
-  c.start_all();
-
-  const Installer install{sim, s.horizon};
+  sim.start_all();
+  const Installer install{&sim, s.horizon};
   for (const auto& clause : s.clauses) std::visit(install, clause);
+}
 
+/// One driver per load clause, deterministically seeded per clause
+/// position. Arrivals must not outlive the horizon: the drain phase
+/// measures the protocol, not a still-firing workload.
+template <typename Driver, typename ClusterT>
+std::vector<std::unique_ptr<Driver>> install_load(ClusterT& c,
+                                                  const Scenario& s) {
   Rng load_rng(s.seed * 7919ull + 23);
-  std::vector<std::unique_ptr<ShardedLoadDriver>> drivers;
+  std::vector<std::unique_ptr<Driver>> drivers;
   for (const auto& clause : s.clauses) {
     if (const auto* ld = std::get_if<LoadClause>(&clause)) {
       LoadClause clamped = *ld;
@@ -216,80 +231,130 @@ RunResult run_sharded_scenario(const Scenario& s, const RunOptions& opts) {
       if (clamped.at + clamped.hold > s.horizon) {
         clamped.hold = s.horizon - clamped.at;
       }
-      drivers.push_back(
-          std::make_unique<ShardedLoadDriver>(c, clamped, load_rng.fork()));
+      drivers.push_back(std::make_unique<Driver>(c, clamped, load_rng.fork()));
       drivers.back()->install();
     }
   }
+  return drivers;
+}
+
+/// The horizon: stop injecting (partitions heal, gray and slow-disk
+/// profiles reset, crash-points disarm), then pump every process through
+/// recovery. Returns the failure when some process keeps dying.
+std::string stop_faults_and_recover(sim::Simulation& sim) {
+  sim.heal_partition();
+  for (ProcessId p = 0; p < sim.n(); ++p) {
+    sim.set_rx_delay_factor(p, 1.0);
+    sim.storage_faults(p).disarm_crash_point();
+    auto profile = sim.storage_faults(p).profile();
+    profile.op_delay_min_ns = 0;
+    profile.op_delay_max_ns = 0;
+    profile.stall_prob = 0.0;
+    profile.stall_ns = 0;
+    sim.storage_faults(p).set_profile(profile);
+  }
+  for (int tries = 0; tries < 200; ++tries) {
+    bool all_up = true;
+    for (ProcessId p = 0; p < sim.n(); ++p) {
+      if (!sim.host(p).is_up()) {
+        all_up = false;
+        sim.recover(p);
+      }
+    }
+    if (all_up) break;
+    sim.run_for(millis(10));
+  }
+  for (ProcessId p = 0; p < sim.n(); ++p) {
+    if (!sim.host(p).is_up()) {
+      return "recovery keeps dying at p" + std::to_string(p);
+    }
+  }
+  return {};
+}
+
+/// Sums the drivers' load counters and returns the completed submissions
+/// whose delivery may be demanded. log_unordered (alternative protocol)
+/// makes a completed broadcast durable; otherwise it is demanded only if
+/// the submitting process never crashed after the call (paper Termination
+/// obliges only processes that stay up).
+template <typename Driver>
+auto required_submissions(
+    const std::vector<std::unique_ptr<Driver>>& drivers, const Scenario& s,
+    sim::Simulation& sim, LoadStats& load) {
+  std::remove_cvref_t<decltype(drivers.front()->submissions())> required;
+  for (const auto& d : drivers) {
+    load.arrivals += d->stats().arrivals;
+    load.submitted += d->stats().submitted;
+    load.completed += d->stats().completed;
+    load.rejected_down += d->stats().rejected_down;
+    load.pairs_submitted += d->stats().pairs_submitted;
+    load.pairs_completed += d->stats().pairs_completed;
+    for (const auto& sub : d->submissions()) {
+      if (!sub.completed) continue;
+      if (s.alternative ||
+          sim.host(sub.node).stats().crashes == sub.node_crashes_at_submit) {
+        required.push_back(sub);
+      }
+    }
+  }
+  return required;
+}
+
+/// The strict offline check every run ends with.
+obs::CheckOptions strict_check(const Scenario& s,
+                               const core::StackConfig& stack) {
+  obs::CheckOptions check;
+  check.require_quiesced = true;
+  check.basic_protocol = !s.alternative;
+  if (s.alternative) {
+    check.max_state_chunk_bytes = stack.ab.max_state_bytes;
+  }
+  return check;
+}
+
+/// The multi-group twin of run_scenario's body (s.groups > 1). Same setup,
+/// fault installation, horizon cleanup and recovery pump; the audits differ
+/// because there is no live oracle between app and stack: delivery of
+/// required submissions is checked per owning group, replica convergence by
+/// shard digest equality, and safety by the strict check_sharded_trace
+/// (per-group order + cross-shard atomicity).
+RunResult run_sharded_scenario(const Scenario& s,
+                               const StorageFactory& storage_factory) {
+  RunResult result;
+
+  group::ShardedClusterConfig cfg;
+  cfg.sim = scenario_sim(s, storage_factory);
+  cfg.node.layout = group::GroupConfig::uniform(s.n, s.groups);
+  cfg.node.stack = scenario_stack(s);
+
+  group::ShardedCluster c(cfg);
+  auto* sim = &c.sim();
+  start_under_faults(*sim, s);
+  const auto drivers = install_load<ShardedLoadDriver>(c, s);
 
   try {
     sim->run_until(s.horizon);
+    result.failure = stop_faults_and_recover(*sim);
+    if (!result.failure.empty()) return result;
 
-    // ---- horizon: stop injecting ---------------------------------------
-    sim->heal_partition();
-    for (ProcessId p = 0; p < sim->n(); ++p) {
-      sim->set_rx_delay_factor(p, 1.0);
-      sim->storage_faults(p).disarm_crash_point();
-      auto profile = sim->storage_faults(p).profile();
-      profile.op_delay_min_ns = 0;
-      profile.op_delay_max_ns = 0;
-      profile.stall_prob = 0.0;
-      profile.stall_ns = 0;
-      sim->storage_faults(p).set_profile(profile);
-    }
-    for (int tries = 0; tries < 200; ++tries) {
-      bool all_up = true;
-      for (ProcessId p = 0; p < sim->n(); ++p) {
-        if (!sim->host(p).is_up()) {
-          all_up = false;
-          sim->recover(p);
-        }
-      }
-      if (all_up) break;
-      sim->run_for(millis(10));
-    }
-    for (ProcessId p = 0; p < sim->n(); ++p) {
-      if (!sim->host(p).is_up()) {
-        result.failure = "recovery keeps dying at p" + std::to_string(p);
-        return result;
-      }
-    }
-
-    // ---- required deliveries -------------------------------------------
-    std::vector<std::pair<std::uint32_t, MsgId>> required;
-    for (const auto& d : drivers) {
-      result.load.arrivals += d->stats().arrivals;
-      result.load.submitted += d->stats().submitted;
-      result.load.completed += d->stats().completed;
-      result.load.rejected_down += d->stats().rejected_down;
-      result.load.pairs_submitted += d->stats().pairs_submitted;
-      result.load.pairs_completed += d->stats().pairs_completed;
-      for (const auto& sub : d->submissions()) {
-        if (!sub.completed) continue;
-        if (s.alternative ||
-            sim->host(sub.node).stats().crashes ==
-                sub.node_crashes_at_submit) {
-          required.emplace_back(sub.group, sub.id);
-        }
-      }
-    }
-    result.required = required.size();
     // (Pair submissions carry no MsgId upward; their obligations are the
     // per-group Validity of their broadcasts plus the CrossShard rule.)
+    const auto required = required_submissions(drivers, s, *sim, result.load);
+    result.required = required.size();
 
     result.delivered = sim->run_until_pred(
         [&c, &required] {
-          for (const auto& [g, id] : required) {
-            if (!c.delivered_everywhere(g, id)) return false;
+          for (const auto& sub : required) {
+            if (!c.delivered_everywhere(sub.group, sub.id)) return false;
           }
           return true;
         },
-        sim->now() + opts.drain_timeout);
+        sim->now() + kDrainTimeout);
     if (!result.delivered) {
       result.failure = "required submissions not delivered everywhere";
       return result;
     }
-    result.quiesced = c.await_quiesced(opts.drain_timeout);
+    result.quiesced = c.await_quiesced(kDrainTimeout);
     if (!result.quiesced) {
       result.failure = "cluster failed to quiesce";
       return result;
@@ -312,17 +377,11 @@ RunResult run_sharded_scenario(const Scenario& s, const RunOptions& opts) {
 
   // ---- the oracle proper: strict offline sharded trace check ------------
   if (c.trace_dropped() != 0) {
-    result.failure = "trace ring dropped events; raise trace_capacity";
+    result.failure = "trace ring dropped events; raise kTraceCapacity";
     return result;
   }
-  obs::CheckOptions check;
-  check.require_quiesced = true;
-  check.basic_protocol = !s.alternative;
-  if (s.alternative) {
-    check.max_state_chunk_bytes = max_state_bytes;
-  }
-  const auto report =
-      obs::check_sharded_trace(c.collect_trace(), s.groups, check);
+  const auto report = obs::check_sharded_trace(
+      c.collect_trace(), s.groups, strict_check(s, cfg.node.stack));
   result.check_stats = report.stats;
   result.checker_ok = report.ok();
   if (!result.checker_ok) {
@@ -333,125 +392,38 @@ RunResult run_sharded_scenario(const Scenario& s, const RunOptions& opts) {
 
 }  // namespace
 
-RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
-  if (s.groups > 1) return run_sharded_scenario(s, opts);
+RunResult run_scenario(const Scenario& s,
+                       const StorageFactory& storage_factory) {
+  if (s.groups > 1) return run_sharded_scenario(s, storage_factory);
 
   RunResult result;
 
   harness::ClusterConfig cfg;
-  cfg.sim.n = s.n;
-  cfg.sim.seed = s.seed * 2654435761ull + 1;
-  cfg.sim.trace_capacity = opts.trace_capacity;
-  cfg.sim.storage_factory = opts.storage_factory;
-  cfg.sim.net.drop_prob = kDropProb;
-  cfg.sim.net.dup_prob = kDupProb;
-  cfg.stack.engine = s.engine;
-  if (s.alternative) {
-    cfg.stack.ab = core::Options::alternative();
-    cfg.stack.ab.checkpoint_period = millis(50);
-  }
-  if (s.digest_gossip) {
-    cfg.stack.ab.digest_gossip = true;
-    cfg.stack.ab.suppress_idle_gossip = true;
-  }
-  cfg.stack.ab.pipeline_window = scenario_window(s);
+  cfg.sim = scenario_sim(s, storage_factory);
+  cfg.stack = scenario_stack(s);
 
   harness::Cluster c(cfg);
   auto* sim = &c.sim();
-
-  // Skew is a host property, applied before any timer is armed.
-  for (const auto& clause : s.clauses) {
-    if (const auto* sk = std::get_if<SkewClause>(&clause)) {
-      sim->set_timer_scale(sk->node, sk->scale);
-    }
-  }
-
-  c.start_all();
-
-  const Installer install{sim, s.horizon};
-  for (const auto& clause : s.clauses) std::visit(install, clause);
-
-  // Load drivers, deterministically seeded per clause position.
-  Rng load_rng(s.seed * 7919ull + 23);
-  std::vector<std::unique_ptr<LoadDriver>> drivers;
-  for (const auto& clause : s.clauses) {
-    if (const auto* ld = std::get_if<LoadClause>(&clause)) {
-      LoadClause clamped = *ld;
-      // Arrivals must not outlive the horizon: the drain phase measures
-      // the protocol, not a still-firing workload.
-      if (clamped.at >= s.horizon) continue;
-      if (clamped.at + clamped.hold > s.horizon) {
-        clamped.hold = s.horizon - clamped.at;
-      }
-      drivers.push_back(
-          std::make_unique<LoadDriver>(c, clamped, load_rng.fork()));
-      drivers.back()->install();
-    }
-  }
+  start_under_faults(*sim, s);
+  const auto drivers = install_load<LoadDriver>(c, s);
 
   try {
     sim->run_until(s.horizon);
+    result.failure = stop_faults_and_recover(*sim);
+    if (!result.failure.empty()) return result;
 
-    // ---- horizon: stop injecting ---------------------------------------
-    sim->heal_partition();
-    for (ProcessId p = 0; p < sim->n(); ++p) {
-      sim->set_rx_delay_factor(p, 1.0);
-      sim->storage_faults(p).disarm_crash_point();
-      auto profile = sim->storage_faults(p).profile();
-      profile.op_delay_min_ns = 0;
-      profile.op_delay_max_ns = 0;
-      profile.stall_prob = 0.0;
-      profile.stall_ns = 0;
-      sim->storage_faults(p).set_profile(profile);
-    }
-    // Recovery pump: every process must come (and stay) up.
-    for (int tries = 0; tries < 200; ++tries) {
-      bool all_up = true;
-      for (ProcessId p = 0; p < sim->n(); ++p) {
-        if (!sim->host(p).is_up()) {
-          all_up = false;
-          sim->recover(p);
-        }
-      }
-      if (all_up) break;
-      sim->run_for(millis(10));
-    }
-    for (ProcessId p = 0; p < sim->n(); ++p) {
-      if (!sim->host(p).is_up()) {
-        result.failure = "recovery keeps dying at p" + std::to_string(p);
-        return result;
-      }
-    }
-
-    // ---- required deliveries -------------------------------------------
     std::vector<MsgId> required;
-    for (const auto& d : drivers) {
-      result.load.arrivals += d->stats().arrivals;
-      result.load.submitted += d->stats().submitted;
-      result.load.completed += d->stats().completed;
-      result.load.rejected_down += d->stats().rejected_down;
-      for (const auto& sub : d->submissions()) {
-        if (!sub.completed) continue;
-        // log_unordered (alternative protocol) makes a completed broadcast
-        // durable; otherwise demand it only if the submitting process
-        // never crashed after the call (paper Termination obliges only
-        // processes that stay up).
-        if (s.alternative ||
-            sim->host(sub.node).stats().crashes ==
-                sub.node_crashes_at_submit) {
-          required.push_back(sub.id);
-        }
-      }
+    for (const auto& sub : required_submissions(drivers, s, *sim, result.load)) {
+      required.push_back(sub.id);
     }
     result.required = required.size();
 
-    result.delivered =
-        c.await_delivery(required, {}, opts.drain_timeout);
+    result.delivered = c.await_delivery(required, {}, kDrainTimeout);
     if (!result.delivered) {
       result.failure = "required submissions not delivered everywhere";
       return result;
     }
-    result.quiesced = c.await_quiesced(opts.drain_timeout);
+    result.quiesced = c.await_quiesced(kDrainTimeout);
     if (!result.quiesced) {
       result.failure = "cluster failed to quiesce";
       return result;
@@ -469,7 +441,7 @@ RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
   result.events_fired = sim->events_fired();
 
   // ---- SLO accounting ---------------------------------------------------
-  obs::WindowedLatency wl(0, opts.window);
+  obs::WindowedLatency wl(0, kSloWindow);
   for (const auto& tl : c.oracle().timed_latencies()) {
     wl.record(tl.delivered_at, tl.latency);
   }
@@ -478,16 +450,11 @@ RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
 
   // ---- the oracle proper: strict offline trace check --------------------
   if (c.trace_dropped() != 0) {
-    result.failure = "trace ring dropped events; raise trace_capacity";
+    result.failure = "trace ring dropped events; raise kTraceCapacity";
     return result;
   }
-  obs::CheckOptions check;
-  check.require_quiesced = true;
-  check.basic_protocol = !s.alternative;
-  if (s.alternative) {
-    check.max_state_chunk_bytes = cfg.stack.ab.max_state_bytes;
-  }
-  const auto report = obs::check_trace(c.collect_trace(), check);
+  const auto report =
+      obs::check_trace(c.collect_trace(), strict_check(s, cfg.stack));
   result.check_stats = report.stats;
   result.checker_ok = report.ok();
   if (!result.checker_ok) {

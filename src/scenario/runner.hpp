@@ -16,6 +16,8 @@
 // submission is required regardless of later crashes.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,20 +28,9 @@
 
 namespace abcast::scenario {
 
-struct RunOptions {
-  /// Width of the SLO latency windows.
-  Duration window = millis(100);
-  /// Budget for each drain phase (deliveries, then quiescence).
-  Duration drain_timeout = seconds(120);
-  /// Per-host trace ring capacity; must be large enough that nothing
-  /// drops, or the strict checker verdict is meaningless.
-  std::size_t trace_capacity = 1 << 17;
-  /// Per-process stable-storage backend override (default: in-memory).
-  /// This is how a sweep cell runs the whole oracle-checked scenario suite
-  /// against a real on-disk backend (e.g. SegmentedLogStorage), with the
-  /// FaultyStorage decorator layered on top as usual.
-  std::function<std::unique_ptr<StableStorage>(ProcessId)> storage_factory;
-};
+/// Per-process stable-storage backend; empty means in-memory.
+using StorageFactory =
+    std::function<std::unique_ptr<StableStorage>(ProcessId)>;
 
 struct RunResult {
   // ---- verdicts (ok() is the sweep's pass criterion) --------------------
@@ -67,6 +58,11 @@ struct RunResult {
   bool ok() const { return delivered && quiesced && checker_ok; }
 };
 
-RunResult run_scenario(const Scenario& s, const RunOptions& opts = {});
+/// `storage_factory` overrides the in-memory backend: this is how a sweep
+/// cell runs the whole oracle-checked scenario suite against a real on-disk
+/// backend (e.g. SegmentedLogStorage), with the FaultyStorage decorator
+/// layered on top as usual.
+RunResult run_scenario(const Scenario& s,
+                       const StorageFactory& storage_factory = {});
 
 }  // namespace abcast::scenario

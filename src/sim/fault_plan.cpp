@@ -3,6 +3,16 @@
 #include "common/check.hpp"
 
 namespace abcast::sim {
+namespace {
+
+/// A churn storage crash-point lands within the victim's next
+/// [1, kStorageCrashOpWindow] storage operations...
+constexpr std::int64_t kStorageCrashOpWindow = 4;
+/// ...or, when the victim performs none within this deadline, is abandoned
+/// for an outright kill.
+constexpr Duration kStorageCrashDeadline = millis(200);
+
+}  // namespace
 
 void install_fault_script(Simulation& sim,
                           const std::vector<FaultEvent>& plan) {
@@ -69,17 +79,13 @@ void ChurnInjector::arm_crash(const std::shared_ptr<State>& state,
     state->crashes += 1;
     if (s.rng().chance(state->config.storage_crash_prob)) {
       state->storage_crashes += 1;
-      const auto window =
-          state->config.storage_crash_op_window == 0
-              ? std::uint64_t{1}
-              : state->config.storage_crash_op_window;
       const auto ops = static_cast<std::uint64_t>(
-          s.rng().uniform(1, static_cast<std::int64_t>(window)));
+          s.rng().uniform(1, kStorageCrashOpWindow));
       const auto phase = static_cast<CrashPhase>(s.rng().uniform(0, 2));
       s.storage_faults(p).arm_crash_in(ops, phase);
       // Recovery (and the idle-process fallback kill) happen at the
       // deadline: by then the crash-point has either fired or is abandoned.
-      s.after(state->config.storage_crash_deadline, [state, p] {
+      s.after(kStorageCrashDeadline, [state, p] {
         Simulation& s2 = *state->sim;
         if (s2.host(p).is_up()) {
           s2.storage_faults(p).disarm_crash_point();

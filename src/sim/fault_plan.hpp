@@ -49,15 +49,11 @@ struct ChurnConfig {
   /// Processes subject to churn; empty means all.
   std::vector<ProcessId> victims;
   /// Probability a churn crash is delivered as a storage crash-point (the
-  /// process dies AT one of its next few log operations, in a random phase)
-  /// instead of an immediate kill between operations.
-  double storage_crash_prob = 0.0;
-  /// Storage crash-points land within the next [1, window] operations.
-  std::uint64_t storage_crash_op_window = 4;
-  /// If the victim performs no storage operation within this deadline the
-  /// armed crash-point is abandoned and the process is killed outright, so
+  /// process dies AT one of its next 4 log operations, in a random phase)
+  /// instead of an immediate kill between operations. A victim that
+  /// performs no storage operation within 200 ms is killed outright, so
   /// churn keeps its rate even over idle processes.
-  Duration storage_crash_deadline = millis(200);
+  double storage_crash_prob = 0.0;
 };
 
 /// Installs random crash/recovery churn driven by the simulation's RNG.

@@ -9,6 +9,9 @@ namespace abcast::sim {
 
 namespace {
 
+/// Local (self) delivery latency; self sends are never dropped.
+constexpr Duration kSelfDelay = micros(10);
+
 /// Scales a non-negative duration by a non-negative factor, saturating
 /// instead of overflowing (a 1e9 skew on a 60s timer must not wrap).
 Duration scale_duration(Duration d, double factor) {
@@ -312,7 +315,7 @@ void Simulation::transmit(ProcessId from, ProcessId to, const Wire& msg,
 
   if (from == to) {
     // Local delivery never traverses the lossy channel.
-    schedule_copy(net.self_delay);
+    schedule_copy(kSelfDelay);
     return;
   }
 

@@ -40,7 +40,8 @@ enum class PartitionMode {
   kOutbound,   // only traffic OUT OF `members` is blocked; they still hear
 };
 
-/// Channel behaviour. The defaults give a lossy but lively network.
+/// Channel behaviour. The defaults give a lossy but lively network. Self
+/// sends bypass the channel: never dropped, delivered after a fixed 10 µs.
 struct NetConfig {
   Duration delay_min = millis(1);
   Duration delay_max = millis(10);
@@ -48,8 +49,6 @@ struct NetConfig {
   double drop_prob = 0.0;
   /// Probability an individual datagram is delivered twice.
   double dup_prob = 0.0;
-  /// Local (self) delivery latency; self sends are never dropped.
-  Duration self_delay = micros(10);
 };
 
 struct SimConfig {

@@ -29,7 +29,7 @@ struct Observed {
 class ConsNode final : public NodeApp {
  public:
   ConsNode(Env& env, ConsensusKind kind, Observed& obs)
-      : fd_(env, FdConfig{}),
+      : fd_(env),
         cons_(make_consensus(kind, env, fd_)),
         obs_(obs) {
     cons_->set_decided_callback([this](InstanceId k, const Bytes& v) {

@@ -12,7 +12,7 @@ namespace {
 
 class FdNode final : public NodeApp {
  public:
-  explicit FdNode(Env& env) : fd_(env, FdConfig{}) {}
+  explicit FdNode(Env& env) : fd_(env) {}
 
   void start(bool recovering) override { fd_.start(recovering); }
   void on_message(ProcessId from, const Wire& msg) override {
@@ -156,7 +156,7 @@ namespace {
 
 class SuspectNode final : public NodeApp {
  public:
-  explicit SuspectNode(Env& env) : fd_(env, FdConfig{}) {}
+  explicit SuspectNode(Env& env) : fd_(env) {}
   void start(bool recovering) override { fd_.start(recovering); }
   void on_message(ProcessId from, const Wire& msg) override {
     if (fd_.handles(msg.type)) fd_.on_message(from, msg);
@@ -231,8 +231,8 @@ TEST(SuspectFd, FactoryBuildsBothKinds) {
   // Compile/link-level check of the factory with both kinds.
   struct Holder final : NodeApp {
     explicit Holder(Env& env)
-        : a(make_failure_detector(FdKind::kEpoch, env, FdConfig{})),
-          b(make_failure_detector(FdKind::kSuspectList, env, FdConfig{})) {}
+        : a(make_failure_detector(FdKind::kEpoch, env)),
+          b(make_failure_detector(FdKind::kSuspectList, env)) {}
     void start(bool) override {}
     void on_message(ProcessId, const Wire&) override {}
     std::unique_ptr<FailureDetector> a, b;

@@ -1,7 +1,8 @@
 // Digest-based delta gossip (Options::digest_gossip): the per-sender chain
 // invariant that makes delta shipping safe, end-to-end delivery under loss /
 // duplication / crash-recovery, the bandwidth advantage over full-set
-// gossip, and the idle-tick suppression satellite.
+// gossip, and idle-tick suppression, which digest mode always does and
+// full-set mode never does.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -17,8 +18,7 @@ namespace {
 
 constexpr std::uint32_t kN = 3;
 
-ClusterConfig digest_config(std::uint64_t seed, bool eager,
-                            bool suppress_idle) {
+ClusterConfig digest_config(std::uint64_t seed, bool eager) {
   ClusterConfig cfg;
   cfg.sim.n = kN;
   cfg.sim.seed = seed;
@@ -27,7 +27,6 @@ ClusterConfig digest_config(std::uint64_t seed, bool eager,
   cfg.sim.net.dup_prob = 0.10;
   cfg.stack.ab.digest_gossip = true;
   cfg.stack.ab.eager_dissemination = eager;
-  cfg.stack.ab.suppress_idle_gossip = suppress_idle;
   return cfg;
 }
 
@@ -99,8 +98,7 @@ TEST(GossipDigest, WireLayoutRoundTripsThroughBothEncoders) {
 // oversized frame a real UDP host would silently drop. The ratio pin: no
 // datagram may carry more messages than the budget admits.
 TEST(GossipDigest, DeltaPlansAreChunkedToTheDatagramBudget) {
-  ClusterConfig cfg = digest_config(905, /*eager=*/false,
-                                    /*suppress_idle=*/false);
+  ClusterConfig cfg = digest_config(905, /*eager=*/false);
   cfg.sim.net.drop_prob = 0;
   cfg.sim.net.dup_prob = 0;
   cfg.stack.ab.max_delta_bytes = 600;
@@ -141,8 +139,7 @@ TEST(GossipDigest, DeltaPlansAreChunkedToTheDatagramBudget) {
 // (inc,4),(inc,5) everywhere — durably logged broadcasts silently lost.
 // Now everything must deliver.
 TEST(GossipDigest, PriorIncarnationSurvivesRootOrderedFirst) {
-  ClusterConfig cfg = digest_config(906, /*eager=*/true,
-                                    /*suppress_idle=*/false);
+  ClusterConfig cfg = digest_config(906, /*eager=*/true);
   cfg.sim.net.drop_prob = 0;
   cfg.sim.net.dup_prob = 0;
   cfg.stack.ab.log_unordered = true;
@@ -204,8 +201,7 @@ TEST(GossipDigest, PriorIncarnationSurvivesRootOrderedFirst) {
 // scheduler burst, ending in a quiesced, checker-clean state.
 TEST(GossipDigest, ChainInvariantUnderLossDupAndCrashRecovery) {
   for (std::uint64_t seed = 900; seed < 906; ++seed) {
-    ClusterConfig cfg = digest_config(seed, /*eager=*/true,
-                                      /*suppress_idle=*/true);
+    ClusterConfig cfg = digest_config(seed, /*eager=*/true);
     // Durable Unordered (§5.4): without it the basic protocol may
     // legitimately lose a broadcast whose sender crashes before any eager
     // copy survives the lossy link, making "every id delivers" seed-lucky.
@@ -255,7 +251,7 @@ TEST(GossipDigest, ChainInvariantUnderLossDupAndCrashRecovery) {
 // Pull-only mode (no eager pushes): digests alone must move every message —
 // the want_reply / delta-reply exchange is the sole dissemination path.
 TEST(GossipDigest, PullOnlyAntiEntropyDelivers) {
-  Cluster c(digest_config(901, /*eager=*/false, /*suppress_idle=*/false));
+  Cluster c(digest_config(901, /*eager=*/false));
   c.start_all();
   std::vector<MsgId> ids;
   for (int i = 0; i < 10; ++i) {
@@ -305,11 +301,10 @@ TEST(GossipDigest, DigestModeShipsFewerGossipBytes) {
       << "(digest=" << digest << " full=" << full << ")";
 }
 
-// Satellite 1: once the cluster is quiet and even, ticks are suppressed down
-// to the keepalive floor instead of re-multisending every period.
+// Once the cluster is quiet and even, digest mode suppresses ticks down to
+// the keepalive floor instead of re-multisending every period.
 TEST(GossipDigest, IdleTicksAreSuppressedToKeepaliveFloor) {
-  ClusterConfig cfg = digest_config(903, /*eager=*/true,
-                                    /*suppress_idle=*/true);
+  ClusterConfig cfg = digest_config(903, /*eager=*/true);
   cfg.sim.net.drop_prob = 0;  // quiet link: views stay accurate
   cfg.sim.net.dup_prob = 0;
   Cluster c(cfg);
@@ -339,12 +334,33 @@ TEST(GossipDigest, IdleTicksAreSuppressedToKeepaliveFloor) {
   EXPECT_GT(suppressed, 0u);
 }
 
+// Where the suppression stops: full-set gossip is Fig. 2's "repeat forever
+// multisend gossip", so even a fully idle basic cluster sends on every tick
+// (the first at start, then one per period).
+TEST(GossipDigest, FullSetGossipSendsOnEveryIdleTick) {
+  ClusterConfig cfg;
+  cfg.sim.n = kN;
+  cfg.sim.seed = 907;
+  cfg.stack.ab = Options::basic();
+  Cluster c(cfg);
+  c.start_all();
+  const Duration period = cfg.stack.ab.gossip_period;
+  c.sim().run_for(30 * period);
+  const auto ticks = static_cast<std::uint64_t>(c.sim().now() / period) + 1;
+  for (ProcessId p = 0; p < kN; ++p) {
+    const auto& m = c.stack(p)->ab().metrics();
+    const std::uint64_t sent = m.gossip_sent;
+    EXPECT_LE(sent, ticks + 1) << "node " << p;
+    EXPECT_GE(sent + 1, ticks) << "node " << p;
+    EXPECT_EQ(m.gossip_suppressed.load(), 0u) << "node " << p;
+  }
+}
+
 // The per-peer rate limiter: a duplicated digest must not double the delta
 // bytes a peer sends back (delta replies to one peer are spaced by
 // delta_reply_interval).
 TEST(GossipDigest, DeltaRepliesAreRateLimitedPerPeer) {
-  ClusterConfig cfg = digest_config(904, /*eager=*/false,
-                                    /*suppress_idle=*/false);
+  ClusterConfig cfg = digest_config(904, /*eager=*/false);
   cfg.sim.net.drop_prob = 0;
   cfg.sim.net.dup_prob = 0.9;  // nearly every digest arrives twice
   Cluster c(cfg);

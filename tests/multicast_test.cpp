@@ -30,15 +30,14 @@ using group::GroupConfig;
 namespace {
 
 struct McCluster {
-  McCluster(sim::SimConfig sim_cfg, GroupConfig layout_in,
-            MulticastConfig mc_cfg = {})
+  McCluster(sim::SimConfig sim_cfg, GroupConfig layout_in)
       : sim(sim_cfg), layout(std::move(layout_in)), delivered(sim_cfg.n) {
-    sim.set_node_factory([this, mc_cfg](Env& env) {
+    sim.set_node_factory([this](Env& env) {
       const ProcessId pid = env.self();
       // A fresh incarnation replays its delivery sequence from scratch.
       delivered[pid].clear();
       return std::make_unique<MulticastNode>(
-          env, layout, mc_cfg, [this, pid](const McDelivery& d) {
+          env, layout, [this, pid](const McDelivery& d) {
             delivered[pid].push_back(d.id);
           });
     });
@@ -153,8 +152,7 @@ std::vector<std::vector<McId>> run_on_real_time_hosts(
   const NodeFactory factory = [&](Env& env) {
     const ProcessId pid = env.self();
     return std::make_unique<MulticastNode>(
-        env, layout, MulticastConfig{},
-        [&mu, &delivered, pid](const McDelivery& d) {
+        env, layout, [&mu, &delivered, pid](const McDelivery& d) {
           std::lock_guard<std::mutex> lock(mu);
           delivered[pid].push_back(d.id);
         });

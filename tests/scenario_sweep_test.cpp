@@ -76,8 +76,7 @@ TEST(ScenarioSweep, DiskFaultCellOnSegmentedLogMatchesMemBackend) {
   const auto root = std::filesystem::temp_directory_path() /
                     ("abcast_scn_seglog_" + std::to_string(::getpid()));
   std::filesystem::create_directories(root);
-  RunOptions opts;
-  opts.storage_factory = [&root](ProcessId pid) {
+  const auto seglog = [&root](ProcessId pid) {
     SegmentedLogConfig cfg;
     cfg.dir = root / ("node-" + std::to_string(pid));
     // The simulator's crashes keep the storage object (and its in-memory
@@ -86,7 +85,7 @@ TEST(ScenarioSweep, DiskFaultCellOnSegmentedLogMatchesMemBackend) {
     cfg.sync = SyncMode::kNone;
     return std::make_unique<SegmentedLogStorage>(cfg);
   };
-  const RunResult seg = run_scenario(*s, opts);
+  const RunResult seg = run_scenario(*s, seglog);
   EXPECT_TRUE(seg.ok()) << kDiskLine << " : " << seg.failure;
   EXPECT_EQ(seg.order_digest, mem.order_digest);
   EXPECT_EQ(seg.delivered_global, mem.delivered_global);

@@ -38,10 +38,7 @@ void run_seed(std::uint64_t seed) {
     cfg.node.stack.ab = core::Options::alternative();
     cfg.node.stack.ab.checkpoint_period = millis(50);
   }
-  if ((seed / 4) % 2) {
-    cfg.node.stack.ab.digest_gossip = true;
-    cfg.node.stack.ab.suppress_idle_gossip = true;
-  }
+  cfg.node.stack.ab.digest_gossip = (seed / 4) % 2;
   ShardedCluster c(cfg);
   c.start_all();
   Rng rng(seed * 7919 + 29);

@@ -410,6 +410,26 @@ TEST(FaultyStorage, PutIoErrorLeavesMediumUntouched) {
   EXPECT_EQ(s.fault_stats().io_errors, 1u);
 }
 
+TEST(FaultyStorage, GetAndEraseIoErrorsLeaveMediumUntouched) {
+  auto s = make_faulty();
+  s.put("k", bytes_of("intact"));
+  StorageFaultProfile p;
+  p.get_io_error_prob = 1.0;
+  s.set_profile(p);
+  EXPECT_THROW(s.get("k"), StorageIoError);
+  EXPECT_EQ(s.fault_stats().io_errors, 1u);
+
+  p = StorageFaultProfile{};
+  p.erase_io_error_prob = 1.0;
+  s.set_profile(p);
+  EXPECT_THROW(s.erase("k"), StorageIoError);
+  EXPECT_EQ(s.fault_stats().io_errors, 2u);
+
+  s.set_profile(StorageFaultProfile{});
+  EXPECT_EQ(s.get("k"), bytes_of("intact"));
+  EXPECT_EQ(s.fault_stats().io_errors, 2u);
+}
+
 TEST(FaultyStorage, DiskFullBudgetFailsFurtherPuts) {
   auto s = make_faulty();
   StorageFaultProfile p;

@@ -39,11 +39,10 @@ std::vector<obs::TraceEvent> run_seed(std::uint64_t seed) {
     cfg.stack.ab.checkpoint_period = millis(50);
   }
   // Sweep both gossip modes: odd (seed/4) runs digest-based delta gossip
-  // (with idle suppression, and eager pushes on half of those) instead of
-  // the full-set datagram.
+  // (which suppresses idle ticks; eager pushes on half of those runs)
+  // instead of the full-set datagram.
   if ((seed / 4) % 2) {
     cfg.stack.ab.digest_gossip = true;
-    cfg.stack.ab.suppress_idle_gossip = true;
     cfg.stack.ab.eager_dissemination = (seed / 8) % 2;
   }
   Cluster c(cfg);
@@ -127,10 +126,7 @@ void run_state_seed(std::uint64_t seed) {
   cfg.stack.ab.delta = 2;
   cfg.stack.ab.max_state_bytes = 512;  // several chunks even for tiny state
   cfg.stack.ab.trimmed_state_transfer = (seed / 2) % 2;
-  if ((seed / 4) % 2) {
-    cfg.stack.ab.digest_gossip = true;
-    cfg.stack.ab.suppress_idle_gossip = true;
-  }
+  cfg.stack.ab.digest_gossip = (seed / 4) % 2;
   Cluster c(cfg);
   c.start_all();
   Rng rng(seed * 104729 + 7);

@@ -240,6 +240,99 @@ TEST(Udp, BatchedModeOrdersCommandsAndCoalescesSyscalls) {
   EXPECT_GT(snap.sum_by_name("net_recv_datagrams"), 0);
 }
 
+// A frame between the IPv4 payload limit (65507) and 64 KiB used to pass
+// the size check and then fail inside sendmmsg, which dropped every
+// datagram queued behind it in the same pass. The oversize frame must fail
+// alone, in both batch modes.
+TEST(Udp, OversizeFrameFailsAlone) {
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "unbatched");
+    std::atomic<int> small_received{0};
+    UdpBatchConfig batch;
+    batch.enabled = batched;
+    auto hosts = make_local_udp_cluster(2, 10, batch);
+    struct Sink final : NodeApp {
+      explicit Sink(std::atomic<int>& small) : small_(small) {}
+      void start(bool) override {}
+      void on_message(ProcessId, const Wire& msg) override {
+        if (msg.payload.size() == 8) small_.fetch_add(1);
+      }
+      std::atomic<int>& small_;
+    };
+    const NodeFactory factory = [&small_received](Env&) {
+      return std::make_unique<Sink>(small_received);
+    };
+    for (auto& h : hosts) h->start_node(factory, /*recovering=*/false);
+
+    // A 65510-byte payload frames to 65520 bytes ([u32 pid][u16 type]
+    // [u32 len][payload]): over the limit, under 64 KiB.
+    UdpHost& h0 = *hosts[0];
+    ASSERT_TRUE(h0.call([&h0] {
+      h0.send(1, Wire{MsgType::kAbGossip, Bytes(65510, 0xAB)});
+      h0.send(1, Wire{MsgType::kAbGossip, Bytes(8, 0xCD)});
+    }));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (small_received.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(small_received.load(), 1);
+    EXPECT_EQ(h0.send_failures(), 1u);
+    hosts.clear();  // joins the loops before small_received dies
+  }
+}
+
+// Batched sends go out in sendmmsg chunks of 16. Seven multisends to three
+// hosts (self included) queue 21 datagrams in one pass: exactly two
+// syscalls (16 + 5), and every host receives all seven.
+TEST(Udp, BatchedFlushSendsInChunksOf16) {
+  std::vector<std::unique_ptr<std::atomic<int>>> received;
+  for (int i = 0; i < 3; ++i) {
+    received.push_back(std::make_unique<std::atomic<int>>(0));
+  }
+  UdpBatchConfig batch;
+  batch.enabled = true;
+  auto hosts = make_local_udp_cluster(3, 11, batch);
+  struct Counter final : NodeApp {
+    explicit Counter(std::atomic<int>& n) : n_(n) {}
+    void start(bool) override {}
+    void on_message(ProcessId, const Wire&) override { n_.fetch_add(1); }
+    std::atomic<int>& n_;
+  };
+  for (ProcessId p = 0; p < 3; ++p) {
+    hosts[p]->start_node(
+        [&received, p](Env&) {
+          return std::make_unique<Counter>(*received[p]);
+        },
+        /*recovering=*/false);
+  }
+
+  UdpHost& h0 = *hosts[0];
+  ASSERT_TRUE(h0.call([&h0] {
+    for (int i = 0; i < 7; ++i) {
+      h0.multisend(Wire{MsgType::kAbGossip, Bytes(16, 0x5A)});
+    }
+  }));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  const auto all_arrived = [&received] {
+    for (const auto& n : received) {
+      if (n->load() < 7) return false;
+    }
+    return true;
+  };
+  while (!all_arrived() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (ProcessId p = 0; p < 3; ++p) {
+    EXPECT_EQ(received[p]->load(), 7) << "host " << p;
+  }
+  EXPECT_EQ(h0.net_metrics().send_syscalls.load(), 2u);
+  EXPECT_EQ(h0.net_metrics().send_datagrams.load(), 21u);
+  hosts.clear();  // joins the loops before the counters die
+}
+
 // send_failures was host-local state invisible to the obs layer; it must
 // surface in the registry snapshot like every other counter.
 TEST(Udp, SendFailuresVisibleInMetricsRegistry) {
@@ -273,8 +366,6 @@ TEST(Udp, SendFailuresVisibleInMetricsRegistry) {
 TEST(Udp, ConcurrentSubmittersWithBatchingConverge) {
   UdpBatchConfig batch;
   batch.enabled = true;
-  batch.send_batch = 4;  // small batches: exercise the chunked flush loop
-  batch.recv_batch = 4;
   UdpKv c(3, 9, {}, batch);
   constexpr int kPerThread = 8;
   std::vector<std::thread> submitters;

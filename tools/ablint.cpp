@@ -48,6 +48,13 @@
 //                       stale and flagged too, so harness dispatch tables
 //                       cannot silently rot as the wire set evolves.
 //
+//   config-field-set    Every field of every `struct *Config` / `struct
+//                       *Options` under src/ is assigned somewhere outside
+//                       its defining header (`.f =`, `->f =`, a designated
+//                       `.f =`, or `.f.` reaching into it) in src/, tests/,
+//                       bench/, examples/ or e2ebench/. A knob no caller
+//                       varies is a constant and belongs next to its use.
+//
 // Usage:
 //   ablint [--root <repo-root>]   # scan; file:line diagnostics; exit 1 on
 //                                 # any violation
@@ -91,6 +98,13 @@ struct Diag {
 std::string strip_line_comment(const std::string& line) {
   const auto pos = line.find("//");
   return pos == std::string::npos ? line : line.substr(0, pos);
+}
+
+std::string trim(const std::string& s) {
+  const auto b = s.find_first_not_of(" \t\r");
+  if (b == std::string::npos) return {};
+  const auto e = s.find_last_not_of(" \t\r");
+  return s.substr(b, e - b + 1);
 }
 
 std::string basename_of(const std::string& path) {
@@ -237,14 +251,50 @@ std::vector<Diag> check_raw_wire_access(const std::vector<SourceFile>& src) {
 
 // ---------------------------------------------------------------- rule 4
 
-struct MetricsStruct {
-  std::string struct_name;  // e.g. "AbMetrics"
-  std::string prefix;       // e.g. "ab_"
-};
+// The struct walk rules 4 and 7 share: for every `struct <Name> {` block in
+// `files` whose name `want` accepts, calls on_member(file, line, name,
+// statement) once per member statement declared directly in the block —
+// joined across lines up to its `;`, `line` 0-based at its last line.
+// Method bodies and nested blocks are skipped by brace depth.
+template <typename Want, typename OnMember>
+void walk_struct_members(const std::vector<SourceFile>& files, Want want,
+                         OnMember on_member) {
+  static const std::regex open_re(
+      R"(\bstruct\s+([A-Za-z_]\w*)\s*(?:final\s*)?(?::[^{;]*)?\{)");
+  const auto braces = [](const std::string& code) {
+    int d = 0;
+    for (const char c : code) d += c == '{' ? 1 : c == '}' ? -1 : 0;
+    return d;
+  };
+  for (const auto& f : files) {
+    for (std::size_t i = 0; i < f.lines.size(); ++i) {
+      std::smatch m;
+      const std::string head = strip_line_comment(f.lines[i]);
+      if (!std::regex_search(head, m, open_re) || !want(m[1].str())) continue;
+      const std::string name = m[1].str();
+      int depth = braces(m[0].str() + m.suffix().str());
+      std::string stmt;
+      for (std::size_t j = i + 1; j < f.lines.size() && depth > 0; ++j) {
+        const std::string code = trim(strip_line_comment(f.lines[j]));
+        const int before = depth;
+        depth += braces(code);
+        if (before != 1 || depth < 1 || code.empty()) continue;
+        if (code.back() == '{' || code.back() == '}' || code.back() == ':') {
+          stmt.clear();  // method body, or an access specifier
+          continue;
+        }
+        stmt += stmt.empty() ? code : " " + code;
+        if (stmt.back() != ';') continue;
+        on_member(f, j, name, stmt);
+        stmt.clear();
+      }
+    }
+  }
+}
 
 std::vector<Diag> check_metrics_indexed(const std::vector<SourceFile>& src,
                                         const SourceFile& experiments) {
-  static const std::vector<MetricsStruct> kStructs = {
+  static const std::map<std::string, std::string> kPrefixes = {
       {"AbMetrics", "ab_"},
       {"ConsensusMetrics", "cons_"},
       {"GroupMetrics", "ab_group_"},
@@ -256,27 +306,20 @@ std::vector<Diag> check_metrics_indexed(const std::vector<SourceFile>& src,
   for (const auto& line : experiments.lines) index_text += line + '\n';
 
   std::vector<Diag> out;
-  for (const auto& f : src) {
-    for (const auto& ms : kStructs) {
-      const std::string open = "struct " + ms.struct_name + " {";
-      for (std::size_t i = 0; i < f.lines.size(); ++i) {
-        if (f.lines[i].find(open) == std::string::npos) continue;
-        for (std::size_t j = i + 1; j < f.lines.size(); ++j) {
-          if (f.lines[j].find("};") != std::string::npos) break;
-          std::smatch m;
-          const std::string code = strip_line_comment(f.lines[j]);
-          if (!std::regex_search(code, m, field_re)) continue;
-          const std::string metric = ms.prefix + m[1].str();
-          if (index_text.find(metric) == std::string::npos) {
-            out.push_back({f.path, j + 1, "metrics-indexed",
-                           "counter '" + metric +
-                               "' is not referenced in the EXPERIMENTS.md "
-                               "metrics index"});
-          }
+  walk_struct_members(
+      src, [](const std::string& name) { return kPrefixes.count(name) != 0; },
+      [&](const SourceFile& f, std::size_t line, const std::string& name,
+          const std::string& stmt) {
+        std::smatch m;
+        if (!std::regex_search(stmt, m, field_re)) return;
+        const std::string metric = kPrefixes.at(name) + m[1].str();
+        if (index_text.find(metric) == std::string::npos) {
+          out.push_back({f.path, line + 1, "metrics-indexed",
+                         "counter '" + metric +
+                             "' is not referenced in the EXPERIMENTS.md "
+                             "metrics index"});
         }
-      }
-    }
-  }
+      });
   return out;
 }
 
@@ -396,6 +439,80 @@ std::vector<Diag> check_fuzz_coverage(const std::vector<SourceFile>& tests,
                          "tests/"});
     }
   }
+  return out;
+}
+
+// ---------------------------------------------------------------- rule 7
+
+// The data member a member statement declares, or "" for anything else
+// (methods, aliases, statics, nested types). The name is the last
+// identifier before the first top-level `=`, `{` or `;`; a `(` outside
+// template brackets before that point marks a function.
+std::string data_member_name(const std::string& stmt) {
+  static const std::regex skip_re(
+      R"(^(?:static|using|friend|typedef|enum|struct|class|template|explicit|virtual|constexpr|inline|return)\b|\boperator\b)");
+  static const std::regex name_re(
+      R"([\s*&]([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?$)");
+  if (std::regex_search(stmt, skip_re)) return {};
+  int angle = 0;
+  std::size_t end = std::string::npos;
+  for (std::size_t i = 0; i < stmt.size() && end == std::string::npos; ++i) {
+    const char c = stmt[i];
+    if (c == '<') angle += 1;
+    if (c == '>') angle -= 1;
+    if (angle > 0) continue;
+    if (c == '(') return {};
+    if (c == '=' || c == '{' || c == ';') end = i;
+  }
+  std::smatch m;
+  const std::string declarator = stmt.substr(0, end);
+  if (!std::regex_search(declarator, m, name_re)) return {};
+  return m[1].str();
+}
+
+// Every field of every `struct *Config` / `struct *Options` in src/ must be
+// assigned in some file other than its defining header: `.f =`, `->f =`,
+// a designated `.f =`, or reaching into the field with `.f.`. A field no
+// caller ever sets is a constant in disguise. Matched by field name, like
+// rule 4, over `users` (src/, tests/, bench/, examples/, e2ebench/).
+std::vector<Diag> check_config_fields_set(
+    const std::vector<SourceFile>& src, const std::vector<SourceFile>& users) {
+  static const std::regex config_re(R"(^\w*(?:Config|Options)$)");
+  static const std::regex assign_re(
+      R"(\.([A-Za-z_]\w*)(?:\s*=(?!=)|(?=\.))|->([A-Za-z_]\w*)\s*=(?!=))");
+
+  std::map<std::string, std::set<std::string>> assigned_in;  // field → files
+  for (const auto& f : users) {
+    for (const auto& line : f.lines) {
+      const std::string code = strip_line_comment(line);
+      auto begin = std::sregex_iterator(code.begin(), code.end(), assign_re);
+      for (auto it = begin; it != std::sregex_iterator(); ++it) {
+        const auto& m = *it;
+        assigned_in[m[1].matched ? m[1].str() : m[2].str()].insert(f.path);
+      }
+    }
+  }
+
+  std::vector<Diag> out;
+  walk_struct_members(
+      src,
+      [](const std::string& name) { return std::regex_match(name, config_re); },
+      [&](const SourceFile& f, std::size_t line, const std::string& name,
+          const std::string& stmt) {
+        const std::string field = data_member_name(stmt);
+        if (field.empty()) return;
+        const auto it = assigned_in.find(field);
+        const bool elsewhere =
+            it != assigned_in.end() &&
+            std::any_of(it->second.begin(), it->second.end(),
+                        [&f](const std::string& p) { return p != f.path; });
+        if (!elsewhere) {
+          out.push_back({f.path, line + 1, "config-field-set",
+                         "'" + name + "::" + field +
+                             "' is never assigned outside its header — "
+                             "make it a constant next to its use"});
+        }
+      });
   return out;
 }
 
@@ -664,6 +781,37 @@ int selftest() {
            "metrics-indexed");
   }
 
+  // config-field-set: a seeded field set only inside its own header.
+  {
+    const auto header = mem_file("src/foo/widget.hpp",
+                                 "struct WidgetConfig {\n"
+                                 "  std::uint32_t size = 1;\n"
+                                 "  Duration period = millis(5);  // unset\n"
+                                 "  std::function<void(int)>\n"
+                                 "      on_change;\n"
+                                 "  static WidgetConfig big() {\n"
+                                 "    WidgetConfig c;\n"
+                                 "    c.period = millis(9);  // own header\n"
+                                 "    return c;\n"
+                                 "  }\n"
+                                 "  bool valid() const;\n"
+                                 "};\n");
+    const auto partial = mem_file("tests/widget_test.cpp",
+                                  "  cfg.size = 3;\n"
+                                  "  cfg.on_change = nullptr;\n"
+                                  "  EXPECT_TRUE(cfg.period == millis(5));\n");
+    const auto full = mem_file("tests/widget_test.cpp",
+                               "  cfg.size = 3;\n"
+                               "  cfg.on_change = nullptr;\n"
+                               "  Holder h{.widget = {.period = millis(7)}};\n");
+    expect("config-field-set fires on a field set only in its header",
+           check_config_fields_set({header}, {header, partial}), 1,
+           "config-field-set");
+    expect("config-field-set clean once every field has a caller",
+           check_config_fields_set({header}, {header, full}), 0,
+           "config-field-set");
+  }
+
   if (failures == 0) {
     std::printf("ablint selftest: all rules fire on seeded violations\n");
     return 0;
@@ -717,5 +865,11 @@ int main(int argc, char** argv) {
   add(check_metrics_indexed(src, experiments));
   add(check_scenario_roundtrip(src, tests));
   add(check_fuzz_coverage(tests, fuzz));
+  std::vector<SourceFile> users = src;
+  for (const char* dir : {"tests", "bench", "examples", "e2ebench"}) {
+    auto more = load_tree(root, dir);
+    users.insert(users.end(), more.begin(), more.end());
+  }
+  add(check_config_fields_set(src, users));
   return report(diags);
 }
