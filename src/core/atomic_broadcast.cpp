@@ -235,10 +235,10 @@ MsgId AtomicBroadcast::broadcast(Bytes payload) {
     } else {
       log_unordered_set();
     }
-    // Durability barrier for deferred-sync backends (group-commit segmented
-    // log): §5.4's contract is that the record survives a crash once this
-    // call returns, not merely once it is appended. No-op on backends whose
-    // put is already synchronous.
+    // Durability barrier for deferred-sync backends (the segmented log in
+    // kDeferred mode): §5.4's contract is that the record survives a crash
+    // once this call returns, not merely once it is appended. No-op on
+    // backends whose put is already synchronous.
     storage_.flush();
   }
 

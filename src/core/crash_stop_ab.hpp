@@ -5,18 +5,19 @@
 // The baseline is the same stack configured for a world without recovery:
 //   * eager relay of new messages (no periodic gossip needed for liveness,
 //     but kept as a slow fallback against channel loss);
-//   * no durability: pair the stack with DiscardStorage — a crash-stop
-//     process never reads its log, so every log op is a no-op. Operation
-//     counters still run, which is how bench_ct_baseline reports the
-//     crash-recovery machinery's logging overhead against this baseline.
+//   * no durability: a crash-stop process never reads its log back, so in a
+//     crash-free run its writes are dead weight and bench_ct_baseline
+//     reports the baseline's log ops as zero by definition — that is how it
+//     shows the crash-recovery machinery's logging overhead against this
+//     baseline.
 #pragma once
 
 #include "core/node_stack.hpp"
 
 namespace abcast::core {
 
-/// Stack configuration for the crash-stop baseline. Use together with a
-/// DiscardStorage-backed host.
+/// Stack configuration for the crash-stop baseline. Any host storage will do:
+/// a crash-free run never reads it back.
 StackConfig crash_stop_baseline_config(ConsensusKind engine);
 
 }  // namespace abcast::core

@@ -19,10 +19,10 @@
 
 namespace abcast {
 
-/// Thrown on unrecoverable I/O errors (directory not writable, rename
-/// failure, injected faults). Corrupted *records* are not errors — they read
-/// as absent. In the paper's model a log operation either completes or the
-/// process crashes, so hosts translate an escaping StorageIoError into a
+/// Thrown on unrecoverable I/O errors (directory not writable, failed write
+/// or fdatasync, injected faults). Corrupted *records* are not errors — they
+/// read as absent. In the paper's model a log operation either completes or
+/// the process crashes, so hosts translate an escaping StorageIoError into a
 /// process crash.
 class StorageIoError : public std::runtime_error {
  public:
@@ -73,13 +73,13 @@ class StableStorage {
   virtual void erase(std::string_view key) = 0;
 
   /// Durability barrier for backends with a deferred sync point (the
-  /// group-commit segmented log): after flush() returns, every put/erase
+  /// segmented log in kDeferred mode): after flush() returns, every put/erase
   /// issued before it survives any subsequent crash. Backends whose put is
   /// already synchronous-durable keep the default no-op. Hosts order
   /// flush() BEFORE releasing any externally visible action (outbound
   /// datagrams, a completed A-broadcast) so a deferred-sync backend is
   /// indistinguishable from a synchronous one to every other process — the
-  /// group-commit soundness argument, DESIGN.md §16.
+  /// deferred-sync soundness argument, DESIGN.md §16.
   virtual void flush() {}
 
   /// All stored keys beginning with `prefix`, in lexicographic order.

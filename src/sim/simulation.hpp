@@ -56,8 +56,8 @@ struct SimConfig {
   std::uint64_t seed = 1;
   NetConfig net;
   /// Per-process stable storage; defaults to MemStableStorage. Supply
-  /// DiscardStorage for crash-stop baselines or SegmentedLogStorage for
-  /// on-disk integration tests. Every host's storage is wrapped in a
+  /// SegmentedLogStorage for on-disk integration tests and sweeps. Every
+  /// host's storage is wrapped in a
   /// FaultyStorage decorator (a passthrough until faults are configured).
   std::function<std::unique_ptr<StableStorage>(ProcessId)> storage_factory;
   /// RNG-driven storage fault rates applied to every host's decorator.

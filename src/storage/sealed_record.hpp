@@ -1,9 +1,10 @@
 // Self-validating stable-storage records.
 //
-// A backend's own integrity checks (FileStableStorage's magic+CRC) protect
-// against torn files, but nothing protects a record travelling through a
-// backend that lies — bit rot below the filesystem, a torn write on a
-// non-atomic store, or the injected faults of FaultyStorage. Sealing adds a
+// A backend's own integrity checks (the segmented log's framing, itself
+// built from sealed records) protect against torn appends, but nothing
+// protects a record travelling through a backend that lies — bit rot below
+// the filesystem, a torn write on a non-atomic store, or the injected
+// faults of FaultyStorage. Sealing adds a
 // CRC-32 trailer at the *protocol* layer, so every reader can distinguish
 // "this record is what I logged" from "this record is damaged" and fall
 // back to the paper's recovery path (replay / re-run the instance) instead

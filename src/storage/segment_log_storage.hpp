@@ -1,61 +1,49 @@
-// Group-commit segmented-log stable storage (ROADMAP item 3, DESIGN.md §16).
+// Segmented-log stable storage: the on-disk backend (DESIGN.md §16).
 //
-// FileStableStorage pays one tmp-file + fsync + rename + dir-fsync per log
-// operation — the measured floor once pipelining keeps α proposal logs in
-// flight. This backend replaces the file-per-record layout with an
-// append-only segmented log: every put/erase appends one checksummed sealed
-// record to the current segment, and durability is a *sync point* that can
-// be shared by many records:
+// Every put/erase appends one checksummed sealed record to the current
+// segment file, and durability is a *sync point* — one fdatasync that
+// covers every record appended since the previous one:
 //
-//   * SyncMode::kEachPut   — fdatasync inside every put (the paper's "log
-//                            completes before returning", one sync per op);
-//   * SyncMode::kGroupCommit — put blocks until a background flusher has
-//                            synced past its record; while one fdatasync is
-//                            in flight every concurrent put appends and
-//                            queues, so the NEXT sync covers them all (one
-//                            fdatasync across N concurrent proposers);
-//   * SyncMode::kDeferred  — put never syncs; the host calls flush() at its
-//                            I/O barrier (before releasing outbound
-//                            datagrams / completing an A-broadcast), which
-//                            coalesces one fdatasync across every record the
-//                            event-loop pass appended — the α in-flight
-//                            proposal-log writes of a pipelined pass;
-//   * SyncMode::kNone      — no syncing (benchmarks, simulator backends).
+//   * SyncMode::kEachPut  — fdatasync inside every put/erase (the paper's
+//                           "log completes before returning", one sync per
+//                           op, for a caller that never flushes);
+//   * SyncMode::kDeferred — put never syncs; the host calls flush() at its
+//                           I/O barrier (rt::EventLoop, once per pass,
+//                           before any datagram leaves), which coalesces one
+//                           fdatasync across every record the pass appended;
+//   * SyncMode::kNone     — no syncing (benchmarks, simulator backends).
 //
 // The full record map is also kept in memory (like MemStableStorage), so
 // get/keys_with_prefix never touch the disk; the log exists purely for
 // crash durability. Recovery scans the segments in id order, replaying
 // put/erase records and stopping a segment's scan at the first record whose
-// CRC-32 seal fails — a torn tail is truncated away (PR 1's sealed-record
-// discipline: a damaged record reads as if the operation never completed).
-// Overwrites and tombstones leave dead bytes behind; when the dead ratio
-// crosses the configured threshold, compaction rewrites the live map into a
-// fresh segment and unlinks the old ones (crash-safe: old segments are
-// removed only after the replacement is durable, and replaying both is
-// idempotent because later segments win).
+// length or CRC-32 seal fails; the file is truncated there. That is exact
+// for a torn append (the operation never completed), the only damage a
+// crash causes; it is no defence against media corruption, since one bad
+// byte in a non-final record drops every later record of its segment
+// (DESIGN.md §8.2). Overwrites and tombstones leave dead bytes behind; when
+// the dead ratio crosses the configured threshold, compaction rewrites the
+// live map into a fresh segment and unlinks the old ones (crash-safe: old
+// segments are removed only after the replacement is durable, and replaying
+// both is idempotent because later segments win).
 //
-// Thread safety: unlike the other backends, every method is internally
-// locked — kGroupCommit exists precisely so multiple proposer threads can
-// log concurrently and share sync points.
+// Thread safety: every method is internally locked.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "env/stable_storage.hpp"
 
 namespace abcast {
 
 enum class SyncMode : std::uint8_t {
-  kNone,         // never sync (benchmarks, sim backends)
-  kEachPut,      // fdatasync inside every put/erase
-  kGroupCommit,  // background flusher; put blocks until durable, syncs coalesce
-  kDeferred,     // sync only at flush(); host must order flush before sends
+  kNone,      // never sync (benchmarks, sim backends)
+  kEachPut,   // fdatasync inside every put/erase
+  kDeferred,  // sync only at flush(); host must order flush before sends
 };
 
 struct SegmentedLogConfig {
@@ -73,11 +61,11 @@ struct SegLogStats {
   std::uint64_t appends = 0;        // records written (puts + tombstones)
   std::uint64_t bytes_appended = 0; // framed record bytes, incl. compaction
   std::uint64_t fsyncs = 0;         // fdatasync calls, all causes
-  std::uint64_t group_commits = 0;  // puts whose durability rode a shared sync
+  std::uint64_t group_commits = 0;  // records that rode another's sync
   std::uint64_t segments_created = 0;
   std::uint64_t compactions = 0;
   std::uint64_t recovered_records = 0;  // valid records replayed at open
-  std::uint64_t torn_tail_records = 0;  // truncated at open (torn tail)
+  std::uint64_t torn_tail_records = 0;  // segments truncated at open
 };
 
 class SegmentedLogStorage final : public StableStorage {
@@ -110,6 +98,10 @@ class SegmentedLogStorage final : public StableStorage {
   };
 
   // All private helpers assume mu_ is held.
+  /// Makes every record appended since the last sync point durable with one
+  /// fdatasync of the current segment (nothing to do when none are pending;
+  /// kNone only forgets them).
+  void sync_point();
   void open_fresh_segment();
   void append_record(std::string_view key, const Bytes* value);
   Bytes frame_record(std::string_view key, const Bytes* value) const;
@@ -123,10 +115,6 @@ class SegmentedLogStorage final : public StableStorage {
   std::uint64_t replay_one(const std::filesystem::path& path);
   void sync_dir();
 
-  /// Blocks until the flusher has synced past `seq` (kGroupCommit).
-  void await_durable(std::uint64_t seq, std::unique_lock<std::mutex>& lock);
-  void flusher_loop();
-
   SegmentedLogConfig cfg_;
   StorageStats stats_;
   SegLogStats seg_stats_;
@@ -138,18 +126,9 @@ class SegmentedLogStorage final : public StableStorage {
   std::uint64_t next_segment_ = 0;
   std::uint64_t current_segment_bytes_ = 0;
   int fd_ = -1;
-  bool dirty_ = false;  // unsynced appends on fd_ (kDeferred bookkeeping)
-
-  // Group-commit plumbing. appended_seq_ counts records; durable_seq_ is
-  // the highest record the flusher has synced past. The roll/compaction
-  // paths sync the outgoing fd before switching, so the flusher only ever
-  // needs to sync the current one.
-  std::uint64_t appended_seq_ = 0;
-  std::uint64_t durable_seq_ = 0;
-  bool stop_ = false;
-  std::condition_variable flusher_cv_;  // work for the flusher
-  std::condition_variable commit_cv_;   // durable_seq_ advanced
-  std::thread flusher_;
+  // Records appended since the last sync point. The roll seals the outgoing
+  // segment at a sync point, so they all sit on fd_.
+  std::uint64_t unsynced_ = 0;
 };
 
 }  // namespace abcast

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
 #include "harness/fixture.hpp"
 #include "sim/fault_plan.hpp"
@@ -128,6 +129,14 @@ TEST(Integration, FileBackedHostsInsideSimulator) {
   const fs::path dir =
       fs::temp_directory_path() / ("abcast_sim_" + std::to_string(::getpid()));
   fs::remove_all(dir);
+  const auto records = [](StableStorage& s) {
+    std::map<std::string, Bytes> out;
+    for (const auto& k : s.keys_with_prefix("")) {
+      if (auto v = s.get(k)) out.emplace(k, *v);
+    }
+    return out;
+  };
+  std::map<std::string, Bytes> node1;
   {
     ClusterConfig cfg;
     cfg.sim.n = 3;
@@ -148,12 +157,19 @@ TEST(Integration, FileBackedHostsInsideSimulator) {
       EXPECT_TRUE(c.stack(1)->ab().is_delivered(id));
     }
     c.oracle().check();
+    node1 = records(c.sim().host(1).raw_storage());
   }
-  // The log is on disk: reopening node 1's directory alone recovers it.
-  SegmentedLogConfig reopened;
-  reopened.dir = dir / "node1";
-  reopened.sync = SyncMode::kNone;
-  EXPECT_FALSE(SegmentedLogStorage(reopened).keys_with_prefix("").empty());
+  // The log is on disk: reopening node 1's directory alone recovers every
+  // record the host held, with no damage to truncate.
+  ASSERT_FALSE(node1.empty());
+  {
+    SegmentedLogConfig reopened;
+    reopened.dir = dir / "node1";
+    reopened.sync = SyncMode::kNone;
+    SegmentedLogStorage log(reopened);
+    EXPECT_EQ(records(log), node1);
+    EXPECT_EQ(log.seg_stats().torn_tail_records, 0u);
+  }
   fs::remove_all(dir);
 }
 

@@ -52,7 +52,7 @@ TEST(ScenarioSweep, Seeds50To74) { run_range(50, 25); }
 TEST(ScenarioSweep, Seeds75To99) { run_range(75, 25); }
 
 // One cell of the sweep runs a disk-fault-heavy schedule against the
-// group-commit segmented log (DESIGN.md §16) as the real on-disk backend —
+// segmented log (DESIGN.md §16), the real on-disk backend —
 // FaultyStorage decorating SegmentedLogStorage instead of the in-memory
 // default. The backend swap must be invisible: the run passes the strict
 // oracle AND replays to the exact global delivery order of the in-memory

@@ -1,6 +1,6 @@
-// Group-commit segmented-log backend (DESIGN.md §16): round-trip + reopen
-// recovery, torn-tail truncation, segment roll, compaction, the group-commit
-// flusher under concurrent proposers, the deferred flush barrier, and the
+// Segmented-log backend (DESIGN.md §16): round-trip + reopen recovery,
+// replay's damage handling (torn tails and CRC failures), segment roll,
+// compaction, the deferred flush barrier and its sync accounting, and the
 // crash-point sweep pinning recovery byte-identical to an in-memory
 // reference fed the same faults.
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -58,6 +57,34 @@ std::map<std::string, Bytes> dump(StableStorage& s) {
   return out;
 }
 
+/// Key + value bytes of a record map: what footprint_bytes() must report.
+std::uint64_t live_bytes(const std::map<std::string, Bytes>& records) {
+  std::uint64_t total = 0;
+  for (const auto& [key, value] : records) total += key.size() + value.size();
+  return total;
+}
+
+/// The oldest segment file in `dir` (segment names sort by id).
+fs::path first_segment(const fs::path& dir) {
+  fs::path first;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (first.empty() || e.path().filename() < first.filename()) {
+      first = e.path();
+    }
+  }
+  return first;
+}
+
+void flip_byte(const fs::path& file, std::uint64_t offset) {
+  std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+  const auto pos = static_cast<std::streamoff>(offset);
+  f.seekg(pos);
+  char c = 0;
+  f.get(c);
+  f.seekp(pos);
+  f.put(static_cast<char>(c ^ 0x40));
+}
+
 }  // namespace
 
 TEST(SegLog, PutGetEraseRoundTrip) {
@@ -90,6 +117,7 @@ TEST(SegLog, PrefixEnumerationIsSortedAndScoped) {
 TEST(SegLog, ReopenRecoversPutsOverwritesAndErases) {
   TempDir dir;
   std::map<std::string, Bytes> expect;
+  const std::string hostile = "a/b c%d\xE2\x82\xAC!";
   {
     SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kEachPut));
     for (int i = 0; i < 50; ++i) {
@@ -101,65 +129,115 @@ TEST(SegLog, ReopenRecoversPutsOverwritesAndErases) {
     s.erase("key/3");
     expect.erase("key/3");
     s.erase("missing");  // erase-of-absent must not log a tombstone
+    // Keys are opaque bytes inside a record: no escaping, no file names.
+    s.put(hostile, bytes_of("v"));
+    expect[hostile] = bytes_of("v");
+    EXPECT_EQ(s.footprint_bytes(), live_bytes(expect));
   }
   SegmentedLogStorage reopened(cfg_at(dir.path(), SyncMode::kEachPut));
   EXPECT_EQ(dump(reopened), expect);
+  EXPECT_EQ(reopened.keys_with_prefix("a/"), std::vector<std::string>{hostile});
+  EXPECT_EQ(reopened.footprint_bytes(), live_bytes(expect));
   EXPECT_GT(reopened.seg_stats().recovered_records, 0u);
   EXPECT_EQ(reopened.seg_stats().torn_tail_records, 0u);
 }
 
+// Replay stops a segment at its first record that fails the length check (a
+// torn append, the damage a crash leaves) or the CRC check (a flipped byte),
+// keeps the records before it, truncates the file there and goes on with the
+// later segments. Each input damages the first segment, which holds "a" then
+// "b".
 TEST(SegLog, TornTailIsTruncatedAndRecoveryContinues) {
-  TempDir dir;
-  {
-    SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kEachPut));
-    s.put("a", bytes_of("alpha"));
-    s.put("b", bytes_of("beta"));
-  }
-  // Simulate a torn append: garbage after the last complete record of the
-  // most recent segment.
-  fs::path last;
-  for (const auto& e : fs::directory_iterator(dir.path())) {
-    if (last.empty() || e.path().filename() > last.filename()) {
-      last = e.path();
+  enum class Damage { kTornAppend, kFlipInLastRecord, kFlipInFirstRecord };
+  for (const auto damage : {Damage::kTornAppend, Damage::kFlipInLastRecord,
+                            Damage::kFlipInFirstRecord}) {
+    SCOPED_TRACE("damage " + std::to_string(static_cast<int>(damage)));
+    TempDir dir;
+    std::map<std::string, Bytes> expect = {{"a", bytes_of("alpha")},
+                                           {"b", bytes_of("beta")}};
+    std::uint64_t b_starts_at = 0;
+    {
+      SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kEachPut));
+      s.put("a", bytes_of("alpha"));
+      b_starts_at = s.disk_bytes();
+      s.put("b", bytes_of("beta"));
     }
+    if (damage == Damage::kFlipInFirstRecord) {
+      // Every open starts a fresh segment, so "c" lands in a later one.
+      SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kEachPut));
+      s.put("c", bytes_of("gamma"));
+      expect["c"] = bytes_of("gamma");
+    }
+    const fs::path first = first_segment(dir.path());
+    ASSERT_FALSE(first.empty());
+    const std::uint64_t intact_size = fs::file_size(first);
+    std::uint64_t kept_size = intact_size;
+    // A value is the last field before a record's 4-byte CRC trailer, so 5
+    // bytes before a record's end is the last byte of its value.
+    switch (damage) {
+      case Damage::kTornAppend: {
+        std::ofstream f(first, std::ios::binary | std::ios::app);
+        const char garbage[] =
+            "\x40\x00\x00\x00partial-record-that-never-finis";
+        f.write(garbage, sizeof garbage - 1);
+        break;
+      }
+      case Damage::kFlipInLastRecord:
+        flip_byte(first, intact_size - 5);
+        kept_size = b_starts_at;
+        expect.erase("b");
+        break;
+      case Damage::kFlipInFirstRecord:
+        flip_byte(first, b_starts_at - 5);
+        kept_size = 0;
+        expect.erase("a");
+        expect.erase("b");
+        break;
+    }
+    {
+      SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kEachPut));
+      EXPECT_EQ(dump(s), expect);
+      EXPECT_EQ(s.seg_stats().torn_tail_records, 1u);
+      EXPECT_EQ(fs::file_size(first), kept_size);
+      s.put("d", bytes_of("delta"));  // keep appending after the repair
+      expect["d"] = bytes_of("delta");
+    }
+    SegmentedLogStorage again(cfg_at(dir.path(), SyncMode::kEachPut));
+    EXPECT_EQ(again.seg_stats().torn_tail_records, 0u);  // damage truncated
+    EXPECT_EQ(dump(again), expect);
   }
-  ASSERT_FALSE(last.empty());
-  {
-    std::ofstream f(last, std::ios::binary | std::ios::app);
-    const char garbage[] = "\x40\x00\x00\x00partial-record-that-never-finis";
-    f.write(garbage, sizeof garbage - 1);
-  }
-  {
-    SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kEachPut));
-    EXPECT_EQ(s.get("a"), bytes_of("alpha"));
-    EXPECT_EQ(s.get("b"), bytes_of("beta"));
-    EXPECT_EQ(s.seg_stats().torn_tail_records, 1u);
-    s.put("c", bytes_of("gamma"));  // keep appending after the repair
-  }
-  SegmentedLogStorage again(cfg_at(dir.path(), SyncMode::kEachPut));
-  EXPECT_EQ(again.seg_stats().torn_tail_records, 0u);  // tail was truncated
-  EXPECT_EQ(again.get("a"), bytes_of("alpha"));
-  EXPECT_EQ(again.get("c"), bytes_of("gamma"));
 }
 
+// Rolls spread records across files. Each roll seals the outgoing segment at
+// a sync point, and the records that sync made durable are not counted again
+// at the next one: every record rides exactly one fdatasync, so
+// group_commits + fsyncs == appends in both syncing modes.
 TEST(SegLog, SegmentRollSpreadsRecordsAcrossFiles) {
-  TempDir dir;
-  auto cfg = cfg_at(dir.path(), SyncMode::kEachPut);
-  cfg.segment_bytes = 512;  // force frequent rolls
-  cfg.compact_min_bytes = 1 << 30;  // keep compaction out of this test
-  std::map<std::string, Bytes> expect;
-  {
-    SegmentedLogStorage s(cfg);
-    for (int i = 0; i < 40; ++i) {
-      const std::string k = "k/" + std::to_string(i);
-      const Bytes v = bytes_of(std::string(64, 'x'));
-      s.put(k, v);
-      expect[k] = v;
+  for (const auto mode : {SyncMode::kEachPut, SyncMode::kDeferred}) {
+    TempDir dir;
+    auto cfg = cfg_at(dir.path(), mode);
+    cfg.segment_bytes = 512;  // force frequent rolls
+    cfg.compact_min_bytes = 1 << 30;  // keep compaction out of this test
+    std::map<std::string, Bytes> expect;
+    {
+      SegmentedLogStorage s(cfg);
+      for (int i = 0; i < 40; ++i) {
+        const std::string k = "k/" + std::to_string(i);
+        const Bytes v = bytes_of(std::string(64, 'x'));
+        s.put(k, v);
+        expect[k] = v;
+      }
+      s.flush();
+      const auto& st = s.seg_stats();
+      EXPECT_GT(st.segments_created, 3u);
+      EXPECT_EQ(st.group_commits + st.fsyncs, st.appends);
+      if (mode == SyncMode::kEachPut) {
+        EXPECT_EQ(st.group_commits, 0u);
+      }
     }
-    EXPECT_GT(s.seg_stats().segments_created, 3u);
+    SegmentedLogStorage reopened(cfg);
+    EXPECT_EQ(dump(reopened), expect);
   }
-  SegmentedLogStorage reopened(cfg);
-  EXPECT_EQ(dump(reopened), expect);
 }
 
 TEST(SegLog, CompactionReclaimsDeadBytesAndSurvivesReopen) {
@@ -185,38 +263,6 @@ TEST(SegLog, CompactionReclaimsDeadBytesAndSurvivesReopen) {
   ASSERT_EQ(reopened.keys_with_prefix("hot/").size(), 4u);
   EXPECT_EQ(reopened.get("hot/0"), bytes_of("payload-396"));
   EXPECT_EQ(reopened.get("hot/3"), bytes_of("payload-399"));
-}
-
-TEST(SegLog, GroupCommitCoalescesSyncsAcrossProposers) {
-  TempDir dir;
-  constexpr int kThreads = 4;
-  constexpr int kPutsEach = 50;
-  {
-    SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kGroupCommit));
-    std::vector<std::thread> proposers;
-    for (int t = 0; t < kThreads; ++t) {
-      proposers.emplace_back([&s, t] {
-        for (int i = 0; i < kPutsEach; ++i) {
-          s.put("p" + std::to_string(t) + "/" + std::to_string(i),
-                bytes_of("proposal"));
-        }
-      });
-    }
-    for (auto& th : proposers) th.join();
-    const auto& st = s.seg_stats();
-    EXPECT_EQ(st.appends, static_cast<std::uint64_t>(kThreads * kPutsEach));
-    // The whole point: far fewer fdatasyncs than durable puts. With 4
-    // concurrent proposers every sync in flight lets the others pile onto
-    // the next one; even allowing scheduler worst cases this stays below
-    // one sync per put.
-    EXPECT_LT(st.fsyncs, st.appends);
-    EXPECT_GT(st.group_commits, 0u);
-  }
-  SegmentedLogStorage reopened(cfg_at(dir.path(), SyncMode::kGroupCommit));
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(reopened.keys_with_prefix("p" + std::to_string(t) + "/").size(),
-              static_cast<std::size_t>(kPutsEach));
-  }
 }
 
 TEST(SegLog, DeferredModeSyncsOnlyAtFlush) {
@@ -314,7 +360,7 @@ TEST(SegLog, CrashPointSweepRecoversIdenticallyToMemReference) {
 }
 
 // ScopedStorage/FaultyStorage/TracingStorage forward the flush barrier all
-// the way down to the backend (the group-commit soundness chain).
+// the way down to the backend (the deferred-sync soundness chain).
 TEST(SegLog, FlushForwardsThroughDecoratorChain) {
   TempDir dir;
   FaultyStorage faulty(std::make_unique<SegmentedLogStorage>(
