@@ -17,6 +17,11 @@
 // or that participated in a quorum — eventually decides), Uniform Validity,
 // and Uniform Agreement (no two processes, good or bad, decide differently).
 //
+// Once an instance decides, its value is the only thing read back about it
+// (Fig. 2's replay). So a service holds proposal and engine state only for
+// undecided instances; a decided one keeps just its logged value, and every
+// later message about it is answered with that value.
+//
 // Two interchangeable engines are provided, demonstrating the paper's
 // consensus-agnosticism:
 //   * PaxosEngine — Synod with a leader hint; acceptor state logged.
@@ -24,6 +29,7 @@
 //     crash-recovery à la Aguilera-Chen-Toueg); estimate adoptions logged.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -79,7 +85,8 @@ class ConsensusService {
 
   virtual void set_decided_callback(DecidedCallback cb) = 0;
 
-  /// True if this process has (durably) proposed to instance `k`.
+  /// True if this process has (durably) proposed to instance `k` and `k`
+  /// is still undecided: a decided instance keeps only its decision.
   virtual bool proposed(InstanceId k) const = 0;
 
   /// True when a decision for `k` is locally known — a cheap probe (no
@@ -87,9 +94,10 @@ class ConsensusService {
   /// outcome is already fixed.
   virtual bool decided(InstanceId k) const = 0;
 
-  /// The value this process durably proposed to `k`, or nullptr. Recovery
-  /// of the pipelining window decodes still-undecided proposals from here
-  /// to rebuild its in-flight bookkeeping (see DESIGN.md §14).
+  /// The value this process durably proposed to the undecided instance
+  /// `k`, or nullptr (never proposed, or decided since). Recovery of the
+  /// pipelining window decodes these proposals to rebuild its in-flight
+  /// bookkeeping (see DESIGN.md §14).
   virtual const Bytes* proposal_of(InstanceId k) const = 0;
 
   /// Pushes locally-known decisions for instances in [from_k, from_k+max)
@@ -123,6 +131,10 @@ class ConsensusService {
   virtual const StorageStats& storage_stats() const = 0;
 
   virtual const ConsensusMetrics& metrics() const = 0;
+
+  /// Instances the engine holds state for: the undecided ones it has
+  /// proposed to, heard of, or reloaded. Decided instances leave at once.
+  virtual std::size_t live_instances() const = 0;
 };
 
 enum class ConsensusKind { kPaxos, kCoord };

@@ -15,7 +15,7 @@ using consensus_wire::RoundMsg;
 
 CoordEngine::CoordEngine(Env& env, const LeaderOracle& oracle)
     : EngineBase(env, oracle, MsgType::kCoordDecide,
-                 MsgType::kCoordDecideAck) {}
+                 MsgType::kCoordDecideAck, "st") {}
 
 void CoordEngine::persist(InstanceId k, const Instance& inst) {
   BufWriter w;
@@ -26,46 +26,26 @@ void CoordEngine::persist(InstanceId k, const Instance& inst) {
   storage_.put(consensus_keys::inst_key("st", k), seal_record(w.data()));
 }
 
-void CoordEngine::engine_start(bool recovering) {
-  (void)recovering;
-  for (const auto& key : storage_.keys_with_prefix("st/")) {
-    const InstanceId k = consensus_keys::parse_inst(key);
-    if (k < low_water()) {
-      storage_.erase(key);  // finish an interrupted truncation
-      continue;
-    }
-    auto rec = storage_.get(key);
-    if (!rec) continue;
-    bool ok = false;
-    if (auto payload = unseal_record(*rec)) {
-      try {
-        Instance& inst = instance(k);
-        BufReader r(*payload);
-        inst.round = r.u64();
-        inst.has_est = r.boolean();
-        inst.ts = r.u64();
-        inst.est = r.bytes();
-        r.expect_done();
-        ok = true;
-        if (inst.has_est && !has_decision(k)) {
-          inst.active = true;
-          inst.round_started = env_.now();
-          send_estimate(k, inst);
-        }
-      } catch (const CodecError&) {
-      }
-    }
-    if (!ok) {
-      // The round/estimate record was torn: the round monotonicity and any
-      // estimate lock durably promised for k are forgotten. Participating
-      // again could ack an older round, so quarantine the instance — the
-      // decision is learned from peers.
-      note_corrupt_record();
-      quarantine_instance(k);
-      instances_.erase(k);
-      storage_.erase(key);
-    }
+bool CoordEngine::engine_load(InstanceId k, const Bytes& payload) {
+  Instance loaded;
+  try {
+    BufReader r(payload);
+    loaded.round = r.u64();
+    loaded.has_est = r.boolean();
+    loaded.ts = r.u64();
+    loaded.est = r.bytes();
+    r.expect_done();
+  } catch (const CodecError&) {
+    return false;
   }
+  if (has_decision(k)) return true;
+  Instance& inst = instances_[k] = std::move(loaded);
+  if (inst.has_est) {
+    inst.active = true;
+    inst.round_started = env_.now();
+    send_estimate(k, inst);
+  }
+  return true;
 }
 
 void CoordEngine::engine_propose(InstanceId k, const Bytes& value) {
@@ -126,7 +106,7 @@ void CoordEngine::catch_up(InstanceId k, Instance& inst, std::uint64_t round) {
 }
 
 void CoordEngine::coordinate(InstanceId k, Instance& inst) {
-  if (has_decision(k) || inst.sent_newest) return;
+  if (inst.sent_newest) return;
   if (coord_of(inst.round) != env_.self()) return;
   // Include our own estimate without a network round-trip.
   if (inst.has_est) {
@@ -151,7 +131,7 @@ void CoordEngine::coordinate(InstanceId k, Instance& inst) {
 void CoordEngine::engine_tick() {
   const TimePoint now = env_.now();
   for (auto& [k, inst] : instances_) {
-    if (has_decision(k) || !inst.active) continue;
+    if (!inst.active) continue;
     const ProcessId coord = coord_of(inst.round);
     if (coord == env_.self()) {
       coordinate(k, inst);
@@ -185,20 +165,10 @@ void CoordEngine::engine_tick() {
   }
 }
 
-void CoordEngine::engine_decided(InstanceId k) {
-  Instance& inst = instance(k);
-  inst.active = false;
-  inst.estimates.clear();
-  inst.acks.clear();
-  inst.nacks.clear();
-}
+void CoordEngine::engine_decided(InstanceId k) { instances_.erase(k); }
 
 void CoordEngine::engine_truncate(InstanceId k) {
-  for (auto it = instances_.begin();
-       it != instances_.end() && it->first < k;) {
-    storage_.erase(consensus_keys::inst_key("st", it->first));
-    it = instances_.erase(it);
-  }
+  instances_.erase(instances_.begin(), instances_.lower_bound(k));
 }
 
 void CoordEngine::engine_quarantined_message(ProcessId from, const Wire& msg) {
@@ -227,7 +197,6 @@ void CoordEngine::engine_message(ProcessId from, const Wire& msg) {
     case MsgType::kCoordEstimate: {
       const auto m = decode_from_bytes<EstimateMsg>(msg.payload);
       Instance& inst = instance(m.k);
-      if (has_decision(m.k)) return;  // decided/ack path will cover `from`
       if (m.round < inst.round) {
         env_.send(from,
                   make_wire(MsgType::kCoordNack, RoundMsg{m.k, inst.round}));

@@ -8,9 +8,12 @@
 // timestamp from a majority, broadcasts it, and decides once a majority has
 // *logged* and acknowledged the adoption. Participants advance to round r+1
 // when the failure detector suspects the coordinator and the round has
-// stalled. The per-instance record (round, estimate, timestamp) is logged
-// on every adoption and round advance, *before* the corresponding ack —
-// that ordering is what makes agreement uniform across crashes.
+// stalled. The per-instance record ("st/<k>": round, estimate, timestamp)
+// is logged on every adoption and round advance, *before* the
+// corresponding ack — that ordering is what makes agreement uniform across
+// crashes. Only undecided instances have state here: a decided one is
+// erased at once and never reloaded (EngineBase answers its messages with
+// the decision).
 //
 // Compared to PaxosEngine this trades more log operations per instance for
 // a fixed coordinator schedule (no leader oracle needed to pick a driver,
@@ -32,9 +35,10 @@ class CoordEngine final : public EngineBase {
   bool handles(MsgType type) const override {
     return type >= MsgType::kCoordEstimate && type <= MsgType::kCoordDecideAck;
   }
+  std::size_t live_instances() const override { return instances_.size(); }
 
  protected:
-  void engine_start(bool recovering) override;
+  bool engine_load(InstanceId k, const Bytes& payload) override;
   void engine_propose(InstanceId k, const Bytes& value) override;
   void engine_tick() override;
   void engine_message(ProcessId from, const Wire& msg) override;

@@ -16,10 +16,11 @@ using consensus_wire::DecidedAckMsg;
 using consensus_wire::DecidedMsg;
 
 EngineBase::EngineBase(Env& env, const LeaderOracle& oracle,
-                       MsgType decided_type, MsgType ack_type)
+                       MsgType decided_type, MsgType ack_type,
+                       const char* family)
     : env_(env), oracle_(oracle),
       storage_(env.storage(), "cons"), trunc_mark_(storage_, "trunc"),
-      decided_type_(decided_type), ack_type_(ack_type),
+      decided_type_(decided_type), ack_type_(ack_type), family_(family),
       tracer_(env.tracer()) {
   bind_metrics();
 }
@@ -41,74 +42,67 @@ void EngineBase::bind_metrics() {
 }
 
 void EngineBase::start(bool recovering) {
+  (void)recovering;  // undecided proposals resume either way
   ABCAST_CHECK_MSG(!started_, "consensus started twice");
   started_ = true;
 
   low_water_ = trunc_mark_.load();
   metrics_.corrupt_records += trunc_mark_.corrupt_slots();
 
-  // Rebuild the proposal and decision maps from the logs. Decisions loaded
+  // Rebuild the decision log and the undecided proposals. Decisions loaded
   // here do NOT fire the decided callback: the upper layer's recovery
   // procedure queries decision() explicitly while replaying (paper Fig. 2).
-  // Records below the low-water mark may survive a crash that interrupted
-  // a truncation; ignore them (and finish the erase lazily).
   //
   // A record that fails its seal was torn by a crash mid-put. A torn
   // decision was never announced (learn_decision logs before the callback),
   // so treating the instance as undecided is consistent; the value is
   // relearned from any peer holding it. A torn proposal means propose()
   // never returned: the upper layer simply proposes afresh.
-  for (const auto& key : storage_.keys_with_prefix("dec/")) {
-    const InstanceId k = consensus_keys::parse_inst(key);
-    if (k < low_water_) {
-      storage_.erase(key);
-      continue;
-    }
-    bool ok = false;
-    if (auto v = storage_.get(key)) {
-      if (auto payload = unseal_record(*v)) {
-        decisions_.emplace(k, std::move(*payload));
-        ok = true;
-      }
-    }
-    if (!ok) {
-      metrics_.corrupt_records += 1;
-      storage_.erase(key);
-    }
+  recover_records("dec", [this](InstanceId k, Bytes&& v) {
+    decisions_.emplace(k, std::move(v));
+    return true;
+  });
+  recover_records("prop", [this](InstanceId k, Bytes&& v) {
+    metrics_.proposals += 1;
+    if (!has_decision(k)) proposals_.emplace(k, std::move(v));
+    return true;
+  });
+  set_inflight_gauge();
+  // A torn engine record means durable promises/estimates for k are
+  // forgotten, decided or not: quarantine k (see is_quarantined).
+  for (const InstanceId k :
+       recover_records(family_, [this](InstanceId k, Bytes&& v) {
+         return engine_load(k, v);
+       })) {
+    if (quarantined_.insert(k).second) metrics_.quarantined += 1;
   }
-  for (const auto& key : storage_.keys_with_prefix("prop/")) {
-    const InstanceId k = consensus_keys::parse_inst(key);
-    if (k < low_water_) {
-      storage_.erase(key);
-      continue;
-    }
-    bool ok = false;
-    if (auto v = storage_.get(key)) {
-      if (auto payload = unseal_record(*v)) {
-        proposals_.emplace(k, std::move(*payload));
-        ok = true;
-      }
-    }
-    if (!ok) {
-      metrics_.corrupt_records += 1;
-      storage_.erase(key);
-    }
-  }
-  metrics_.proposals = proposals_.size();
-  for (const auto& [k, v] : proposals_) {
-    (void)v;
-    if (!has_decision(k)) adjust_inflight(1);
-  }
-
-  engine_start(recovering);
 
   // Resume participation in every proposed-but-undecided instance; the
   // proposal log is exactly what makes this safe (P4).
-  for (const auto& [k, v] : proposals_) {
-    if (!has_decision(k)) engine_propose(k, v);
-  }
+  for (const auto& [k, v] : proposals_) engine_propose(k, v);
 
   tick();
+}
+
+std::vector<InstanceId> EngineBase::recover_records(
+    const char* family,
+    const std::function<bool(InstanceId, Bytes&&)>& load) {
+  std::vector<InstanceId> damaged;
+  for (const auto& key : storage_.keys_with_prefix(std::string(family) + "/")) {
+    const InstanceId k = consensus_keys::parse_inst(key);
+    if (k < low_water_) {
+      storage_.erase(key);  // finish an interrupted truncation
+      continue;
+    }
+    std::optional<Bytes> payload;
+    if (auto v = storage_.get(key)) payload = unseal_record(*v);
+    if (!payload || !load(k, std::move(*payload))) {
+      metrics_.corrupt_records += 1;
+      storage_.erase(key);
+      damaged.push_back(k);
+    }
+  }
+  return damaged;
 }
 
 void EngineBase::propose(InstanceId k, const Bytes& value) {
@@ -116,8 +110,9 @@ void EngineBase::propose(InstanceId k, const Bytes& value) {
   // Truncated instances are closed: their records are gone, so proposing
   // would re-run consensus with amnesia. A caller this far behind (its
   // checkpoint was lost to a torn write) is caught up by a state transfer,
-  // not by re-deciding old instances.
-  if (k < low_water_) return;
+  // not by re-deciding old instances. A decided instance has nothing left
+  // to propose.
+  if (k < low_water_ || has_decision(k)) return;
   auto it = proposals_.find(k);
   if (it == proposals_.end()) {
     // First proposal for k: log it before any other action, so the same
@@ -126,11 +121,9 @@ void EngineBase::propose(InstanceId k, const Bytes& value) {
     trace(obs::EventKind::kPropose, k, crc32(value));
     it = proposals_.emplace(k, value).first;
     metrics_.proposals += 1;
-    if (!has_decision(k)) adjust_inflight(1);
+    set_inflight_gauge();
   }
-  if (!has_decision(k)) {
-    engine_propose(k, it->second);
-  }
+  engine_propose(k, it->second);
 }
 
 std::optional<Bytes> EngineBase::decision(InstanceId k) {
@@ -154,7 +147,7 @@ void EngineBase::learn_decision(InstanceId k, const Bytes& value,
   trace(obs::EventKind::kDecide, k, crc32(value),
         i_decided ? "local" : "learned");
   decisions_.emplace(k, value);
-  if (proposals_.count(k) != 0) adjust_inflight(-1);
+  if (proposals_.erase(k) != 0) set_inflight_gauge();
   quarantined_.erase(k);  // the outcome is known; amnesia no longer matters
   if (i_decided) {
     metrics_.decided_local += 1;
@@ -169,7 +162,7 @@ void EngineBase::learn_decision(InstanceId k, const Bytes& value,
   } else {
     metrics_.decided_learned += 1;
   }
-  engine_decided(k);
+  engine_decided(k);  // may free `value` (see the declaration)
   if (decided_cb_) decided_cb_(k, decisions_.at(k));
 }
 
@@ -218,10 +211,6 @@ void EngineBase::on_message(ProcessId from, const Wire& msg) {
   engine_message(from, msg);
 }
 
-void EngineBase::quarantine_instance(InstanceId k) {
-  if (quarantined_.insert(k).second) metrics_.quarantined += 1;
-}
-
 void EngineBase::offer_decisions(ProcessId to, InstanceId from_k,
                                  std::uint32_t max) {
   auto it = decisions_.lower_bound(std::max<InstanceId>(from_k, low_water_));
@@ -239,21 +228,21 @@ void EngineBase::truncate_below(InstanceId k) {
   // which still covers every erase performed so far — intact.
   trunc_mark_.store(k);
   low_water_ = k;
-  for (auto it = proposals_.begin(); it != proposals_.end() && it->first < k;
-       ++it) {
-    if (!has_decision(it->first)) adjust_inflight(-1);
-  }
-  auto erase_below = [this, k](std::map<InstanceId, Bytes>& m,
-                               const char* prefix) {
-    for (auto it = m.begin(); it != m.end() && it->first < k;) {
-      storage_.erase(consensus_keys::inst_key(prefix, it->first));
-      it = m.erase(it);
+  // Walk the stored keys: the in-memory maps do not list the proposal and
+  // engine records of decided instances. Keys are zero-padded, so each
+  // family's walk stops at the first key at or above k.
+  for (const char* family : {"prop", "dec", family_}) {
+    for (const auto& key :
+         storage_.keys_with_prefix(std::string(family) + "/")) {
+      if (consensus_keys::parse_inst(key) >= k) break;
+      storage_.erase(key);
     }
-  };
-  erase_below(proposals_, "prop");
-  erase_below(decisions_, "dec");
+  }
+  proposals_.erase(proposals_.begin(), proposals_.lower_bound(k));
+  decisions_.erase(decisions_.begin(), decisions_.lower_bound(k));
   retransmit_.erase(retransmit_.begin(), retransmit_.lower_bound(k));
   quarantined_.erase(quarantined_.begin(), quarantined_.lower_bound(k));
+  set_inflight_gauge();
   engine_truncate(k);
 }
 

@@ -1,11 +1,18 @@
 // Scaffolding shared by both consensus engines: proposal logging (the
 // paper's "log is done as the first operation of the Consensus"), the
-// decision log, decided-value retransmission with backoff, and the driver
-// tick.
+// decision log, decided-value retransmission with backoff, the driver
+// tick, and the recovery scan and truncation of every consensus record.
+//
+// Only undecided instances have proposal or engine state. A decided one
+// keeps just its value; on_message answers any message about it with that
+// value, so an engine drops an instance when it decides and never reloads
+// it. Its records stay in storage until truncate_below.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "consensus/consensus.hpp"
 #include "obs/metrics.hpp"
@@ -38,9 +45,11 @@ class EngineBase : public ConsensusService {
 
  protected:
   /// `decided_type`/`ack_type` are the engine-specific MsgTypes used for the
-  /// shared decision-dissemination sub-protocol.
+  /// shared decision-dissemination sub-protocol; `family` names the engine's
+  /// own record family ("<family>/<k>"), which start() scans and
+  /// truncate_below() erases alongside the proposal and decision records.
   EngineBase(Env& env, const LeaderOracle& oracle, MsgType decided_type,
-             MsgType ack_type);
+             MsgType ack_type, const char* family);
 
   // ---- timing, fixed inside the black box --------------------------------
   /// Period of the engine driver tick (retries, retransmissions).
@@ -54,22 +63,25 @@ class EngineBase : public ConsensusService {
   static constexpr Duration kRetransmitMax = seconds(1);
 
   // ---- hooks implemented by the concrete engine -------------------------
-  /// Called from start() after proposals/decisions are loaded.
-  virtual void engine_start(bool recovering) = 0;
+  /// Called from start() for each intact record of the engine's family at
+  /// or above the low-water mark, in key order, after the decisions and
+  /// proposals are loaded. Keeps the state only if `k` is undecided;
+  /// returns false when `payload` does not decode (the base then counts,
+  /// erases and quarantines it like a record that fails its seal).
+  virtual bool engine_load(InstanceId k, const Bytes& payload) = 0;
   /// Called once per instance when a (canonical) proposal becomes active.
   virtual void engine_propose(InstanceId k, const Bytes& value) = 0;
   /// Called every tick; drive retries here.
   virtual void engine_tick() = 0;
   /// Engine-specific messages (everything but decided/ack). Never called
-  /// for truncated instances.
+  /// for truncated or decided instances.
   virtual void engine_message(ProcessId from, const Wire& msg) = 0;
-  /// Volatile per-instance state may be dropped once decided.
+  /// `k` just decided: drop all of its state.
   virtual void engine_decided(InstanceId k) = 0;
-  /// Durably erase engine-private records of instances below `k` and drop
-  /// their volatile state.
+  /// Drop the state of instances below `k`; the base erases their records.
   virtual void engine_truncate(InstanceId k) = 0;
   /// A message arrived for an instance this process is quarantined on (see
-  /// quarantine_instance). The engine may NOT act on the instance's state,
+  /// is_quarantined). The engine may NOT act on the instance's state,
   /// but it may redirect the sender so the group makes progress without us
   /// (e.g. push it past rounds this process would have coordinated).
   virtual void engine_quarantined_message(ProcessId from, const Wire& msg) {
@@ -80,26 +92,25 @@ class EngineBase : public ConsensusService {
   // ---- services for the concrete engine ---------------------------------
   /// Records a decision (idempotent): logs it, fires the callback, starts
   /// retransmitting to peers when `i_decided` (we produced the decision
-  /// rather than learning it).
+  /// rather than learning it). `value` may live inside the engine's state
+  /// for `k`, which engine_decided(k) frees: it is read only before that
+  /// call, and the callback gets the logged copy.
   void learn_decision(InstanceId k, const Bytes& value, bool i_decided);
 
   bool has_decision(InstanceId k) const { return decisions_.count(k) != 0; }
-  const std::map<InstanceId, Bytes>& proposals() const { return proposals_; }
 
-  /// Amnesia containment. An engine that finds its private acceptor record
-  /// for instance `k` torn or corrupt must not participate in `k` again:
-  /// promises/estimates it durably made are forgotten, and acting as if
-  /// they never happened can double-vote an instance. Quarantining drops
-  /// every engine message for `k` (the generic decided/ack machinery still
-  /// works, so the decision is eventually learned from peers — safe as long
-  /// as a majority of acceptors kept their records). Lifted automatically
-  /// when the decision for `k` is learned or the instance is truncated.
-  void quarantine_instance(InstanceId k);
+  /// Amnesia containment. When recovery finds the engine's own record for
+  /// instance `k` torn or corrupt, the process must not participate in `k`
+  /// again: promises/estimates it durably made are forgotten, and acting
+  /// as if they never happened can double-vote an instance. Quarantining
+  /// drops every engine message for `k` (the generic decided/ack machinery
+  /// still works, so the decision is eventually learned from peers — safe
+  /// as long as a majority of acceptors kept their records). Lifted
+  /// automatically when the decision for `k` is learned or the instance is
+  /// truncated.
   bool is_quarantined(InstanceId k) const {
     return quarantined_.count(k) != 0;
   }
-  /// Counts a record discarded as torn/corrupt during recovery.
-  void note_corrupt_record() { metrics_.corrupt_records += 1; }
 
   std::uint32_t majority() const { return env_.group_size() / 2 + 1; }
 
@@ -125,11 +136,19 @@ class EngineBase : public ConsensusService {
   };
 
   void tick();
-  /// Tracks the proposed-but-undecided instance count and mirrors it into
-  /// the cons_inflight gauge — the live consensus pipelining depth.
-  void adjust_inflight(std::int64_t by) {
-    inflight_ += by;
-    if (inflight_gauge_ != nullptr) inflight_gauge_->set(inflight_);
+  /// Loads the records "<family>/<k>": erases those below the low-water
+  /// mark (stragglers of an interrupted truncation), unseals the rest and
+  /// hands each to `load`. A record that fails its seal or that `load`
+  /// rejects is counted as corrupt and erased; returns those instances.
+  std::vector<InstanceId> recover_records(
+      const char* family,
+      const std::function<bool(InstanceId, Bytes&&)>& load);
+  /// Mirrors the proposed-but-undecided instance count into the
+  /// cons_inflight gauge — the live consensus pipelining depth.
+  void set_inflight_gauge() {
+    if (inflight_gauge_ != nullptr) {
+      inflight_gauge_->set(static_cast<std::int64_t>(proposals_.size()));
+    }
   }
 
   /// Dual-slot low-water mark: a torn write while truncating loses at most
@@ -139,14 +158,14 @@ class EngineBase : public ConsensusService {
   DurableCounter trunc_mark_;
   MsgType decided_type_;
   MsgType ack_type_;
+  const char* family_;
   DecidedCallback decided_cb_;
   std::function<void(ProcessId, InstanceId)> obsolete_cb_;
-  std::map<InstanceId, Bytes> proposals_;
+  std::map<InstanceId, Bytes> proposals_;  // undecided instances only
   std::map<InstanceId, Bytes> decisions_;
   std::map<InstanceId, Retransmit> retransmit_;
   std::set<InstanceId> quarantined_;
   InstanceId low_water_ = 0;
-  std::int64_t inflight_ = 0;             // proposed ∧ undecided instances
   obs::Gauge* inflight_gauge_ = nullptr;  // registry-owned; may be null
   obs::TraceRecorder* tracer_ = nullptr;  // host-owned; may be null
   bool started_ = false;

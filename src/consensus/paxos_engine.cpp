@@ -19,7 +19,7 @@ using consensus_wire::PromiseMsg;
 
 PaxosEngine::PaxosEngine(Env& env, const LeaderOracle& oracle)
     : EngineBase(env, oracle, MsgType::kPaxosDecided,
-                 MsgType::kPaxosDecidedAck) {}
+                 MsgType::kPaxosDecidedAck, "acc") {}
 
 // Ballot b > 0 encodes attempt a and owner p as b = a * n + p + 1.
 PaxosEngine::Ballot PaxosEngine::next_ballot(Ballot above) const {
@@ -51,45 +51,19 @@ void PaxosEngine::persist_acceptor(InstanceId k, const Instance& inst) {
   storage_.put(consensus_keys::inst_key("acc", k), seal_record(w.data()));
 }
 
-bool PaxosEngine::load_acceptor(InstanceId k, Instance& inst,
-                                const Bytes& record) {
-  (void)k;
-  auto payload = unseal_record(record);
-  if (!payload) return false;
+bool PaxosEngine::engine_load(InstanceId k, const Bytes& payload) {
+  Instance loaded;
   try {
-    BufReader r(*payload);
-    inst.promised = r.u64();
-    inst.accepted_ballot = r.u64();
-    inst.accepted_value = r.bytes();
+    BufReader r(payload);
+    loaded.promised = r.u64();
+    loaded.accepted_ballot = r.u64();
+    loaded.accepted_value = r.bytes();
     r.expect_done();
   } catch (const CodecError&) {
     return false;
   }
+  if (!has_decision(k)) instances_[k] = std::move(loaded);
   return true;
-}
-
-void PaxosEngine::engine_start(bool recovering) {
-  (void)recovering;
-  for (const auto& key : storage_.keys_with_prefix("acc/")) {
-    const InstanceId k = consensus_keys::parse_inst(key);
-    if (k < low_water()) {
-      storage_.erase(key);  // finish an interrupted truncation
-      continue;
-    }
-    bool ok = false;
-    if (auto rec = storage_.get(key)) {
-      ok = load_acceptor(k, instance(k), *rec);
-    }
-    if (!ok) {
-      // The acceptor record was torn: promises/acceptances durably made for
-      // k are forgotten. Acting as an acceptor again could double-vote the
-      // instance, so quarantine it — the decision is learned from peers.
-      note_corrupt_record();
-      quarantine_instance(k);
-      instances_.erase(k);
-      storage_.erase(key);
-    }
-  }
 }
 
 void PaxosEngine::engine_propose(InstanceId k, const Bytes& value) {
@@ -120,7 +94,6 @@ void PaxosEngine::start_ballot(InstanceId k, Instance& inst) {
 
 // Starts or retries a ballot when this process should be driving instance k.
 void PaxosEngine::drive(InstanceId k, Instance& inst) {
-  if (has_decision(k)) return;
   // Take over a stalled instance if we hold an accepted value: a decided
   // value must survive its decider's death (see file header).
   const bool should_drive = inst.proposing || inst.accepted_ballot > 0;
@@ -154,26 +127,13 @@ void PaxosEngine::drive(InstanceId k, Instance& inst) {
 }
 
 void PaxosEngine::engine_tick() {
-  for (auto& [k, inst] : instances_) {
-    if (!has_decision(k)) drive(k, inst);
-  }
+  for (auto& [k, inst] : instances_) drive(k, inst);
 }
 
-void PaxosEngine::engine_decided(InstanceId k) {
-  // Drop proposer volatile state; keep acceptor fields (harmless, and
-  // late PREPARE/ACCEPT messages still get correct answers).
-  Instance& inst = instance(k);
-  inst.phase = Phase::kIdle;
-  inst.promises.clear();
-  inst.accepts.clear();
-}
+void PaxosEngine::engine_decided(InstanceId k) { instances_.erase(k); }
 
 void PaxosEngine::engine_truncate(InstanceId k) {
-  for (auto it = instances_.begin();
-       it != instances_.end() && it->first < k;) {
-    storage_.erase(consensus_keys::inst_key("acc", it->first));
-    it = instances_.erase(it);
-  }
+  instances_.erase(instances_.begin(), instances_.lower_bound(k));
 }
 
 void PaxosEngine::engine_message(ProcessId from, const Wire& msg) {

@@ -3,8 +3,10 @@
 // Roles are collapsed: every process is acceptor and learner; the process
 // nominated by the LeaderOracle drives proposals. Acceptor state
 // (promised ballot, accepted ballot, accepted value) is logged in one record
-// per instance before any reply leaves the process, which is exactly what
-// makes agreement *uniform* under crash-recovery.
+// per instance ("acc/<k>") before any reply leaves the process, which is
+// exactly what makes agreement *uniform* under crash-recovery. Only
+// undecided instances have state here: a decided one is erased at once and
+// never reloaded (EngineBase answers its messages with the decision).
 //
 // Liveness safeguards beyond textbook Synod:
 //  * retry with a higher ballot on timeout, but only while the oracle
@@ -29,9 +31,10 @@ class PaxosEngine final : public EngineBase {
   bool handles(MsgType type) const override {
     return type >= MsgType::kPaxosPrepare && type <= MsgType::kPaxosDecidedAck;
   }
+  std::size_t live_instances() const override { return instances_.size(); }
 
  protected:
-  void engine_start(bool recovering) override;
+  bool engine_load(InstanceId k, const Bytes& payload) override;
   void engine_propose(InstanceId k, const Bytes& value) override;
   void engine_tick() override;
   void engine_message(ProcessId from, const Wire& msg) override;
@@ -71,8 +74,6 @@ class PaxosEngine final : public EngineBase {
   ProcessId ballot_owner(Ballot b) const;
   Instance& instance(InstanceId k);
   void persist_acceptor(InstanceId k, const Instance& inst);
-  /// Returns false when the record fails its seal or does not decode.
-  bool load_acceptor(InstanceId k, Instance& inst, const Bytes& record);
   void start_ballot(InstanceId k, Instance& inst);
   void drive(InstanceId k, Instance& inst);
 

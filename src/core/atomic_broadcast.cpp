@@ -408,12 +408,13 @@ void AtomicBroadcast::rebuild_window_state() {
   // Recovery: re-derive which pending messages a logged-but-undecided
   // proposal already carries. Slots propose in ascending order, so walking
   // up from k_ and attributing each message to the first proposal holding
-  // it reproduces the pre-crash bookkeeping; the scan stops at the first
-  // never-proposed slot (the proposed set is contiguous from k_).
+  // it reproduces the pre-crash bookkeeping; the scan skips decided slots
+  // (consensus keeps no proposal for them) and stops at the first
+  // never-proposed undecided slot (the proposed set is contiguous from k_).
   for (std::uint64_t j = k_;; ++j) {
+    if (cons_.decided(j)) continue;  // outcome fixed; applies via drain
     const Bytes* prop = cons_.proposal_of(j);
     if (prop == nullptr) break;
-    if (cons_.decided(j)) continue;  // outcome fixed; applies via drain
     std::vector<MsgId> fresh;
     try {
       for (const auto& m : decode_batch(*prop)) {

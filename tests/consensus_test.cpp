@@ -1,11 +1,15 @@
 // Tests for the crash-recovery consensus engines, run against both engines
 // via parameterized suites: Uniform Validity, Uniform Agreement (including
 // across crash/recovery), Termination, proposal idempotence (P4), decision
-// stability (P5), multi-instance independence, truncation semantics.
+// stability (P5), multi-instance independence, truncation semantics, and
+// that an engine holds state only for undecided instances.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "consensus/consensus.hpp"
 #include "fd/failure_detector.hpp"
@@ -265,17 +269,79 @@ TEST_P(EngineTest, TruncationDropsRecordsAndIgnoresOldInstances) {
     ASSERT_TRUE(c.await_decision(k, {0, 1, 2}));
   }
   c.sim.run_for(seconds(2));  // drain retransmissions
+  // p0's stored consensus records per family ("prop", "dec" and the
+  // engine's own), split into {below instance 3, at or above it}. Read
+  // from the medium itself: the engine's maps do not list decided
+  // instances, so only the stored keys show what truncation erased.
+  const auto records = [&c] {
+    std::map<std::string, std::pair<int, int>> out;
+    for (const auto& key :
+         c.sim.host(0).raw_storage().keys_with_prefix("cons/")) {
+      const std::string rest = key.substr(5);
+      if (rest.rfind("trunc", 0) == 0) continue;  // the low-water mark
+      const auto slash = rest.find('/');
+      auto& [below, above] = out[rest.substr(0, slash)];
+      (std::stoull(rest.substr(slash + 1)) < 3 ? below : above) += 1;
+    }
+    return out;
+  };
+  const std::vector<std::string> families{
+      "prop", "dec", GetParam() == ConsensusKind::kPaxos ? "acc" : "st"};
+  const auto before = records();
+  for (const auto& family : families) {
+    ASSERT_EQ(before.count(family), 1u) << family;
+    EXPECT_EQ(before.at(family).first, 3) << family;
+  }
+  const auto expect_truncated = [&] {
+    const auto now = records();
+    EXPECT_EQ(now.size(), before.size());
+    for (const auto& [family, counts] : now) {
+      EXPECT_EQ(counts.first, 0) << family << " records below the mark";
+      EXPECT_EQ(counts.second, before.at(family).second) << family;
+    }
+  };
+
   c.cons(0).truncate_below(3);
   EXPECT_EQ(c.cons(0).low_water(), 3u);
   EXPECT_FALSE(c.cons(0).decision(0).has_value());
   EXPECT_FALSE(c.cons(0).proposed(2));
   EXPECT_TRUE(c.cons(0).decision(3).has_value());
+  expect_truncated();
   // Durable: still truncated after crash-recovery.
   c.sim.crash(0);
   c.sim.recover(0);
   EXPECT_EQ(c.cons(0).low_water(), 3u);
   EXPECT_FALSE(c.cons(0).decision(1).has_value());
   EXPECT_TRUE(c.cons(0).decision(4).has_value());
+  expect_truncated();
+}
+
+TEST_P(EngineTest, DecidedInstancesLeaveTheEngine) {
+  // Consensus holds only undecided instances: an engine forgets an
+  // instance once it decides, and recovery reloads no decided one, so the
+  // driver tick walks only live work however long the history grows.
+  ConsCluster c({.n = 3, .seed = 18}, GetParam());
+  for (InstanceId k = 0; k < 40; ++k) {
+    c.cons(0).propose(k, val("v" + std::to_string(k)));
+  }
+  for (InstanceId k = 0; k < 40; ++k) {
+    ASSERT_TRUE(c.await_decision(k, {0, 1, 2})) << "instance " << k;
+  }
+  c.sim.run_for(seconds(2));
+  for (ProcessId p = 0; p < 3; ++p) {
+    EXPECT_EQ(c.cons(p).live_instances(), 0u) << "p" << p;
+  }
+  c.sim.crash(1);
+  c.sim.recover(1);
+  EXPECT_EQ(c.cons(1).live_instances(), 0u);
+  EXPECT_EQ(*c.cons(1).decision(39), val("v39"));  // the log still has it
+  // Without a majority, a fresh instance stays undecided, and live.
+  c.sim.crash(1);
+  c.sim.crash(2);
+  c.cons(0).propose(40, val("v40"));
+  c.sim.run_for(seconds(1));
+  EXPECT_FALSE(c.cons(0).decided(40));
+  EXPECT_EQ(c.cons(0).live_instances(), 1u);
 }
 
 TEST_P(EngineTest, ObsoleteCallbackFiresForTruncatedInstanceTraffic) {
