@@ -80,8 +80,6 @@ void AtomicBroadcast::bind_metrics() {
   metrics_group_.bind("ab_delta_rejected", labels, &metrics_.delta_rejected);
   metrics_group_.bind("ab_gossip_suppressed", labels,
                       &metrics_.gossip_suppressed);
-  metrics_group_.bind("ab_proposal_cache_hits", labels,
-                      &metrics_.proposal_cache_hits);
   metrics_group_.bind("ab_proposals_event_triggered", labels,
                       &metrics_.proposals_event_triggered);
   metrics_group_.bind("ab_state_sent", labels, &metrics_.state_sent);
@@ -104,6 +102,26 @@ void AtomicBroadcast::bind_metrics() {
   commit_gap_hist_ = &registry->histogram("ab_commit_gap");
 }
 
+bool AtomicBroadcast::load_record(
+    const std::string& key, const std::function<void(BufReader&)>& decode) {
+  auto raw = storage_.get(key);
+  if (!raw) return false;
+  if (auto rec = unseal_record(*raw)) {
+    try {
+      BufReader r(*rec);
+      decode(r);
+      r.expect_done();
+      return true;
+    } catch (const CodecError&) {
+    }
+  }
+  // A record that fails its seal or does not decode is a torn write:
+  // count it and erase it, so the next recovery does not trip on it again.
+  metrics_.corrupt_records += 1;
+  storage_.erase(key);
+  return false;
+}
+
 void AtomicBroadcast::start(bool recovering, std::uint64_t incarnation) {
   ABCAST_CHECK_MSG(!started_, "atomic broadcast started twice");
   started_ = true;
@@ -114,42 +132,31 @@ void AtomicBroadcast::start(bool recovering, std::uint64_t incarnation) {
   if (recovering) {
     // §5.1: resume from the logged (k, Agreed) checkpoint when present;
     // otherwise replay() reconstructs everything from Consensus decisions.
-    // A checkpoint that fails its seal or does not decode is a torn write:
-    // discard it and recover as if it never existed — replay (and, with
-    // truncated logs, a state transfer from a peer) rebuilds the sequence.
+    // A damaged checkpoint is recovered around as if it never existed —
+    // replay (and, with truncated logs, a state transfer from a peer)
+    // rebuilds the sequence.
     if (options_.checkpointing) {
-      if (auto raw = storage_.get(kCkptKey)) {
-        bool ok = false;
-        if (auto rec = unseal_record(*raw)) {
-          try {
-            BufReader r(*rec);
-            const std::uint64_t k = r.u64();
-            AgreedLog agreed = AgreedLog::decode(r);
-            r.expect_done();
-            k_ = k;
-            agreed_ = std::move(agreed);
-            ok = true;
-          } catch (const CodecError&) {
-          }
+      std::uint64_t k = 0;
+      AgreedLog agreed(env_.group_size());
+      if (load_record(kCkptKey, [&](BufReader& r) {
+            k = r.u64();
+            agreed = AgreedLog::decode(r);
+          })) {
+        k_ = k;
+        agreed_ = std::move(agreed);
+        // Rebuild the application: install the checkpoint base (or the
+        // initial state) and hand the explicit suffix to the sink again. It
+        // was A-delivered before the crash, so unlike deliver() this neither
+        // counts nor touches Unordered (prune_unordered() below does).
+        if (agreed_.base()) {
+          sink_.install_checkpoint(agreed_.base()->state);
         }
-        if (ok) {
-          // Rebuild the application: install the checkpoint base (or the
-          // initial state) and re-deliver the explicit suffix.
-          if (agreed_.base()) {
-            sink_.install_checkpoint(agreed_.base()->state);
-          }
-          trace(obs::EventKind::kCheckpoint, k_, MsgId{}, agreed_.total(),
-                "load");
-          std::uint64_t pos = agreed_.total() - agreed_.suffix().size();
-          for (const auto& m : agreed_.suffix()) {
-            trace(obs::EventKind::kDeliver, k_, m.id, pos++);
-            sink_.deliver(m);
-          }
-        } else {
-          metrics_.corrupt_records += 1;
-          k_ = 0;
-          agreed_ = AgreedLog(env_.group_size());
-          storage_.erase(kCkptKey);
+        trace(obs::EventKind::kCheckpoint, k_, MsgId{}, agreed_.total(),
+              "load");
+        std::uint64_t pos = agreed_.total() - agreed_.suffix().size();
+        for (const auto& m : agreed_.suffix()) {
+          trace(obs::EventKind::kDeliver, k_, m.id, pos++);
+          sink_.deliver(m);
         }
       }
     }
@@ -159,39 +166,18 @@ void AtomicBroadcast::start(bool recovering, std::uint64_t incarnation) {
     if (options_.log_unordered) {
       if (options_.incremental_unordered_log) {
         for (const auto& key : storage_.keys_with_prefix("u/")) {
-          bool ok = false;
-          if (auto raw = storage_.get(key)) {
-            if (auto rec = unseal_record(*raw)) {
-              try {
-                BufReader r(*rec);
-                AppMsg m = AppMsg::decode(r);
-                r.expect_done();
-                unordered_.emplace(m.id, std::move(m));
-                ok = true;
-              } catch (const CodecError&) {
-              }
-            }
-          }
-          if (!ok) {
-            metrics_.corrupt_records += 1;
-            storage_.erase(key);
+          AppMsg m;
+          if (load_record(key, [&](BufReader& r) { m = AppMsg::decode(r); })) {
+            unordered_.emplace(m.id, std::move(m));
           }
         }
-      } else if (auto raw = storage_.get(kUnorderedKey)) {
-        bool ok = false;
-        if (auto rec = unseal_record(*raw)) {
-          try {
-            for (auto& m : decode_batch(*rec)) {
-              unordered_.emplace(m.id, std::move(m));
-            }
-            ok = true;
-          } catch (const CodecError&) {
-            unordered_.clear();
-          }
-        }
-        if (!ok) {
-          metrics_.corrupt_records += 1;
-          storage_.erase(kUnorderedKey);
+      } else {
+        std::vector<AppMsg> all;
+        if (load_record(kUnorderedKey, [&](BufReader& r) {
+              all = r.vec<AppMsg>(
+                  [](BufReader& rr) { return AppMsg::decode(rr); });
+            })) {
+          for (auto& m : all) unordered_.emplace(m.id, std::move(m));
         }
       }
     }
@@ -202,7 +188,7 @@ void AtomicBroadcast::start(bool recovering, std::uint64_t incarnation) {
     drain();
     metrics_.replayed_rounds = k_ - k_before;
     prune_unordered();
-    if (options_.pipeline_window > 1) rebuild_window_state();
+    rebuild_window_state();
   }
 
   gossip_tick();
@@ -221,7 +207,7 @@ MsgId AtomicBroadcast::broadcast(Bytes payload) {
   m.payload = std::move(payload);
   const MsgId id = m.id;
   unordered_.emplace(id, std::move(m));
-  touch_unordered();
+  gossip_dirty_ = true;
   metrics_.broadcasts += 1;
   trace(obs::EventKind::kBroadcast, k_, id);
 
@@ -289,7 +275,7 @@ void AtomicBroadcast::prune_unordered() {
     if (agreed_.contains(it->first)) {
       erase_unordered_record(it->first);
       it = unordered_.erase(it);
-      touch_unordered();
+      gossip_dirty_ = true;
     } else {
       ++it;
     }
@@ -297,47 +283,11 @@ void AtomicBroadcast::prune_unordered() {
 }
 
 void AtomicBroadcast::maybe_propose(Trigger trigger) {
-  if (options_.pipeline_window == 1) {
-    // Paper Fig. 2, sequencer task: start round k only with something to
-    // propose or when gossip revealed we lag (then even an empty proposal
-    // is fine — the decision is already locked without our input).
-    if (cons_.proposed(k_)) return;
-    if (unordered_.empty() && gossip_k_ <= k_) return;
-    if (!proposal_cache_valid_) {
-      // Encode straight off the map — it already iterates in MsgId order,
-      // the deterministic batch order — and keep the bytes until unordered_
-      // next changes: consecutive rounds proposing the same backlog (common
-      // while peers catch up) reuse the encoding instead of re-serializing
-      // it. A max_proposal_msgs cap takes the MsgId-ordered prefix; the
-      // capped encoding still depends only on unordered_'s contents, so the
-      // cache invalidation rule is unchanged.
-      std::size_t limit = unordered_.size();
-      if (options_.max_proposal_msgs != 0) {
-        limit = std::min(limit, options_.max_proposal_msgs);
-      }
-      BufWriter w;
-      w.u32(checked_u32(limit));
-      std::size_t taken = 0;
-      for (const auto& [id, m] : unordered_) {
-        if (taken == limit) break;
-        m.encode(w);
-        taken += 1;
-      }
-      proposal_cache_ = std::move(w).take();
-      proposal_cache_valid_ = true;
-    } else {
-      metrics_.proposal_cache_hits += 1;
-    }
-    metrics_.proposals += 1;
-    if (unordered_.empty()) metrics_.empty_proposals += 1;
-    if (trigger == Trigger::kEvent) metrics_.proposals_event_triggered += 1;
-    cons_.propose(k_, proposal_cache_);
-    return;
-  }
-  // Pipelined sequencer: up to α rounds may be in flight. Slots fill in
-  // ascending order, so the set of proposed instances stays contiguous from
-  // k_ and the recovery scan in rebuild_window_state can stop at the first
-  // gap.
+  // The sequencer task of Fig. 2, pipelined: up to α rounds may be in
+  // flight, and α = 1 is the paper's sequential sequencer (the head slot's
+  // gate is its whole rule). Slots fill in ascending order, so the set of
+  // proposed instances stays contiguous from k_ and the recovery scan in
+  // rebuild_window_state can stop at the first gap.
   gc_window_slots();
   for (std::uint64_t j = k_; j < k_ + options_.pipeline_window; ++j) {
     if (cons_.proposed(j) || cons_.decided(j)) continue;
@@ -366,7 +316,7 @@ void AtomicBroadcast::propose_window_slot(std::uint64_t j, Trigger trigger) {
     fresh.push_back(id);
   }
   if (j == k_) {
-    // Head slot: today's rule. Propose whenever anything is pending, or
+    // Head slot: the paper's rule. Propose whenever anything is pending, or
     // when gossip revealed we lag (empty proposals are safe there — the
     // decision is locked without our input).
     if (batch.empty() && gossip_k_ <= k_) return;
@@ -452,22 +402,27 @@ void AtomicBroadcast::drain() {
 
 void AtomicBroadcast::apply_batch(const Bytes& value) {
   auto batch = decode_batch(value);
-  auto delivered = agreed_.append(std::move(batch));
+  const auto delivered = agreed_.append(std::move(batch));
   if (batch_size_hist_ != nullptr) batch_size_hist_->observe(delivered.size());
-  std::uint64_t pos = agreed_.total() - delivered.size();
-  for (auto& m : delivered) {
-    erase_unordered_record(m.id);
-    if (unordered_.erase(m.id) > 0) touch_unordered();
-    metrics_.delivered += 1;
-    trace(obs::EventKind::kDeliver, k_, m.id, pos++);
-    sink_.deliver(m);
-  }
+  deliver(delivered);
   // Messages that were in the decided batch but skipped as stale are also
   // covered by Agreed now; drop any lingering unordered copies.
   prune_unordered();
   k_ += 1;
   metrics_.rounds_completed += 1;
   gossip_dirty_ = true;  // round + total advanced: peers should hear about it
+}
+
+void AtomicBroadcast::deliver(const std::vector<AppMsg>& msgs) {
+  std::uint64_t pos = agreed_.total() - msgs.size();
+  for (const auto& m : msgs) {
+    erase_unordered_record(m.id);
+    unordered_.erase(m.id);
+    metrics_.delivered += 1;
+    trace(obs::EventKind::kDeliver, k_, m.id, pos++);
+    sink_.deliver(m);
+  }
+  if (!msgs.empty()) gossip_dirty_ = true;  // total advanced
 }
 
 std::vector<std::uint64_t> AtomicBroadcast::compute_cover() const {
@@ -556,8 +511,10 @@ void AtomicBroadcast::gossip_tick() {
   }
   if (options_.pipeline_window > 1) {
     // Timer leg of event-driven proposing: flush partial batches into open
-    // window slots so a trickle workload still pipelines instead of waiting
-    // for the batch budget to fill.
+    // window slots past the head so a trickle workload still pipelines
+    // instead of waiting for the batch budget to fill. A window of one has
+    // no such slot, so its ticks never propose: a head slot whose propose()
+    // returned at once (below the truncation mark) is retried on events.
     maybe_propose(Trigger::kTimer);
   }
   env_.schedule_after(options_.gossip_period, [this] { gossip_tick(); });
@@ -690,7 +647,7 @@ std::size_t AtomicBroadcast::merge_delta(std::vector<AppMsg> msgs) {
     }
     cover[id.sender] = id.seq;
     const auto [it, inserted] = unordered_.try_emplace(id, std::move(m));
-    if (inserted) touch_unordered();
+    if (inserted) gossip_dirty_ = true;
   }
   // Drain the reorder buffer: repeatedly admit entries the guard now
   // accepts (MsgId order walks each sender's parked run in seq order, so
@@ -713,7 +670,7 @@ std::size_t AtomicBroadcast::merge_delta(std::vector<AppMsg> msgs) {
       cover[id.sender] = id.seq;
       const auto [uit, inserted] =
           unordered_.try_emplace(id, std::move(it->second));
-      if (inserted) touch_unordered();
+      if (inserted) gossip_dirty_ = true;
       it = reorder_buf_.erase(it);
       progress = true;
     }
@@ -731,14 +688,7 @@ void AtomicBroadcast::maybe_send_pull(ProcessId to) {
   const TimePoint now = env_.now();
   if (now < view.next_pull_ok) return;
   view.next_pull_ok = now + options_.delta_reply_interval;
-  const Wire wire =
-      make_digest_wire(k_, agreed_.total(), /*want_reply=*/true,
-                       compute_cover(), {}, snap_stage_total_,
-                       snap_stage_.size());
-  metrics_.gossip_bytes_sent += wire.payload.size();
-  env_.send(to, wire);
-  metrics_.digest_sent += 1;
-  trace(obs::EventKind::kGossipSend, k_, MsgId{}, 0, "pull");
+  send_digest(to, /*want_reply=*/true, "pull");
 }
 
 void AtomicBroadcast::handle_round_info(ProcessId from, std::uint64_t peer_k,
@@ -777,7 +727,7 @@ void AtomicBroadcast::on_message(ProcessId from, const Wire& msg) {
       const MsgId id = m.id;
       if (agreed_.contains(id)) continue;
       const auto [it, inserted] = unordered_.try_emplace(id, std::move(m));
-      if (inserted) touch_unordered();
+      if (inserted) gossip_dirty_ = true;
     }
     // Full-set gossip carries no snapshot acks; the advertised total is
     // still the tail-phase ack of a catch-up session.
@@ -1027,7 +977,7 @@ void AtomicBroadcast::handle_snapshot_chunk(ProcessId from,
   // A snapshot we already cover adds nothing; ack our position so the
   // sender's session advances to the tail phase.
   if (s.snap_total == 0 || agreed_.total() >= s.snap_total) {
-    send_state_ack(from);
+    send_digest(from, /*want_reply=*/false, "state_ack");
     return;
   }
   if (s.snap_total > snap_stage_total_) {
@@ -1048,7 +998,7 @@ void AtomicBroadcast::handle_snapshot_chunk(ProcessId from,
       install_staged_snapshot(s.k);
     }
   }
-  send_state_ack(from);
+  send_digest(from, /*want_reply=*/false, "state_ack");
 }
 
 void AtomicBroadcast::install_staged_snapshot(std::uint64_t state_k) {
@@ -1098,23 +1048,14 @@ void AtomicBroadcast::handle_tail_chunk(ProcessId from,
   // window rewinds. A chunk at or below it overlaps what we hold — the
   // clock filters the overlap and append_sequence delivers only the rest.
   if (s.offset > agreed_.total()) {
-    send_state_ack(from);
+    send_digest(from, /*want_reply=*/false, "state_ack");
     return;
   }
   if (!s.msgs.empty() || s.final_chunk) {
     trace(obs::EventKind::kStateTransfer, s.k, MsgId{},
           s.offset + s.msgs.size(), "adopt_chunk");
   }
-  auto delivered = agreed_.append_sequence(s.msgs);
-  std::uint64_t pos = agreed_.total() - delivered.size();
-  for (const auto& m : delivered) {
-    erase_unordered_record(m.id);
-    if (unordered_.erase(m.id) > 0) touch_unordered();
-    metrics_.delivered += 1;
-    trace(obs::EventKind::kDeliver, k_, m.id, pos++);
-    sink_.deliver(m);
-  }
-  if (!delivered.empty()) gossip_dirty_ = true;
+  deliver(agreed_.append_sequence(s.msgs));
   metrics_.state_chunks_applied += 1;
   if (s.final_chunk && s.k + 1 > k_) {
     // The stream is complete: adopt the sender's round (Fig. 3 line f).
@@ -1125,21 +1066,22 @@ void AtomicBroadcast::handle_tail_chunk(ProcessId from,
     if (options_.checkpointing) take_checkpoint();
     drain();
   }
-  send_state_ack(from);
+  send_digest(from, /*want_reply=*/false, "state_ack");
 }
 
-void AtomicBroadcast::send_state_ack(ProcessId to) {
-  // An immediate, unicast digest: (total, snapshot staging) is the whole
-  // ack. Sent in both gossip modes — the catch-up sender understands digest
-  // datagrams even when periodic gossip is full-set.
+void AtomicBroadcast::send_digest(ProcessId to, bool want_reply,
+                                  const char* detail) {
+  // Every digest carries the snapshot-staging ack fields, so a catch-up
+  // sender's view of our progress stays truthful even when its per-chunk
+  // acks are lost. Sent in both gossip modes: the catch-up sender
+  // understands digest datagrams even when periodic gossip is full-set.
   const Wire wire =
-      make_digest_wire(k_, agreed_.total(), /*want_reply=*/false,
-                       compute_cover(), {}, snap_stage_total_,
-                       snap_stage_.size());
+      make_digest_wire(k_, agreed_.total(), want_reply, compute_cover(), {},
+                       snap_stage_total_, snap_stage_.size());
   metrics_.gossip_bytes_sent += wire.payload.size();
   env_.send(to, wire);
   metrics_.digest_sent += 1;
-  trace(obs::EventKind::kGossipSend, k_, MsgId{}, 0, "state_ack");
+  trace(obs::EventKind::kGossipSend, k_, MsgId{}, 0, detail);
 }
 
 void AtomicBroadcast::checkpoint_tick() {

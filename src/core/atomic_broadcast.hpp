@@ -23,8 +23,10 @@
 // operations the paper describes.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/relaxed_counter.hpp"
@@ -62,12 +64,11 @@ struct AbMetrics {
   /// arrival (a push overtook its predecessor on the non-FIFO channel) and
   /// were parked in the reorder buffer; see DESIGN.md.
   RelaxedU64 delta_rejected;
-  RelaxedU64 gossip_suppressed;  // idle ticks skipped (satellite 1)
-  RelaxedU64 proposal_cache_hits;  // proposals reusing cached encoding
+  RelaxedU64 gossip_suppressed;  // idle ticks skipped (digest mode)
   /// Proposals fired by an event (broadcast arrival, batch full, decide,
   /// gossip) rather than the periodic timer leg of the pipelined proposer.
-  /// With pipeline_window == 1 every proposal is event-triggered (the timer
-  /// leg exists only for partial window slots).
+  /// In a window of one every proposal is event-triggered (the timer leg
+  /// exists only for partial window slots past the head).
   RelaxedU64 proposals_event_triggered;
   /// Catch-up sessions opened toward lagging peers (§5.3). One session
   /// streams the whole missing state in bounded chunks; the chunk counters
@@ -208,12 +209,6 @@ class AtomicBroadcast {
   std::size_t merge_delta(std::vector<AppMsg> msgs);
   void handle_round_info(ProcessId from, std::uint64_t peer_k,
                          std::uint64_t peer_total);
-  /// Invalidates the cached proposal encoding and marks gossip dirty; call
-  /// after EVERY unordered_ mutation.
-  void touch_unordered() {
-    proposal_cache_valid_ = false;
-    gossip_dirty_ = true;
-  }
   void checkpoint_tick();
   void take_checkpoint();
   /// What caused a proposal attempt. Timer-triggered attempts (the gossip
@@ -221,9 +216,10 @@ class AtomicBroadcast {
   /// call site is an event (broadcast, decide, gossip arrival).
   enum class Trigger { kEvent, kTimer };
   void maybe_propose(Trigger trigger = Trigger::kEvent);
-  /// One window slot j > k_ of the pipelined proposer: builds the
-  /// prefix-closed cumulative batch (all in-flight messages ride along
-  /// cap-free; new messages fill up to max_proposal_msgs) and proposes it.
+  /// One window slot j >= k_ of the proposer: builds the prefix-closed
+  /// cumulative batch (all in-flight messages ride along cap-free; new
+  /// messages fill up to max_proposal_msgs) and proposes it if its gate
+  /// opens.
   void propose_window_slot(std::uint64_t j, Trigger trigger);
   /// Rebuilds slot_new_/inflight_ after recovery from the per-instance
   /// proposal logs of still-undecided rounds ≥ k_.
@@ -235,6 +231,16 @@ class AtomicBroadcast {
   /// Applies every locally-known decision starting at k_, then proposes.
   void drain();
   void apply_batch(const Bytes& value);
+  /// A-delivers `msgs`, the entries just appended to agreed_ by a decided
+  /// round or a state-transfer tail: each leaves Unordered and its durable
+  /// record, is counted and traced, and goes to the sink.
+  void deliver(const std::vector<AppMsg>& msgs);
+  /// Reads the sealed record `key` once and runs `decode` over its body,
+  /// which must consume it exactly. False when the key is absent or the
+  /// record is torn (bad seal or decode failure; counted in corrupt_records
+  /// and erased), so callers commit what `decode` filled only on true.
+  bool load_record(const std::string& key,
+                   const std::function<void(BufReader&)>& decode);
   // ---- §5.3 chunked catch-up sessions (sender side) ----------------------
   /// Creates (or resumes) the catch-up session for `to`, whose gossip just
   /// advertised `recipient_total` delivered messages, and pumps it.
@@ -255,9 +261,10 @@ class AtomicBroadcast {
   void handle_snapshot_chunk(ProcessId from, const StateChunkMsg& s);
   void handle_tail_chunk(ProcessId from, const StateChunkMsg& s);
   void install_staged_snapshot(std::uint64_t state_k);
-  /// Immediate per-chunk ack: a digest datagram to the sender carrying our
-  /// (total, snapshot staging) position, in both gossip modes.
-  void send_state_ack(ProcessId to);
+  /// An immediate unicast digest carrying our (k, total, cover, snapshot
+  /// staging) position, in both gossip modes: the per-chunk catch-up ack
+  /// and the reorder-repair pull. `detail` labels the trace event.
+  void send_digest(ProcessId to, bool want_reply, const char* detail);
   void erase_unordered_record(const MsgId& id);
   void log_unordered_set();
   void prune_unordered();
@@ -306,12 +313,11 @@ class AtomicBroadcast {
   std::map<MsgId, AppMsg> reorder_buf_;
   bool gossip_dirty_ = true;     // something changed since the last tick send
   std::uint32_t idle_ticks_ = 0;
-  Bytes proposal_cache_;         // encoded unordered_ batch (valid flag below)
-  bool proposal_cache_valid_ = false;
   /// Messages first proposed by each still-relevant window slot (keys are
   /// InstanceIds ≥ k_ once gc_window_slots ran). When slot j's round decides
   /// or is skipped, its entries leave inflight_ — if a foreign value won,
-  /// they are re-proposable as new content. Empty when pipeline_window == 1.
+  /// they are re-proposable as new content. In a window of one it holds at
+  /// most the head slot.
   std::map<std::uint64_t, std::vector<MsgId>> slot_new_;
   /// Union of slot_new_ over undecided slots: messages some in-flight
   /// proposal already carries. They ride along in later slots' batches

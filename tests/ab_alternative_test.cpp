@@ -1,7 +1,7 @@
 // Tests for the alternative protocol's §5 mechanisms, each isolated:
 // checkpointing (§5.1), application-level checkpoints (§5.2), state
 // transfer with Δ (§5.3), durable Unordered batching (§5.4), incremental
-// logging (§5.5), and log truncation.
+// logging (§5.5), log truncation, and recovery around torn records.
 #include <gtest/gtest.h>
 
 #include "harness/fixture.hpp"
@@ -28,6 +28,16 @@ std::vector<MsgId> paced_broadcasts(Cluster& c, int count, Duration gap) {
     c.sim().run_for(gap);
   }
   return ids;
+}
+
+/// Flips one byte in the middle of the stored record `key`: the damage a
+/// crash inside its put leaves behind.
+void damage_record(StableStorage& storage, const std::string& key) {
+  auto raw = storage.get(key);
+  ASSERT_TRUE(raw.has_value()) << key;
+  auto& byte = (*raw)[raw->size() / 2];
+  byte = static_cast<std::uint8_t>(byte ^ 0xFFu);
+  storage.put(key, *raw);
 }
 
 }  // namespace
@@ -328,6 +338,73 @@ TEST(AbAlternative, EverythingOnWorksTogetherThroughCrashes) {
   ASSERT_TRUE(c.await_delivery(ids, {}, seconds(120)));
   c.oracle().check();
   EXPECT_EQ(c.oracle().global_order().size(), 20u);
+}
+
+// ------------------------------------------------ torn records on recovery
+
+TEST(AbRecovery, DamagedCheckpointIsCountedErasedAndReplayedAround) {
+  // A torn (k, Agreed) checkpoint is discarded as if it never existed:
+  // replay rebuilds every round from the consensus decisions.
+  core::Options opt;
+  opt.checkpointing = true;
+  opt.checkpoint_period = millis(300);
+  Cluster c(with_options(opt, 3, 19));
+  c.start_all();
+  auto ids = paced_broadcasts(c, 12, millis(150));
+  ASSERT_TRUE(c.await_delivery(ids));
+  c.sim().run_for(millis(400));  // let a checkpoint happen
+
+  const auto rounds = c.stack(1)->ab().round();
+  ASSERT_GE(rounds, 3u);
+  c.sim().crash(1);
+  StableStorage& stable = c.sim().host(1).raw_storage();
+  damage_record(stable, "ab/ckpt");
+  ASSERT_TRUE(c.sim().recover(1));
+  const auto& ab = c.stack(1)->ab();
+  EXPECT_EQ(ab.metrics().corrupt_records, 1u);
+  EXPECT_FALSE(stable.get("ab/ckpt").has_value());
+  EXPECT_EQ(ab.metrics().replayed_rounds, rounds);
+  for (const auto& id : ids) EXPECT_TRUE(ab.is_delivered(id));
+  c.oracle().check();
+}
+
+TEST(AbRecovery, DamagedUnorderedRecordsAreCountedAndErased) {
+  // A crash can tear only the last put: the whole-set record (§5.4) or the
+  // newest item record (§5.5). Recovery counts and erases it, keeps every
+  // intact item, and the group goes on ordering.
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "whole set");
+    core::Options opt;
+    opt.log_unordered = true;
+    opt.incremental_unordered_log = incremental;
+    Cluster c(with_options(opt, 3, 20));
+    c.start_all();
+    c.sim().partition({0});  // nothing is ordered before the crash
+    std::vector<MsgId> ids;
+    for (int i = 0; i < 3; ++i) ids.push_back(c.broadcast(0));
+    c.sim().run_for(millis(100));
+    c.sim().crash(0);
+
+    StableStorage& stable = c.sim().host(0).raw_storage();
+    std::string torn = "ab/unord";
+    if (incremental) {
+      const auto items = stable.keys_with_prefix("ab/u/");
+      ASSERT_EQ(items.size(), 3u);
+      torn = items.back();  // keys sort by (sender, seq): the newest item
+    }
+    damage_record(stable, torn);
+    c.sim().heal_partition();
+    ASSERT_TRUE(c.sim().recover(0));
+    EXPECT_EQ(c.stack(0)->ab().metrics().corrupt_records, 1u);
+    EXPECT_FALSE(stable.get(torn).has_value());
+    if (incremental) {
+      EXPECT_EQ(c.stack(0)->ab().unordered_size(), 2u);
+      ASSERT_TRUE(c.await_delivery({ids[0], ids[1]}));
+    }
+    const MsgId fresh = c.broadcast(0);
+    ASSERT_TRUE(c.await_delivery({fresh}));
+    c.oracle().check();
+  }
 }
 
 // ------------------------------------------ §5.3 trimmed state transfer

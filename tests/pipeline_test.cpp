@@ -144,24 +144,28 @@ TEST(Pipeline, CrashMidWindowRecoversEverything) {
   // Crash the proposer while several slots are in flight. Recovery replays
   // the decided prefix, re-proposes the logged undecided proposals, and
   // rebuild_window_state re-derives the rider bookkeeping from them — the
-  // stream then continues without duplicating or losing anything.
-  for (const auto engine : {ConsensusKind::kPaxos, ConsensusKind::kCoord}) {
-    ClusterConfig cfg =
-        window_config(3, 26, /*alpha=*/8, /*cap=*/2, /*alternative=*/true);
-    cfg.stack.engine = engine;
-    Cluster c(cfg);
-    c.start_all();
-    std::vector<MsgId> ids;
-    for (int i = 0; i < 10; ++i) ids.push_back(c.broadcast(0));
-    c.sim().run_for(millis(3));  // some slots decide, some stay in flight
-    c.sim().crash(0);
-    c.sim().run_for(millis(50));
-    ASSERT_TRUE(c.sim().recover(0));
-    for (int i = 0; i < 6; ++i) ids.push_back(c.broadcast(0));
-    ASSERT_TRUE(c.await_delivery(ids, {}, seconds(120)));
-    ASSERT_TRUE(c.await_quiesced(seconds(120)));
-    c.oracle().check();
-    EXPECT_EQ(c.oracle().global_order().size(), 16u);
+  // stream then continues without duplicating or losing anything. A window
+  // of one recovers through the same bookkeeping, with the head slot alone.
+  for (const std::uint64_t alpha : {1u, 8u}) {
+    for (const auto engine : {ConsensusKind::kPaxos, ConsensusKind::kCoord}) {
+      SCOPED_TRACE(testing::Message() << "alpha=" << alpha);
+      ClusterConfig cfg =
+          window_config(3, 26, alpha, /*cap=*/2, /*alternative=*/true);
+      cfg.stack.engine = engine;
+      Cluster c(cfg);
+      c.start_all();
+      std::vector<MsgId> ids;
+      for (int i = 0; i < 10; ++i) ids.push_back(c.broadcast(0));
+      c.sim().run_for(millis(3));  // some slots decide, some stay in flight
+      c.sim().crash(0);
+      c.sim().run_for(millis(50));
+      ASSERT_TRUE(c.sim().recover(0));
+      for (int i = 0; i < 6; ++i) ids.push_back(c.broadcast(0));
+      ASSERT_TRUE(c.await_delivery(ids, {}, seconds(120)));
+      ASSERT_TRUE(c.await_quiesced(seconds(120)));
+      c.oracle().check();
+      EXPECT_EQ(c.oracle().global_order().size(), 16u);
+    }
   }
 }
 
@@ -183,16 +187,18 @@ TEST(Pipeline, NonProposerCrashMidWindowCatchesUp) {
 }
 
 TEST(Pipeline, WindowOneKeepsLegacyBehavior) {
-  // α = 1 takes the sequential code path byte-for-byte (trace_sweep pins
-  // the traces); here just pin its observable invariants: one round in
-  // flight at a time, the proposal cache still hits, and every proposal in
-  // a crash-free loaded run counts as event-triggered.
+  // α = 1 is a window of one: the paper's sequencer (Fig. 2), which proposes
+  // round k only after round k-1 decides. Pin its observable invariants: at
+  // most one instance in flight at every process after every step, and in a
+  // crash-free loaded run every proposal is non-empty and event-triggered
+  // (the gossip tick's timer leg never proposes in a window of one).
   Cluster c(window_config(3, 28, /*alpha=*/1, /*cap=*/0));
   c.start_all();
   std::vector<MsgId> ids;
   for (int i = 0; i < 12; ++i) {
     ids.push_back(c.broadcast(0));
     c.sim().run_for(micros(200));
+    for (ProcessId p = 0; p < 3; ++p) EXPECT_LE(inflight_gauge(c, p), 1);
   }
   ASSERT_TRUE(c.await_delivery(ids));
   ASSERT_TRUE(c.await_quiesced());
