@@ -120,7 +120,8 @@ Scenario heavy_scenario() {
   return s;
 }
 
-void run_tables() {
+/// Prints the sweep; returns how many scenarios failed.
+std::uint64_t run_tables() {
   banner("E13: adversarial scenario sweep, open-loop load, strict oracle",
          "Claim: under generated hostile schedules the protocol never "
          "wedges and never lies — required deliveries land, traces pass "
@@ -165,6 +166,7 @@ void run_tables() {
   std::printf("\nscenarios=%llu failures=%llu\n",
               static_cast<unsigned long long>(total),
               static_cast<unsigned long long>(failures));
+  return failures;
 }
 
 /// Replays one serialized scenario line (the text a failing sweep seed
@@ -208,7 +210,9 @@ int main(int argc, char** argv) {
       return run_single(arg.substr(prefix.size()));
     }
   }
-  run_tables();
+  // A red scenario fails the run (and so run_bench.sh and sim_outputs.sh),
+  // not just its JSONL row.
+  if (run_tables() != 0) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -10,6 +10,10 @@
 //   * catch-up stays feasible as the missed history grows past 64 KiB,
 //     with every state datagram at or below the configured bound;
 //   * a receiver crash mid-transfer costs a resume, not a restart.
+//
+// Each row is a mean over kSeeds seeds (named in the table), because one
+// seed's catch-up can swing with a single reset session; the datagram
+// bound and convergence are checked on every seed.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -81,9 +85,9 @@ ChunkedCatchUp tally(Cluster& c, TimePoint start, bool converged) {
 /// session. `crash_mid_transfer` additionally crashes the receiver once
 /// mid-stream and lets the session resume from its re-advertised total.
 ChunkedCatchUp run_chunked(int history_kb, std::size_t max_state_bytes,
+                           std::uint64_t seed,
                            bool crash_mid_transfer = false) {
-  Cluster c(chunked_config(max_state_bytes,
-                           700 + static_cast<std::uint64_t>(history_kb)));
+  Cluster c(chunked_config(max_state_bytes, seed));
   c.start_all();
   auto warm = c.broadcast_many(0, 2);
   c.await_delivery(warm);
@@ -112,35 +116,84 @@ ChunkedCatchUp run_chunked(int history_kb, std::size_t max_state_bytes,
   return tally(c, start, converged);
 }
 
-void run_tables() {
+constexpr std::uint64_t kSeeds = 10;
+
+/// One E5b cell over seeds 700 + history_kb onward: means, except
+/// max_chunk_bytes (the max over seeds) and ok (every seed converged with
+/// every state datagram within the budget).
+struct CellMean {
+  std::string seeds;
+  double catch_up_ms = 0;
+  double chunks_sent = 0;
+  double chunk_bytes = 0;
+  std::uint64_t max_chunk_bytes = 0;
+  double resumes = 0;
+  bool ok = true;
+};
+
+CellMean run_cell(int history_kb, std::size_t max_state_bytes,
+                  bool crash_mid_transfer = false) {
+  const std::uint64_t first = 700 + static_cast<std::uint64_t>(history_kb);
+  CellMean m;
+  m.seeds = std::to_string(first) + "-" + std::to_string(first + kSeeds - 1);
+  const double w = 1.0 / static_cast<double>(kSeeds);
+  for (std::uint64_t seed = first; seed < first + kSeeds; ++seed) {
+    const auto r =
+        run_chunked(history_kb, max_state_bytes, seed, crash_mid_transfer);
+    m.catch_up_ms += w * r.catch_up_ms;
+    m.chunks_sent += w * static_cast<double>(r.chunks_sent);
+    m.chunk_bytes += w * static_cast<double>(r.chunk_bytes);
+    m.max_chunk_bytes = std::max(m.max_chunk_bytes, r.max_chunk_bytes);
+    m.resumes += w * static_cast<double>(r.resumes);
+    if (!r.converged || r.max_chunk_bytes > max_state_bytes) {
+      m.ok = false;
+      std::fprintf(stderr, "E5b: seed %llu, %d KiB at %zu B: converged=%d, "
+                   "max chunk %llu B\n", static_cast<unsigned long long>(seed),
+                   history_kb, max_state_bytes, r.converged ? 1 : 0,
+                   static_cast<unsigned long long>(r.max_chunk_bytes));
+    }
+  }
+  return m;
+}
+
+void emit_cell(const char* scenario, int history_kb,
+               std::size_t max_state_bytes, const CellMean& m) {
+  Json row;
+  row.field("experiment", "E5b")
+      .field("scenario", scenario)
+      .field("history_kib", history_kb)
+      .field("max_state_bytes", max_state_bytes)
+      .field("seeds", m.seeds)
+      .field("catch_up_ms", m.catch_up_ms)
+      .field("chunks_sent", m.chunks_sent, 1)
+      .field("chunk_bytes", m.chunk_bytes, 0)
+      .field("max_chunk_bytes", m.max_chunk_bytes)
+      .field("resumes", m.resumes, 1)
+      .field("converged", m.ok);
+  emit_json_row(row);
+}
+
+/// Prints both tables; returns false when some seed broke the invariant.
+bool run_tables() {
   banner("E5b: chunked catch-up past the 64 KiB datagram bound",
          "Claim: a catch-up session streams state in chunks bounded by "
          "max_state_bytes, so rejoining stays feasible on a bounded "
          "transport no matter how large the missed history is.");
   const std::size_t kBudget = 56 * 1024;
-  Table t({"history KiB", "chunk budget", "catch-up ms", "chunks",
+  bool ok = true;
+  Table t({"history KiB", "chunk budget", "seeds", "catch-up ms", "chunks",
            "state KB", "max chunk B", "resumes"});
   const std::vector<int> histories =
       bench_quick() ? std::vector<int>{24} : std::vector<int>{24, 96, 192};
   for (const int kb : histories) {
     for (const std::size_t budget : {std::size_t{8 * 1024}, kBudget}) {
-      const auto r = run_chunked(kb, budget);
-      t.row({std::to_string(kb), fmt_u64(budget / 1024) + " KiB",
-             Table::num(r.catch_up_ms), fmt_u64(r.chunks_sent),
-             Table::num(static_cast<double>(r.chunk_bytes) / 1e3, 1),
-             fmt_u64(r.max_chunk_bytes), fmt_u64(r.resumes)});
-      Json row;
-      row.field("experiment", "E5b")
-          .field("scenario", "rejoin")
-          .field("history_kib", kb)
-          .field("max_state_bytes", budget)
-          .field("catch_up_ms", r.catch_up_ms)
-          .field("chunks_sent", r.chunks_sent)
-          .field("chunk_bytes", r.chunk_bytes)
-          .field("max_chunk_bytes", r.max_chunk_bytes)
-          .field("resumes", r.resumes)
-          .field("converged", r.converged);
-      emit_json_row(row);
+      const auto m = run_cell(kb, budget);
+      ok = ok && m.ok;
+      t.row({std::to_string(kb), fmt_u64(budget / 1024) + " KiB", m.seeds,
+             Table::num(m.catch_up_ms), Table::num(m.chunks_sent, 1),
+             Table::num(m.chunk_bytes / 1e3, 1), fmt_u64(m.max_chunk_bytes),
+             Table::num(m.resumes, 1)});
+      emit_cell("rejoin", kb, budget, m);
     }
   }
   t.print(std::cout);
@@ -148,32 +201,23 @@ void run_tables() {
   banner("E5b: receiver crash mid-transfer",
          "Claim: a crash mid-session costs a resume from the receiver's "
          "re-advertised position, not a restart of the whole transfer.");
-  Table t2({"history KiB", "catch-up ms", "chunks", "state KB", "resumes"});
+  Table t2({"history KiB", "seeds", "catch-up ms", "chunks", "state KB",
+            "resumes"});
   const int kb = bench_quick() ? 24 : 96;
   const std::size_t kSmallBudget = 8 * 1024;  // many chunks -> a real mid-point
-  const auto r = run_chunked(kb, kSmallBudget, /*crash_mid_transfer=*/true);
-  t2.row({std::to_string(kb), Table::num(r.catch_up_ms),
-          fmt_u64(r.chunks_sent),
-          Table::num(static_cast<double>(r.chunk_bytes) / 1e3, 1),
-          fmt_u64(r.resumes)});
+  const auto m = run_cell(kb, kSmallBudget, /*crash_mid_transfer=*/true);
+  ok = ok && m.ok;
+  t2.row({std::to_string(kb), m.seeds, Table::num(m.catch_up_ms),
+          Table::num(m.chunks_sent, 1), Table::num(m.chunk_bytes / 1e3, 1),
+          Table::num(m.resumes, 1)});
   t2.print(std::cout);
-  Json row;
-  row.field("experiment", "E5b")
-      .field("scenario", "crash_mid_transfer")
-      .field("history_kib", kb)
-      .field("max_state_bytes", kSmallBudget)
-      .field("catch_up_ms", r.catch_up_ms)
-      .field("chunks_sent", r.chunks_sent)
-      .field("chunk_bytes", r.chunk_bytes)
-      .field("max_chunk_bytes", r.max_chunk_bytes)
-      .field("resumes", r.resumes)
-      .field("converged", r.converged);
-  emit_json_row(row);
+  emit_cell("crash_mid_transfer", kb, kSmallBudget, m);
+  return ok;
 }
 
 void BM_ChunkedCatchUp24KiB(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_chunked(24, 56 * 1024).catch_up_ms);
+    benchmark::DoNotOptimize(run_chunked(24, 56 * 1024, 724).catch_up_ms);
   }
 }
 BENCHMARK(BM_ChunkedCatchUp24KiB)->Unit(benchmark::kMillisecond);
@@ -182,7 +226,7 @@ BENCHMARK(BM_ChunkedCatchUp24KiB)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   init_metrics_json(argc, argv);
-  run_tables();
+  if (!run_tables()) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

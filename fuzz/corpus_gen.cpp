@@ -76,18 +76,17 @@ void consensus_wire_seeds(CorpusWriter& w) {
   using namespace consensus_wire;
   w.seed("consensus_wire", 0,
          encode_to_bytes(DecidedMsg{3, Bytes{1, 2, 3}}));
-  w.seed("consensus_wire", 1, encode_to_bytes(DecidedAckMsg{8}));
-  w.seed("consensus_wire", 2, encode_to_bytes(PrepareMsg{1, 42}));
-  w.seed("consensus_wire", 3,
+  w.seed("consensus_wire", 1, encode_to_bytes(PrepareMsg{1, 42}));
+  w.seed("consensus_wire", 2,
          encode_to_bytes(PromiseMsg{1, 42, 17, Bytes{9}}));
-  w.seed("consensus_wire", 4, encode_to_bytes(AcceptMsg{6, 13, Bytes{1, 2}}));
-  w.seed("consensus_wire", 5, encode_to_bytes(AcceptedMsg{6, 13}));
-  w.seed("consensus_wire", 6, encode_to_bytes(NackMsg{4, 99}));
-  w.seed("consensus_wire", 7,
+  w.seed("consensus_wire", 3, encode_to_bytes(AcceptMsg{6, 13, Bytes{1, 2}}));
+  w.seed("consensus_wire", 4, encode_to_bytes(AcceptedMsg{6, 13}));
+  w.seed("consensus_wire", 5, encode_to_bytes(NackMsg{4, 99}));
+  w.seed("consensus_wire", 6,
          encode_to_bytes(EstimateMsg{2, 3, 1, Bytes{7, 7}}));
-  w.seed("consensus_wire", 8,
+  w.seed("consensus_wire", 7,
          encode_to_bytes(NewEstimateMsg{2, 3, Bytes{5}}));
-  w.seed("consensus_wire", 9, encode_to_bytes(RoundMsg{11, 4}));
+  w.seed("consensus_wire", 8, encode_to_bytes(RoundMsg{11, 4}));
 }
 
 void ab_wire_seeds(CorpusWriter& w) {

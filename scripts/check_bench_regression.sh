@@ -16,6 +16,10 @@
 # Virtual-time measurements are deterministic per seed, so a breach is a
 # real behavior change, not machine noise.
 #
+# The committed BENCH_scenarios.json must hold no row with "ok":false: a
+# red generated scenario is a safety or liveness failure, and a baseline
+# must never carry one (bench_scenarios itself exits 1 on any).
+#
 # The E15 batched-I/O rows in BENCH_logops.json are wall-clock, so their
 # guards are self-relative within the same run (robust to slow CI hosts):
 #
@@ -31,6 +35,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 RESULTS="${1:-${ROOT}/bench-results}"
 BASELINE="${ROOT}/BENCH_throughput.json"
+SCENARIOS="${ROOT}/BENCH_scenarios.json"
 CURRENT="${RESULTS}/BENCH_throughput.json"
 LOGOPS="${RESULTS}/BENCH_logops.json"
 RATIO="${ABCAST_BENCH_MIN_RATIO:-0.5}"
@@ -41,6 +46,10 @@ if [[ ! -f "${BASELINE}" ]]; then
   echo "missing committed baseline: ${BASELINE}" >&2
   exit 2
 fi
+if [[ ! -f "${SCENARIOS}" ]]; then
+  echo "missing committed baseline: ${SCENARIOS}" >&2
+  exit 2
+fi
 if [[ ! -f "${CURRENT}" ]]; then
   echo "missing bench results: ${CURRENT} (run scripts/run_bench.sh first)" >&2
   exit 2
@@ -49,6 +58,21 @@ if [[ ! -f "${LOGOPS}" ]]; then
   echo "missing bench results: ${LOGOPS} (run scripts/run_bench.sh first)" >&2
   exit 2
 fi
+
+python3 - "${SCENARIOS}" <<'PYEOF'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    rows = [json.loads(line) for line in f if line.strip()]
+red = [r for r in rows if r.get("experiment") == "scenario_sweep"
+       and not r.get("ok", False)]
+for r in red:
+    print(f"red scenario row: {r.get('scenario')}", file=sys.stderr)
+if red:
+    sys.exit(f"REGRESSION: {sys.argv[1]} holds {len(red)} row(s) with ok=false")
+print(f"committed scenario sweep: {len(rows)} rows, all ok")
+PYEOF
 
 python3 - "${BASELINE}" "${CURRENT}" "${RATIO}" <<'PYEOF'
 import json

@@ -22,6 +22,13 @@
 // undecided instances; a decided one keeps just its logged value, and every
 // later message about it is answered with that value.
 //
+// Channels are fair-lossy (§3.1): a decider pushes each decision to every
+// peer once, unacked, and whoever misses it pulls it. (a) Any message about
+// a decided instance is answered with the decision; (b) offer_decisions
+// serves a peer the upper layer sees lagging. Termination assumes every
+// good process proposes to every instance it learns of, as Atomic
+// Broadcast does (with an empty batch if need be).
+//
 // Two interchangeable engines are provided, demonstrating the paper's
 // consensus-agnosticism:
 //   * PaxosEngine — Synod with a leader hint; acceptor state logged.
@@ -100,10 +107,9 @@ class ConsensusService {
   /// bookkeeping (see DESIGN.md §14).
   virtual const Bytes* proposal_of(InstanceId k) const = 0;
 
-  /// Pushes locally-known decisions for instances in [from_k, from_k+max)
-  /// to `to`. Used by the upper layer when gossip reveals a lagging peer:
-  /// the original decider may be gone (its retransmission state is
-  /// volatile), so helpers re-offer decisions on its behalf.
+  /// Pushes up to `max` locally-known decisions for instances >= from_k to
+  /// `to`: how a peer the upper layer sees lagging learns decisions whose
+  /// one-shot push it missed.
   virtual void offer_decisions(ProcessId to, InstanceId from_k,
                                std::uint32_t max) = 0;
 

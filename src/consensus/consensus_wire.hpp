@@ -1,7 +1,7 @@
 // Wire formats for every consensus-layer datagram payload.
 //
-// One header holds all of them — the shared decided/ack pair (EngineBase),
-// the Paxos message set, and the rotating-coordinator message set — so each
+// One header holds all of them — the shared decision (EngineBase), the
+// Paxos message set, and the rotating-coordinator message set — so each
 // layout has exactly one definition site, next to its peers, and is
 // reachable from tests/wire_roundtrip_test.cpp. tools/ablint enforces both
 // properties (wire-tag homes, registered round-trip tests). The MsgType tag
@@ -19,8 +19,8 @@ using InstanceId = std::uint64_t;
 
 // ---- shared by both engines (EngineBase) ----------------------------------
 
-/// kPaxosDecided / kCoordDecide payload: a decision broadcast until every
-/// peer has acked it.
+/// kPaxosDecided / kCoordDecide payload: a decision, pushed once by its
+/// decider and re-sent to whoever shows it lags. Never acked.
 struct DecidedMsg {
   InstanceId k = 0;
   Bytes value;
@@ -35,14 +35,6 @@ struct DecidedMsg {
     m.value = r.bytes();
     return m;
   }
-};
-
-/// kPaxosDecidedAck / kCoordDecideAck payload.
-struct DecidedAckMsg {
-  InstanceId k = 0;
-
-  void encode(BufWriter& w) const { w.u64(k); }
-  static DecidedAckMsg decode(BufReader& r) { return DecidedAckMsg{r.u64()}; }
 };
 
 // ---- Paxos engine ---------------------------------------------------------

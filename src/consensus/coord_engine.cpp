@@ -14,8 +14,7 @@ using consensus_wire::NewEstimateMsg;
 using consensus_wire::RoundMsg;
 
 CoordEngine::CoordEngine(Env& env, const LeaderOracle& oracle)
-    : EngineBase(env, oracle, MsgType::kCoordDecide,
-                 MsgType::kCoordDecideAck, "st") {}
+    : EngineBase(env, oracle, MsgType::kCoordDecide, "st") {}
 
 void CoordEngine::persist(InstanceId k, const Instance& inst) {
   BufWriter w;
@@ -234,11 +233,12 @@ void CoordEngine::engine_message(ProcessId from, const Wire& msg) {
       catch_up(m.k, inst, m.round);
       // Adopt, log, *then* acknowledge — the log-before-ack order is what
       // lets a majority of acks imply a durable majority lock on the value.
-      const bool already = inst.has_est && inst.ts == m.round;
+      // Stamped round + 1: a round-0 lock must outrank initial estimates.
+      const bool already = inst.has_est && inst.ts == m.round + 1;
       if (!already) {
         inst.has_est = true;
         inst.est = m.value;
-        inst.ts = m.round;
+        inst.ts = m.round + 1;
         inst.active = true;
         persist(m.k, inst);
       }

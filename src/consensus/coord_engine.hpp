@@ -33,7 +33,7 @@ class CoordEngine final : public EngineBase {
   CoordEngine(Env& env, const LeaderOracle& oracle);
 
   bool handles(MsgType type) const override {
-    return type >= MsgType::kCoordEstimate && type <= MsgType::kCoordDecideAck;
+    return type >= MsgType::kCoordEstimate && type <= MsgType::kCoordDecide;
   }
   std::size_t live_instances() const override { return instances_.size(); }
 
@@ -52,7 +52,7 @@ class CoordEngine final : public EngineBase {
     std::uint64_t round = 0;
     bool has_est = false;
     Bytes est;
-    std::uint64_t ts = 0;  // round in which est was adopted (0 = initial)
+    std::uint64_t ts = 0;  // 0: initial; r + 1: adopted in round r
 
     // Volatile.
     bool active = false;           // participating (proposed or adopted)

@@ -12,16 +12,13 @@
 
 namespace abcast {
 
-using consensus_wire::DecidedAckMsg;
 using consensus_wire::DecidedMsg;
 
 EngineBase::EngineBase(Env& env, const LeaderOracle& oracle,
-                       MsgType decided_type, MsgType ack_type,
-                       const char* family)
+                       MsgType decided_type, const char* family)
     : env_(env), oracle_(oracle),
       storage_(env.storage(), "cons"), trunc_mark_(storage_, "trunc"),
-      decided_type_(decided_type), ack_type_(ack_type), family_(family),
-      tracer_(env.tracer()) {
+      decided_type_(decided_type), family_(family), tracer_(env.tracer()) {
   bind_metrics();
 }
 
@@ -151,14 +148,12 @@ void EngineBase::learn_decision(InstanceId k, const Bytes& value,
   quarantined_.erase(k);  // the outcome is known; amnesia no longer matters
   if (i_decided) {
     metrics_.decided_local += 1;
-    // We produced this decision; disseminate it until every peer acks.
-    Retransmit rt;
+    // We produced this decision: push it once, unacked. A peer that misses
+    // it pulls it (see consensus.hpp).
+    const auto wire = make_wire(decided_type_, DecidedMsg{k, value});
     for (ProcessId p = 0; p < env_.group_size(); ++p) {
-      if (p != env_.self()) rt.unacked.insert(p);
+      if (p != env_.self()) env_.send(p, wire);
     }
-    rt.next_at = env_.now();
-    rt.interval = kRetransmitInitial;
-    if (!rt.unacked.empty()) retransmit_.emplace(k, std::move(rt));
   } else {
     metrics_.decided_learned += 1;
   }
@@ -167,21 +162,9 @@ void EngineBase::learn_decision(InstanceId k, const Bytes& value,
 }
 
 void EngineBase::on_message(ProcessId from, const Wire& msg) {
-  if (msg.type == ack_type_) {
-    const auto m = decode_from_bytes<DecidedAckMsg>(msg.payload);
-    auto it = retransmit_.find(m.k);
-    if (it != retransmit_.end()) {
-      it->second.unacked.erase(from);
-      if (it->second.unacked.empty()) retransmit_.erase(it);
-    }
-    return;
-  }
   if (msg.type == decided_type_) {
     const auto m = decode_from_bytes<DecidedMsg>(msg.payload);
-    // Ack even below the low-water mark (the value is long applied); this
-    // stops the sender's retransmission loop.
     learn_decision(m.k, m.value, /*i_decided=*/false);
-    env_.send(from, make_wire(ack_type_, DecidedAckMsg{m.k}));
     return;
   }
   // Contract: every engine payload begins with the u64 instance id, so we
@@ -240,7 +223,6 @@ void EngineBase::truncate_below(InstanceId k) {
   }
   proposals_.erase(proposals_.begin(), proposals_.lower_bound(k));
   decisions_.erase(decisions_.begin(), decisions_.lower_bound(k));
-  retransmit_.erase(retransmit_.begin(), retransmit_.lower_bound(k));
   quarantined_.erase(quarantined_.begin(), quarantined_.lower_bound(k));
   set_inflight_gauge();
   engine_truncate(k);
@@ -248,16 +230,6 @@ void EngineBase::truncate_below(InstanceId k) {
 
 void EngineBase::tick() {
   engine_tick();
-
-  const TimePoint now = env_.now();
-  for (auto& [k, rt] : retransmit_) {
-    if (now < rt.next_at) continue;
-    const auto wire = make_wire(decided_type_, DecidedMsg{k, decisions_.at(k)});
-    for (const ProcessId p : rt.unacked) env_.send(p, wire);
-    rt.interval = std::min(rt.interval * 2, kRetransmitMax);
-    rt.next_at = now + rt.interval;
-  }
-
   env_.schedule_after(kTickPeriod, [this] { tick(); });
 }
 

@@ -1,7 +1,7 @@
 // Scaffolding shared by both consensus engines: proposal logging (the
 // paper's "log is done as the first operation of the Consensus"), the
-// decision log, decided-value retransmission with backoff, the driver
-// tick, and the recovery scan and truncation of every consensus record.
+// decision log, the decider's one-shot decision push, the driver tick, and
+// the recovery scan and truncation of every consensus record.
 //
 // Only undecided instances have proposal or engine state. A decided one
 // keeps just its value; on_message answers any message about it with that
@@ -44,23 +44,19 @@ class EngineBase : public ConsensusService {
   const ConsensusMetrics& metrics() const final { return metrics_; }
 
  protected:
-  /// `decided_type`/`ack_type` are the engine-specific MsgTypes used for the
-  /// shared decision-dissemination sub-protocol; `family` names the engine's
-  /// own record family ("<family>/<k>"), which start() scans and
-  /// truncate_below() erases alongside the proposal and decision records.
+  /// `decided_type` is the engine-specific MsgType that carries a decision;
+  /// `family` names the engine's own record family ("<family>/<k>"), which
+  /// start() scans and truncate_below() erases alongside the proposal and
+  /// decision records.
   EngineBase(Env& env, const LeaderOracle& oracle, MsgType decided_type,
-             MsgType ack_type, const char* family);
+             const char* family);
 
   // ---- timing, fixed inside the black box --------------------------------
-  /// Period of the engine driver tick (retries, retransmissions).
+  /// Period of the engine driver tick (retries of undecided instances).
   static constexpr Duration kTickPeriod = millis(25);
   /// How long a proposer/round waits before retrying with a new
   /// ballot/round.
   static constexpr Duration kProgressTimeout = millis(150);
-  /// Initial spacing between DECIDED retransmissions to unacked peers;
-  /// doubles per attempt up to kRetransmitMax.
-  static constexpr Duration kRetransmitInitial = millis(50);
-  static constexpr Duration kRetransmitMax = seconds(1);
 
   // ---- hooks implemented by the concrete engine -------------------------
   /// Called from start() for each intact record of the engine's family at
@@ -73,7 +69,7 @@ class EngineBase : public ConsensusService {
   virtual void engine_propose(InstanceId k, const Bytes& value) = 0;
   /// Called every tick; drive retries here.
   virtual void engine_tick() = 0;
-  /// Engine-specific messages (everything but decided/ack). Never called
+  /// Engine-specific messages (everything but the decision). Never called
   /// for truncated or decided instances.
   virtual void engine_message(ProcessId from, const Wire& msg) = 0;
   /// `k` just decided: drop all of its state.
@@ -90,11 +86,11 @@ class EngineBase : public ConsensusService {
   }
 
   // ---- services for the concrete engine ---------------------------------
-  /// Records a decision (idempotent): logs it, fires the callback, starts
-  /// retransmitting to peers when `i_decided` (we produced the decision
-  /// rather than learning it). `value` may live inside the engine's state
-  /// for `k`, which engine_decided(k) frees: it is read only before that
-  /// call, and the callback gets the logged copy.
+  /// Records a decision (idempotent): logs it, pushes it once to every
+  /// peer when `i_decided` (we produced the decision rather than learning
+  /// it), and fires the callback. `value` may live inside the engine's
+  /// state for `k`, which engine_decided(k) frees: it is read only before
+  /// that call, and the callback gets the logged copy.
   void learn_decision(InstanceId k, const Bytes& value, bool i_decided);
 
   bool has_decision(InstanceId k) const { return decisions_.count(k) != 0; }
@@ -103,11 +99,10 @@ class EngineBase : public ConsensusService {
   /// instance `k` torn or corrupt, the process must not participate in `k`
   /// again: promises/estimates it durably made are forgotten, and acting
   /// as if they never happened can double-vote an instance. Quarantining
-  /// drops every engine message for `k` (the generic decided/ack machinery
-  /// still works, so the decision is eventually learned from peers — safe
-  /// as long as a majority of acceptors kept their records). Lifted
-  /// automatically when the decision for `k` is learned or the instance is
-  /// truncated.
+  /// drops every engine message for `k` (decisions still get through, so
+  /// the decision is eventually learned from peers — safe as long as a
+  /// majority of acceptors kept their records). Lifted automatically when
+  /// the decision for `k` is learned or the instance is truncated.
   bool is_quarantined(InstanceId k) const {
     return quarantined_.count(k) != 0;
   }
@@ -129,12 +124,6 @@ class EngineBase : public ConsensusService {
 
  private:
   void bind_metrics();
-  struct Retransmit {
-    std::set<ProcessId> unacked;
-    TimePoint next_at = 0;
-    Duration interval = 0;
-  };
-
   void tick();
   /// Loads the records "<family>/<k>": erases those below the low-water
   /// mark (stragglers of an interrupted truncation), unseals the rest and
@@ -157,13 +146,11 @@ class EngineBase : public ConsensusService {
   /// erase — the amnesia filter never opens up.
   DurableCounter trunc_mark_;
   MsgType decided_type_;
-  MsgType ack_type_;
   const char* family_;
   DecidedCallback decided_cb_;
   std::function<void(ProcessId, InstanceId)> obsolete_cb_;
   std::map<InstanceId, Bytes> proposals_;  // undecided instances only
   std::map<InstanceId, Bytes> decisions_;
-  std::map<InstanceId, Retransmit> retransmit_;
   std::set<InstanceId> quarantined_;
   InstanceId low_water_ = 0;
   obs::Gauge* inflight_gauge_ = nullptr;  // registry-owned; may be null

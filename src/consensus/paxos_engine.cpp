@@ -18,8 +18,7 @@ using consensus_wire::PrepareMsg;
 using consensus_wire::PromiseMsg;
 
 PaxosEngine::PaxosEngine(Env& env, const LeaderOracle& oracle)
-    : EngineBase(env, oracle, MsgType::kPaxosDecided,
-                 MsgType::kPaxosDecidedAck, "acc") {}
+    : EngineBase(env, oracle, MsgType::kPaxosDecided, "acc") {}
 
 // Ballot b > 0 encodes attempt a and owner p as b = a * n + p + 1.
 PaxosEngine::Ballot PaxosEngine::next_ballot(Ballot above) const {

@@ -29,7 +29,7 @@ class PaxosEngine final : public EngineBase {
   PaxosEngine(Env& env, const LeaderOracle& oracle);
 
   bool handles(MsgType type) const override {
-    return type >= MsgType::kPaxosPrepare && type <= MsgType::kPaxosDecidedAck;
+    return type >= MsgType::kPaxosPrepare && type <= MsgType::kPaxosDecided;
   }
   std::size_t live_instances() const override { return instances_.size(); }
 

@@ -24,6 +24,10 @@ constexpr const char* kUnorderedKey = "unord";
 /// this many ticks.
 constexpr std::uint32_t kGossipKeepalivePeriods = 8;
 
+/// Decisions offered per gossip or pull from a lagging peer: bounds the
+/// burst one pull triggers, and so how many rounds one round trip closes.
+constexpr std::uint32_t kOfferWindow = 64;
+
 // §5.3 catch-up session timing.
 /// Chunks a session sends per burst before waiting for the receiver's ack
 /// (bounds in-flight state bytes per lagging peer).
@@ -394,8 +398,19 @@ void AtomicBroadcast::on_decided(InstanceId k, const Bytes& value) {
 }
 
 void AtomicBroadcast::drain() {
+  const std::uint64_t k_before = k_;
   while (auto decided = cons_.decision(k_)) {
     apply_batch(*decided);
+  }
+  if (k_ > k_before && gossip_k_ > k_) {
+    // Still behind after applying a window: pull the next one now from the
+    // peer furthest ahead (it answers with an offer, see handle_round_info).
+    const auto ahead = std::max_element(
+        peers_.begin(), peers_.end(),
+        [](const PeerView& a, const PeerView& b) { return a.k < b.k; });
+    if (ahead != peers_.end() && ahead->k > k_) {
+      maybe_send_pull(static_cast<ProcessId>(ahead - peers_.begin()));
+    }
   }
   maybe_propose();
 }
@@ -679,11 +694,10 @@ std::size_t AtomicBroadcast::merge_delta(std::vector<AppMsg> msgs) {
 }
 
 void AtomicBroadcast::maybe_send_pull(ProcessId to) {
-  // A rejected delta means the sender holds something we cannot take yet —
-  // usually a push that overtook its predecessor. Its optimistic view now
-  // believes we have it, so waiting for the periodic tick would put a whole
-  // gossip period into the delivery tail. Instead, advertise our true cover
-  // back right away (rate-limited); the sender re-plans a delta from it.
+  // Advertise our true round and cover to `to` now (rate-limited per peer)
+  // instead of a gossip period later: after a rejected delta the sender
+  // re-plans its delta from our cover, and when we lag it offers the
+  // decisions we miss (handle_round_info).
   PeerView& view = peers_[to];
   const TimePoint now = env_.now();
   if (now < view.next_pull_ok) return;
@@ -697,18 +711,16 @@ void AtomicBroadcast::handle_round_info(ProcessId from, std::uint64_t peer_k,
     const bool newly_behind = peer_k > gossip_k_;
     gossip_k_ = std::max(gossip_k_, peer_k);  // the sender is ahead
     if (newly_behind && from != env_.self() && from < peers_.size()) {
-      // Solicit the missing decisions right away (rate-limited per peer):
-      // the ahead sender only pushes them after it hears OUR round, which
-      // used to be up to a whole gossip period later — a timer-only stall
-      // on the follower. One unicast digest turns it into a round trip.
+      // Solicit the missing decisions now, not when the sender's next
+      // gossip hears our round.
       maybe_send_pull(from);
     }
   } else if (options_.state_transfer && k_ > peer_k + options_.delta) {
     state_pump_for(from, peer_total);  // Fig. 3 line d: sender lags far behind
   } else if (peer_k < k_) {
-    // The sender lags within Δ (or state transfer is off): push it the
-    // decisions it is missing — its original deciders may be gone.
-    cons_.offer_decisions(from, peer_k, 16);
+    // The sender lags within Δ (or state transfer is off): offer it the
+    // decisions it is missing.
+    cons_.offer_decisions(from, peer_k, kOfferWindow);
   }
 }
 

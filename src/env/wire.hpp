@@ -53,7 +53,8 @@ enum class MsgType : std::uint16_t {
   kPaxosAccepted = 19,
   kPaxosNack = 20,
   kPaxosDecided = 21,
-  kPaxosDecidedAck = 22,
+  // 22 retired with the decision ack: decisions are pushed once, unacked
+  // (consensus.hpp). Do not reuse the tag.
 
   // Rotating-coordinator consensus engine (src/consensus)
   kCoordEstimate = 32,
@@ -61,7 +62,7 @@ enum class MsgType : std::uint16_t {
   kCoordAck = 34,
   kCoordNack = 35,
   kCoordDecide = 36,
-  kCoordDecideAck = 37,
+  // 37 retired with 22. Do not reuse the tag.
 
   // Atomic broadcast (src/core)
   kAbGossip = 48,       // full-set gossip (Options::digest_gossip == false)
@@ -71,8 +72,8 @@ enum class MsgType : std::uint16_t {
   kAbGossipDigest = 50, // digest / delta anti-entropy gossip
   kAbStateChunk = 51,   // one bounded chunk of a §5.3 catch-up session
 
-  // Crash-stop Chandra-Toueg-style baseline (src/core)
-  kCsRelay = 64,
+  // 64 retired: the crash-stop baseline (src/core) has no message of its
+  // own. Do not reuse the tag.
 
   // Multi-group total order multicast (src/multicast): the inter-group
   // proposal push / fill datagram. Intra-group control rides inside the

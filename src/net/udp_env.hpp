@@ -3,9 +3,9 @@
 // The paper's transport (§3.1) is an unreliable, duplicating, non-FIFO
 // datagram service with fair-lossy channels — which is exactly what UDP
 // is. This host runs one process of the group over a real socket: every
-// protocol retransmission mechanism (gossip, consensus retries, decided
-// backoff, fill ticks) that the simulator exercised against injected loss
-// here covers genuine kernel-buffer drops and datagram loss.
+// protocol repair mechanism (gossip, consensus retries, decision offers
+// and pulls, fill ticks) that the simulator exercised against injected
+// loss here covers genuine kernel-buffer drops and datagram loss.
 //
 // UdpHost is a transport on the shared rt::EventLoop, which owns the loop
 // thread, the timers, the node lifecycle and the per-pass barrier

@@ -140,6 +140,27 @@ TEST(AbBasic, RecoveringProcessCatchesUpOnMissedRounds) {
   EXPECT_EQ(c.oracle().position(2), c.oracle().global_order().size());
 }
 
+TEST(AbBasic, InboundCutReplicaPullsDeepBacklogQuickly) {
+  // p2 hears nothing for ~90 rounds while its own gossip still gets out, so
+  // it misses every decision's one push. Without state transfer it catches
+  // up by pulling: each window of decisions it applies asks the peer
+  // furthest ahead for the next one.
+  for (std::uint64_t seed = 61; seed <= 65; ++seed) {
+    Cluster c(basic_config(3, seed));
+    c.start_all();
+    c.sim().partition({2}, sim::PartitionMode::kInbound);
+    std::vector<MsgId> ids;
+    for (int i = 0; i < 400; ++i) {  // every 5 ms for 2 s
+      ids.push_back(c.broadcast(0));
+      c.sim().run_for(millis(5));
+    }
+    ASSERT_TRUE(c.await_delivery(ids, {0, 1})) << "seed " << seed;
+    c.sim().heal_partition();
+    EXPECT_TRUE(c.await_delivery(ids, {2}, millis(100))) << "seed " << seed;
+    c.oracle().check();
+  }
+}
+
 TEST(AbBasic, DuplicationHeavyNetworkPreservesIntegrity) {
   ClusterConfig cfg = basic_config(3, 9);
   cfg.sim.net.dup_prob = 0.9;  // nearly every datagram delivered twice

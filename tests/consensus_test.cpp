@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "consensus/consensus.hpp"
+#include "consensus/consensus_wire.hpp"
 #include "fd/failure_detector.hpp"
 #include "sim/simulation.hpp"
 #include "storage/mem_storage.hpp"
@@ -236,7 +237,7 @@ TEST_P(EngineTest, DecidedCallbackFiresOncePerInstance) {
   c.cons(0).propose(1, val("twice"));
   ASSERT_TRUE(c.await_decision(0, {0, 1, 2}));
   ASSERT_TRUE(c.await_decision(1, {0, 1, 2}));
-  c.sim.run_for(seconds(2));  // let retransmissions settle
+  c.sim.run_for(seconds(2));  // let late duplicates arrive
   for (ProcessId p = 0; p < 3; ++p) {
     std::map<InstanceId, int> counts;
     for (const auto& [k, v] : c.observed[p].decisions) counts[k] += 1;
@@ -268,7 +269,7 @@ TEST_P(EngineTest, TruncationDropsRecordsAndIgnoresOldInstances) {
     c.cons(0).propose(k, val("k" + std::to_string(k)));
     ASSERT_TRUE(c.await_decision(k, {0, 1, 2}));
   }
-  c.sim.run_for(seconds(2));  // drain retransmissions
+  c.sim.run_for(seconds(2));  // drain in-flight traffic
   // p0's stored consensus records per family ("prop", "dec" and the
   // engine's own), split into {below instance 3, at or above it}. Read
   // from the medium itself: the engine's maps do not list decided
@@ -378,7 +379,7 @@ TEST_P(EngineTest, OfferDecisionsPushesKnownOutcomes) {
     c.cons(0).propose(k, val("d" + std::to_string(k)));
     ASSERT_TRUE(c.await_decision(k, {0, 1}));
   }
-  c.sim.run_for(seconds(3));  // decider retransmissions back off
+  c.sim.run_for(seconds(3));
   c.sim.recover(2);
   EXPECT_FALSE(c.cons(2).decision(0).has_value());
   c.cons(0).offer_decisions(2, 0, 16);
@@ -439,4 +440,29 @@ TEST_P(EngineTest, CoordinatorOrLeaderPartitionedAwayMidInstance) {
   c.sim.heal_partition();
   ASSERT_TRUE(c.await_decision(0, {0}, seconds(120)));
   EXPECT_EQ(*c.cons(0).decision(0), d);
+}
+
+// A value a majority locked in round 0 must outrank every initial estimate
+// in a later round. Round 0's coordinator p0 and participant p1 lock v, and
+// p0 decides it and dies; p1 then coordinates round 1 from its own locked
+// v and p2's initial w. An adoption stamped with round 0's own number tied
+// with w's initial timestamp, the tie went to the higher process id, and
+// p1 decided w.
+TEST(CoordEngine, RoundZeroLockOutranksInitialEstimates) {
+  using consensus_wire::EstimateMsg;
+  using consensus_wire::NewEstimateMsg;
+  using consensus_wire::RoundMsg;
+  ConsCluster c({.n = 3, .seed = 61}, ConsensusKind::kCoord);
+  c.sim.crash(0);
+  c.sim.crash(2);
+  ConsensusService& p1 = c.cons(1);
+  p1.on_message(0, make_wire(MsgType::kCoordNewEstimate,
+                             NewEstimateMsg{0, 0, val("v")}));
+  p1.on_message(2, make_wire(MsgType::kCoordEstimate,
+                             EstimateMsg{0, 1, 0, val("w")}));
+  c.sim.run_for(millis(1));  // p1's own round-1 NewEstimate and ack
+  p1.on_message(2, make_wire(MsgType::kCoordAck, RoundMsg{0, 1}));
+  c.sim.run_for(millis(1));
+  ASSERT_TRUE(p1.decided(0));
+  EXPECT_EQ(*p1.decision(0), val("v"));
 }

@@ -57,9 +57,9 @@ TEST(Regression, EagerDisseminationDoesNotDropReorderedMessages) {
   }
 }
 
-// Bug: decided-value retransmission state is volatile; when the decider of
-// an old instance crashed, a lagging non-leader had no path to the decision
-// and wedged. Gossip-triggered offer_decisions() is the fix.
+// Bug: a decider's own dissemination of a decision dies with it; when the
+// decider of an old instance crashed, a lagging non-leader had no path to
+// the decision and wedged. Gossip-triggered offer_decisions() is the fix.
 TEST(Regression, LaggardLearnsDecisionAfterDeciderDies) {
   ClusterConfig cfg;
   cfg.sim.n = 5;
@@ -76,7 +76,7 @@ TEST(Regression, LaggardLearnsDecisionAfterDeciderDies) {
     c.sim().run_for(millis(120));
   }
   ASSERT_TRUE(c.await_delivery(ids, {0, 1, 2, 3}));
-  c.sim().run_for(seconds(3));  // retransmission backoff goes quiet
+  c.sim().run_for(seconds(3));
   c.sim().crash(0);             // a decider dies forever
   c.sim().recover(4);
   ASSERT_TRUE(c.await_delivery(ids, {1, 2, 3, 4}, seconds(120)));

@@ -94,3 +94,22 @@ TEST(ScenarioSweep, DiskFaultCellOnSegmentedLogMatchesMemBackend) {
   std::error_code ec;
   std::filesystem::remove_all(root, ec);
 }
+
+// A bench_scenarios cell (seed 10075) that once broke total order: the
+// coordinator engine let a later round override a value a majority had
+// locked in round 0 (CoordEngine.RoundZeroLockOutranksInitialEstimates pins
+// the engine-level bug).
+TEST(ScenarioSweep, CoordRoundZeroLockCellReplaysClean) {
+  constexpr const char* kLine =
+      "scn1 seed=10075 n=3 horizon=782ms engine=coord variant=alt "
+      "gossip=full win(a=16) "
+      "load(at=38ms,for=644ms,gap=10ms,clients=64,bytes=51) "
+      "skew(node=1,scale=0.72) "
+      "flap(at=92ms,a=1,b=2,period=26ms,count=4) "
+      "part(at=134ms,for=167ms,side=0,mode=out)";
+  std::string error;
+  const auto s = Scenario::parse(kLine, &error);
+  ASSERT_TRUE(s.has_value()) << error;
+  const RunResult r = run_scenario(*s);
+  EXPECT_TRUE(r.ok()) << kLine << " : " << r.failure;
+}

@@ -140,9 +140,6 @@ TEST(WireRoundtrip, DecidedMsg) {
   expect_roundtrip(DecidedMsg{0, Bytes{}});
 }
 
-// ablint:roundtrip DecidedAckMsg
-TEST(WireRoundtrip, DecidedAckMsg) { expect_roundtrip(DecidedAckMsg{8}); }
-
 // ablint:roundtrip PrepareMsg
 TEST(WireRoundtrip, PrepareMsg) { expect_roundtrip(PrepareMsg{1, 42}); }
 
