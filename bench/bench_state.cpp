@@ -3,12 +3,13 @@
 // The one-shot state message of §5.3 grows with the sender's history, so a
 // bounded transport (the rt/UDP host drops frames over 64 KiB) livelocks a
 // rejoining process once the history outgrows one datagram. The chunked
-// catch-up session streams the same state in self-contained chunks bounded
-// by Options::max_state_bytes and resumes from the receiver's acked
+// catch-up session streams the same state in self-contained chunks sized
+// to the transport's datagram limit (Env::max_datagram_bytes(), set here
+// on the simulated network) and resumes from the receiver's acked
 // position after loss or a crash on either side. Measured here:
 //
 //   * catch-up stays feasible as the missed history grows past 64 KiB,
-//     with every state datagram at or below the configured bound;
+//     with every state datagram at or below the network's limit;
 //   * a receiver crash mid-transfer costs a resume, not a restart.
 //
 // Each row is a mean over kSeeds seeds (named in the table), because one
@@ -40,10 +41,12 @@ struct ChunkedCatchUp {
 // AgreedLog's explicit suffix — the shape that made the seed's one-shot
 // state message outgrow a datagram. (The multi-slice snapshot phase is
 // exercised by the UDP regression test, whose KV checkpoint is >64 KiB.)
-ClusterConfig chunked_config(std::size_t max_state_bytes, std::uint64_t seed) {
+ClusterConfig chunked_config(std::size_t max_datagram_bytes,
+                             std::uint64_t seed) {
   ClusterConfig cfg;
   cfg.sim.n = 3;
   cfg.sim.seed = seed;
+  cfg.sim.net.max_datagram_bytes = max_datagram_bytes;
   cfg.sim.trace_capacity = 1 << 16;  // to audit per-datagram chunk sizes
   cfg.stack.ab.checkpointing = true;
   cfg.stack.ab.truncate_logs = true;
@@ -51,7 +54,6 @@ ClusterConfig chunked_config(std::size_t max_state_bytes, std::uint64_t seed) {
   cfg.stack.ab.trimmed_state_transfer = true;
   cfg.stack.ab.delta = 2;
   cfg.stack.ab.checkpoint_period = millis(150);
-  cfg.stack.ab.max_state_bytes = max_state_bytes;
   return cfg;
 }
 
@@ -84,10 +86,10 @@ ChunkedCatchUp tally(Cluster& c, TimePoint start, bool converged) {
 /// checkpoint + truncation horizon), then rejoins through the chunked
 /// session. `crash_mid_transfer` additionally crashes the receiver once
 /// mid-stream and lets the session resume from its re-advertised total.
-ChunkedCatchUp run_chunked(int history_kb, std::size_t max_state_bytes,
+ChunkedCatchUp run_chunked(int history_kb, std::size_t max_datagram_bytes,
                            std::uint64_t seed,
                            bool crash_mid_transfer = false) {
-  Cluster c(chunked_config(max_state_bytes, seed));
+  Cluster c(chunked_config(max_datagram_bytes, seed));
   c.start_all();
   auto warm = c.broadcast_many(0, 2);
   c.await_delivery(warm);
@@ -120,7 +122,7 @@ constexpr std::uint64_t kSeeds = 10;
 
 /// One E5b cell over seeds 700 + history_kb onward: means, except
 /// max_chunk_bytes (the max over seeds) and ok (every seed converged with
-/// every state datagram within the budget).
+/// every state datagram within the network's limit).
 struct CellMean {
   std::string seeds;
   double catch_up_ms = 0;
@@ -131,7 +133,7 @@ struct CellMean {
   bool ok = true;
 };
 
-CellMean run_cell(int history_kb, std::size_t max_state_bytes,
+CellMean run_cell(int history_kb, std::size_t max_datagram_bytes,
                   bool crash_mid_transfer = false) {
   const std::uint64_t first = 700 + static_cast<std::uint64_t>(history_kb);
   CellMean m;
@@ -139,17 +141,17 @@ CellMean run_cell(int history_kb, std::size_t max_state_bytes,
   const double w = 1.0 / static_cast<double>(kSeeds);
   for (std::uint64_t seed = first; seed < first + kSeeds; ++seed) {
     const auto r =
-        run_chunked(history_kb, max_state_bytes, seed, crash_mid_transfer);
+        run_chunked(history_kb, max_datagram_bytes, seed, crash_mid_transfer);
     m.catch_up_ms += w * r.catch_up_ms;
     m.chunks_sent += w * static_cast<double>(r.chunks_sent);
     m.chunk_bytes += w * static_cast<double>(r.chunk_bytes);
     m.max_chunk_bytes = std::max(m.max_chunk_bytes, r.max_chunk_bytes);
     m.resumes += w * static_cast<double>(r.resumes);
-    if (!r.converged || r.max_chunk_bytes > max_state_bytes) {
+    if (!r.converged || r.max_chunk_bytes > max_datagram_bytes) {
       m.ok = false;
       std::fprintf(stderr, "E5b: seed %llu, %d KiB at %zu B: converged=%d, "
                    "max chunk %llu B\n", static_cast<unsigned long long>(seed),
-                   history_kb, max_state_bytes, r.converged ? 1 : 0,
+                   history_kb, max_datagram_bytes, r.converged ? 1 : 0,
                    static_cast<unsigned long long>(r.max_chunk_bytes));
     }
   }
@@ -157,12 +159,12 @@ CellMean run_cell(int history_kb, std::size_t max_state_bytes,
 }
 
 void emit_cell(const char* scenario, int history_kb,
-               std::size_t max_state_bytes, const CellMean& m) {
+               std::size_t max_datagram_bytes, const CellMean& m) {
   Json row;
   row.field("experiment", "E5b")
       .field("scenario", scenario)
       .field("history_kib", history_kb)
-      .field("max_state_bytes", max_state_bytes)
+      .field("max_datagram_bytes", max_datagram_bytes)
       .field("seeds", m.seeds)
       .field("catch_up_ms", m.catch_up_ms)
       .field("chunks_sent", m.chunks_sent, 1)
@@ -176,24 +178,24 @@ void emit_cell(const char* scenario, int history_kb,
 /// Prints both tables; returns false when some seed broke the invariant.
 bool run_tables() {
   banner("E5b: chunked catch-up past the 64 KiB datagram bound",
-         "Claim: a catch-up session streams state in chunks bounded by "
-         "max_state_bytes, so rejoining stays feasible on a bounded "
-         "transport no matter how large the missed history is.");
-  const std::size_t kBudget = 56 * 1024;
+         "Claim: a catch-up session streams state in chunks sized to the "
+         "network's datagram limit, so rejoining stays feasible on a "
+         "bounded transport no matter how large the missed history is.");
   bool ok = true;
-  Table t({"history KiB", "chunk budget", "seeds", "catch-up ms", "chunks",
-           "state KB", "max chunk B", "resumes"});
+  Table t({"history KiB", "datagram limit B", "seeds", "catch-up ms",
+           "chunks", "state KB", "max chunk B", "resumes"});
   const std::vector<int> histories =
       bench_quick() ? std::vector<int>{24} : std::vector<int>{24, 96, 192};
   for (const int kb : histories) {
-    for (const std::size_t budget : {std::size_t{8 * 1024}, kBudget}) {
-      const auto m = run_cell(kb, budget);
+    for (const std::size_t limit :
+         {std::size_t{8 * 1024}, kUdpMaxDatagramBytes}) {
+      const auto m = run_cell(kb, limit);
       ok = ok && m.ok;
-      t.row({std::to_string(kb), fmt_u64(budget / 1024) + " KiB", m.seeds,
+      t.row({std::to_string(kb), fmt_u64(limit), m.seeds,
              Table::num(m.catch_up_ms), Table::num(m.chunks_sent, 1),
              Table::num(m.chunk_bytes / 1e3, 1), fmt_u64(m.max_chunk_bytes),
              Table::num(m.resumes, 1)});
-      emit_cell("rejoin", kb, budget, m);
+      emit_cell("rejoin", kb, limit, m);
     }
   }
   t.print(std::cout);
@@ -204,20 +206,21 @@ bool run_tables() {
   Table t2({"history KiB", "seeds", "catch-up ms", "chunks", "state KB",
             "resumes"});
   const int kb = bench_quick() ? 24 : 96;
-  const std::size_t kSmallBudget = 8 * 1024;  // many chunks -> a real mid-point
-  const auto m = run_cell(kb, kSmallBudget, /*crash_mid_transfer=*/true);
+  const std::size_t kSmallLimit = 8 * 1024;  // many chunks -> a real mid-point
+  const auto m = run_cell(kb, kSmallLimit, /*crash_mid_transfer=*/true);
   ok = ok && m.ok;
   t2.row({std::to_string(kb), m.seeds, Table::num(m.catch_up_ms),
           Table::num(m.chunks_sent, 1), Table::num(m.chunk_bytes / 1e3, 1),
           Table::num(m.resumes, 1)});
   t2.print(std::cout);
-  emit_cell("crash_mid_transfer", kb, kSmallBudget, m);
+  emit_cell("crash_mid_transfer", kb, kSmallLimit, m);
   return ok;
 }
 
 void BM_ChunkedCatchUp24KiB(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_chunked(24, 56 * 1024, 724).catch_up_ms);
+    benchmark::DoNotOptimize(
+        run_chunked(24, kUdpMaxDatagramBytes, 724).catch_up_ms);
   }
 }
 BENCHMARK(BM_ChunkedCatchUp24KiB)->Unit(benchmark::kMillisecond);

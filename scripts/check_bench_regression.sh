@@ -18,7 +18,11 @@
 #
 # The committed BENCH_scenarios.json must hold no row with "ok":false: a
 # red generated scenario is a safety or liveness failure, and a baseline
-# must never carry one (bench_scenarios itself exits 1 on any).
+# must never carry one (bench_scenarios itself exits 1 on any). Likewise
+# every E5b row of the committed BENCH_state.json must have converged with
+# its largest state datagram (max_chunk_bytes) within that row's simulated
+# network limit (max_datagram_bytes); bench_state exits 1 on any seed that
+# does not.
 #
 # The E15 batched-I/O rows in BENCH_logops.json are wall-clock, so their
 # guards are self-relative within the same run (robust to slow CI hosts):
@@ -36,6 +40,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 RESULTS="${1:-${ROOT}/bench-results}"
 BASELINE="${ROOT}/BENCH_throughput.json"
 SCENARIOS="${ROOT}/BENCH_scenarios.json"
+STATE="${ROOT}/BENCH_state.json"
 CURRENT="${RESULTS}/BENCH_throughput.json"
 LOGOPS="${RESULTS}/BENCH_logops.json"
 RATIO="${ABCAST_BENCH_MIN_RATIO:-0.5}"
@@ -46,10 +51,12 @@ if [[ ! -f "${BASELINE}" ]]; then
   echo "missing committed baseline: ${BASELINE}" >&2
   exit 2
 fi
-if [[ ! -f "${SCENARIOS}" ]]; then
-  echo "missing committed baseline: ${SCENARIOS}" >&2
-  exit 2
-fi
+for committed in "${SCENARIOS}" "${STATE}"; do
+  if [[ ! -f "${committed}" ]]; then
+    echo "missing committed baseline: ${committed}" >&2
+    exit 2
+  fi
+done
 if [[ ! -f "${CURRENT}" ]]; then
   echo "missing bench results: ${CURRENT} (run scripts/run_bench.sh first)" >&2
   exit 2
@@ -72,6 +79,35 @@ for r in red:
 if red:
     sys.exit(f"REGRESSION: {sys.argv[1]} holds {len(red)} row(s) with ok=false")
 print(f"committed scenario sweep: {len(rows)} rows, all ok")
+PYEOF
+
+python3 - "${STATE}" <<'PYEOF'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    rows = [json.loads(line) for line in f if line.strip()]
+e5b = [r for r in rows if r.get("experiment") == "E5b"]
+if not e5b:
+    sys.exit(f"{sys.argv[1]}: no E5b rows")
+bad = []
+for r in e5b:
+    limit = r.get("max_datagram_bytes")
+    if (not r.get("converged", False) or limit is None
+            or r.get("max_chunk_bytes", 0) > limit):
+        bad.append(r)
+        print(
+            f"bad E5b row: {r.get('scenario')}, {r.get('history_kib')} KiB, "
+            f"limit {limit} B: converged={r.get('converged')}, "
+            f"max chunk {r.get('max_chunk_bytes')} B",
+            file=sys.stderr,
+        )
+if bad:
+    sys.exit(
+        f"REGRESSION: {sys.argv[1]} holds {len(bad)} E5b row(s) that did not "
+        f"converge or overran their datagram limit"
+    )
+print(f"committed E5b rows: {len(e5b)}, all converged within their limit")
 PYEOF
 
 python3 - "${BASELINE}" "${CURRENT}" "${RATIO}" <<'PYEOF'

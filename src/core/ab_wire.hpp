@@ -101,12 +101,12 @@ struct StateChunkMsg {
 };
 
 /// Encoded size of a tail chunk's fixed fields (k, snapshot, offset,
-/// final_chunk, msgs count). Used to budget tail chunks against
-/// Options::max_state_bytes, mirroring digest_header_bytes for deltas.
+/// final_chunk, msgs count). Used to size tail chunks to
+/// Env::max_datagram_bytes(), mirroring digest_header_bytes for deltas.
 inline std::size_t state_chunk_header_bytes() { return 8 + 1 + 8 + 1 + 4; }
 
 /// Encoded size of a snapshot chunk's fixed fields (k, snapshot, offset,
-/// snap_total, snap_size, data length prefix).
+/// snap_total, snap_size, data length prefix); the slice fills the datagram.
 inline std::size_t state_snap_header_bytes() { return 8 + 1 + 8 + 8 + 8 + 4; }
 
 }  // namespace abcast::core

@@ -56,6 +56,12 @@ AtomicBroadcast::AtomicBroadcast(Env& env, ConsensusService& consensus,
       storage_(env.storage(), "ab"), agreed_(env.group_size()),
       tracer_(env.tracer()) {
   options_.validate();
+  // Deltas, tail chunks and snapshot slices are sized to the datagram limit:
+  // it must hold their largest header, the digest's, and a 64-byte message.
+  ABCAST_CHECK_MSG(
+      env_.max_datagram_bytes() >= digest_header_bytes(env.group_size()) + 80,
+      "the datagram limit must fit a digest or chunk header plus one small "
+      "message");
   bind_metrics();
 }
 
@@ -564,7 +570,7 @@ std::size_t AtomicBroadcast::send_delta_chunks(
     const std::vector<std::uint64_t>& my_cover,
     const std::vector<const AppMsg*>& plan, const char* detail) {
   const std::size_t header = digest_header_bytes(my_cover.size());
-  const std::size_t budget = std::max(options_.max_delta_bytes, header + 1);
+  const std::size_t budget = env_.max_datagram_bytes();
   std::vector<const AppMsg*> chunk;
   std::size_t chunk_bytes = header;
   std::size_t shipped = 0;
@@ -881,9 +887,7 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
     }
     if (s.sent_snap_bytes >= snap_cache_.size()) return;  // install pending
     const std::size_t slice =
-        options_.max_state_bytes > state_snap_header_bytes()
-            ? options_.max_state_bytes - state_snap_header_bytes()
-            : 1;
+        env_.max_datagram_bytes() - state_snap_header_bytes();
     for (std::uint32_t b = 0; b < kStateBurstChunks &&
                               s.sent_snap_bytes < snap_cache_.size();
          ++b) {
@@ -924,13 +928,12 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
     metrics_.state_resumes += 1;
   }
   const std::vector<AppMsg>& suffix = agreed_.suffix();
-  const std::size_t header = state_chunk_header_bytes();
-  const std::size_t budget = std::max(options_.max_state_bytes, header + 1);
+  const std::size_t budget = env_.max_datagram_bytes();
   for (std::uint32_t b = 0; b < kStateBurstChunks; ++b) {
     StateChunkMsg c;
     c.k = state_k;
     c.offset = s.sent_total;
-    std::size_t bytes = header;
+    std::size_t bytes = state_chunk_header_bytes();
     std::uint64_t pos = s.sent_total;
     while (pos < agreed_.total()) {
       const AppMsg& m = suffix[static_cast<std::size_t>(pos - base_count)];

@@ -194,7 +194,7 @@ class AtomicBroadcast {
   /// send and every peer is heard from and level with us.
   bool gossip_needed() const;
   void send_eager_deltas();
-  /// Ships `plan` to `to` in datagrams of at most Options::max_delta_bytes
+  /// Ships `plan` to `to` in datagrams of at most Env::max_datagram_bytes()
   /// each (suffix-in-seq-order chunks stay guard-acceptable on their own),
   /// bumping view.cover only for messages actually handed to a send. With
   /// `want_reply`, at least one datagram goes out even for an empty plan

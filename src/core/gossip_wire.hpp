@@ -82,7 +82,7 @@ inline void DigestMsg::encode(BufWriter& w) const {
 
 /// Encoded size of everything in a digest datagram except the delta
 /// messages themselves (k, total, want_reply, snapshot acks, cover, msgs
-/// count). Used to budget delta chunks against Options::max_delta_bytes.
+/// count). Used to size delta chunks to Env::max_datagram_bytes().
 inline std::size_t digest_header_bytes(std::size_t group_size) {
   return 8 + 8 + 1 + 16 + (4 + 8 * group_size) + 4;
 }

@@ -1,6 +1,8 @@
 // Feature flags selecting between the paper's basic protocol (Fig. 2) and
 // the alternative protocol (Figs. 3–5). Each §5 mechanism is independently
 // toggleable so the ablation benches can isolate one at a time.
+//
+// Datagram sizes are not options: the transport's Env::max_datagram_bytes().
 #pragma once
 
 #include <cstdint>
@@ -35,13 +37,6 @@ struct Options {
   /// Minimum spacing of delta replies to one peer (bounds the bytes a
   /// duplicated / replayed digest can trigger).
   Duration delta_reply_interval = millis(8);
-  /// Upper bound on one delta datagram's payload. A plan larger than this
-  /// is split into several datagrams — each a self-contained, in-seq-order
-  /// suffix the receiver's guard accepts on its own — so a delta to a
-  /// deeply lagging peer never exceeds what the transport can carry (the
-  /// UDP host drops frames above 65507 bytes, the IPv4 payload limit).
-  /// Must leave room for the digest header plus at least one message.
-  std::size_t max_delta_bytes = 56 * 1024;
 
   // ---- §5.1: avoiding the replay phase ---------------------------------
   /// Periodically log (k, Agreed) so recovery resumes from the checkpoint
@@ -70,11 +65,6 @@ struct Options {
   /// predates the sender's application checkpoint streams the checkpoint
   /// itself first (snapshot phase) regardless of this flag.
   bool trimmed_state_transfer = false;
-  /// Upper bound on one catch-up chunk's payload (same framing discipline
-  /// as max_delta_bytes: the UDP host drops frames above 65507 bytes, so a
-  /// state transfer must never produce one). Must leave room for the chunk
-  /// header plus at least one message / one snapshot byte.
-  std::size_t max_state_bytes = 56 * 1024;
 
   // ---- §5.4: message batches / early return -----------------------------
   /// Log the Unordered set on every A-broadcast so the call durably
@@ -140,15 +130,9 @@ struct Options {
                      "incremental_unordered_log requires log_unordered");
     ABCAST_CHECK_MSG(!trimmed_state_transfer || state_transfer,
                      "trimmed_state_transfer requires state_transfer");
-    ABCAST_CHECK_MSG(max_delta_bytes >= 256,
-                     "max_delta_bytes must fit the digest header plus at "
-                     "least one small message");
     ABCAST_CHECK_MSG(pipeline_window >= 1,
                      "pipeline_window must be at least 1 (1 = sequential "
                      "rounds, the paper's protocol)");
-    ABCAST_CHECK_MSG(max_state_bytes >= 256,
-                     "max_state_bytes must fit the chunk header plus at "
-                     "least one small message");
     if (checkpointing) ABCAST_CHECK(checkpoint_period > 0);
     if (state_transfer) ABCAST_CHECK(delta >= 1);
   }

@@ -6,6 +6,7 @@
 // one event loop (src/rt: in-process channel; src/net: UDP sockets).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -24,6 +25,11 @@ class MetricsRegistry;
 
 /// Handle for a pending timer; 0 is never a valid id.
 using TimerId = std::uint64_t;
+
+/// Env::max_datagram_bytes()'s default: UDP's 65,507-byte IPv4 payload less
+/// UdpHost's 4-byte sender id and the Wire header.
+inline constexpr std::size_t kUdpMaxDatagramBytes =
+    65'507 - 4 - kWireHeaderBytes;
 
 /// Per-process host services. All callbacks into protocol code (timers,
 /// message delivery) are serialized by the host: a protocol object never
@@ -59,6 +65,14 @@ class Env {
   /// duplicated, or arbitrarily delayed, but the channel is fair — a message
   /// sent infinitely often is received infinitely often.
   virtual void send(ProcessId to, const Wire& msg) = 0;
+
+  /// The largest Wire payload one send or multisend can carry. A host drops
+  /// a larger one (UdpHost counts it in send_failures, the simulator in
+  /// NetStats::dropped_oversize); no fair-lossy channel (§3.1) ever delivers
+  /// it, so protocol code sizes every datagram that can grow to this.
+  virtual std::size_t max_datagram_bytes() const {
+    return kUdpMaxDatagramBytes;
+  }
 
   /// The paper's `multisend` macro: best-effort send to every process,
   /// including self. The payload is encoded once by the caller and shared

@@ -1,6 +1,7 @@
 // Wire-level message envelope shared by all protocol layers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -91,6 +92,10 @@ enum class MsgType : std::uint16_t {
   // 112 is reserved for the multi-group envelope (kGroupEnvelope); the tag
   // is defined in src/group/group_wire.hpp, its wire-tag home.
 };
+
+/// Bytes Wire::encode adds around the payload: the u16 MsgType and the u32
+/// payload length.
+inline constexpr std::size_t kWireHeaderBytes = 2 + 4;
 
 /// A datagram: a message-type tag plus an opaque serialized payload. The
 /// payload codec is owned by the layer that owns the MsgType. The payload is

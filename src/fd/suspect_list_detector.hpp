@@ -22,35 +22,10 @@ class SuspectListDetector final : public FailureDetector {
   explicit SuspectListDetector(Env& env);
 
   void start(bool recovering) override;
-  bool handles(MsgType type) const override {
-    return type == MsgType::kFdAlive;
-  }
   void on_message(ProcessId from, const Wire& msg) override;
-
-  // LeaderOracle
-  bool trusted(ProcessId p) const override;
-  ProcessId leader() const override;
-
-  std::vector<ProcessId> trusted_set() const override;
-  std::uint64_t wrong_suspicions() const override {
-    return wrong_suspicions_;
-  }
 
   /// The bounded output itself: currently suspected processes.
   std::vector<ProcessId> suspects() const;
-
- private:
-  struct PeerState {
-    TimePoint last_heard = 0;
-    Duration timeout = 0;
-    bool trusted = false;
-  };
-
-  void tick();
-
-  Env& env_;
-  std::vector<PeerState> peers_;
-  std::uint64_t wrong_suspicions_ = 0;
 };
 
 }  // namespace abcast

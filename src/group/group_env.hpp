@@ -103,6 +103,11 @@ class GroupHostEnv final : public Env {
     parent_.send(members_[to], wrap(gid_, msg));
   }
 
+  /// The parent's limit less the envelope every datagram is sealed in.
+  std::size_t max_datagram_bytes() const override {
+    return parent_.max_datagram_bytes() - kEnvelopeBytes;
+  }
+
   /// Encodes the envelope ONCE; the per-member copies share the payload
   /// (SharedBytes), preserving the copy-free multisend property.
   void multisend(const Wire& msg) override {

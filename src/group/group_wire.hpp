@@ -12,6 +12,7 @@
 // the whole multiplexing lives inside the NodeApp crash boundary.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/codec.hpp"
@@ -23,6 +24,10 @@ namespace abcast::group {
 /// MsgType enum (env/wire.hpp); the definition lives here, next to the
 /// payload layout and the demux that owns it.
 inline constexpr MsgType kGroupEnvelope = static_cast<MsgType>(112);
+
+/// Bytes the envelope adds to its inner message's payload: the u32 group
+/// plus the inner Wire's header.
+inline constexpr std::size_t kEnvelopeBytes = 4 + kWireHeaderBytes;
 
 /// Payload of a kGroupEnvelope datagram: which group's stack the inner
 /// message belongs to, plus the inner message verbatim.

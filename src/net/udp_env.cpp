@@ -19,10 +19,10 @@
 namespace abcast::net {
 namespace {
 
-/// The largest UDP payload IPv4 carries (65535 - 8 UDP - 20 IP header
-/// bytes). A bigger frame would fail inside sendmmsg, taking the datagrams
-/// queued behind it down too.
-constexpr std::size_t kMaxDatagram = 65507;
+/// [u32 sender pid][Wire] with the payload at its limit: the largest UDP
+/// payload IPv4 carries. A bigger frame would fail inside sendmmsg, taking
+/// the datagrams queued behind it down too.
+constexpr std::size_t kMaxFrame = 4 + kWireHeaderBytes + kUdpMaxDatagramBytes;
 
 /// Datagrams per sendmmsg()/recvmmsg() call when batching is on; the
 /// receive ring holds this many buffers.
@@ -94,7 +94,7 @@ UdpHost::UdpHost(UdpConfig config)
 
   // Unbatched is the same engine with batches of one.
   const std::uint32_t batch = config_.batch.enabled ? kBatch : 1;
-  recv_ring_.assign(batch, Bytes(kMaxDatagram));
+  recv_ring_.assign(batch, Bytes(kMaxFrame));
   recv_hdrs_.resize(batch);
   recv_iovs_.resize(batch);
   recv_addrs_.resize(batch);
@@ -138,7 +138,7 @@ void UdpHost::fill_dest(ProcessId to, sockaddr_in* addr) const {
 }
 
 void UdpHost::queue_frame(ProcessId to, const SharedBytes& frame) {
-  if (frame.size() > kMaxDatagram) {
+  if (frame.size() > kMaxFrame) {
     metrics_.send_failures += 1;  // UDP cannot carry it; drop (unreliable)
     return;
   }

@@ -21,12 +21,12 @@
 // path. UdpBatchConfig sets whether one syscall may carry many datagrams.
 //
 // Limitations (inherent to UDP over IPv4): a datagram carries at most 65507
-// payload bytes. A frame above that is dropped when it is queued and
-// counted in send_failures; the rest of the pass still goes out. Digest
-// deltas and catch-up state are already chunked below the limit
-// (Options::max_delta_bytes, max_state_bytes). Full-set gossip and
-// consensus proposals are not: a large enough Unordered backlog makes them
-// too big, which Options::max_proposal_msgs bounds only for proposals.
+// bytes, so a Wire payload at most max_datagram_bytes() = 65497. A larger
+// one is dropped when it is queued and counted in send_failures; the rest
+// of the pass still goes out. Digest deltas and catch-up state are chunked
+// to the limit. Full-set gossip and consensus proposals are not: a large
+// enough Unordered backlog makes them too big, which
+// Options::max_proposal_msgs bounds only for proposals.
 #pragma once
 
 #include <cstdint>

@@ -43,9 +43,8 @@ struct CheckOptions {
   /// When non-zero: every state-transfer chunk send (kStateTransfer with
   /// detail send_chunk/send_snap, whose arg is the wire payload size) must
   /// stay at or below this many bytes, or a "StateBound" violation is
-  /// reported. Set it to the run's Options::max_state_bytes to prove no
-  /// catch-up datagram could have been dropped by the transport's frame
-  /// limit.
+  /// reported. Set it to the stacks' Env::max_datagram_bytes() to prove no
+  /// catch-up datagram could have been dropped by the transport's limit.
   std::size_t max_state_chunk_bytes = 0;
 };
 

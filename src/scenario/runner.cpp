@@ -4,6 +4,7 @@
 #include <memory>
 #include <type_traits>
 
+#include "group/group_wire.hpp"
 #include "harness/fixture.hpp"
 
 namespace abcast::scenario {
@@ -300,16 +301,25 @@ auto required_submissions(
   return required;
 }
 
-/// The strict offline check every run ends with.
-obs::CheckOptions strict_check(const Scenario& s,
-                               const core::StackConfig& stack) {
+/// The strict offline check every run ends with, for stacks whose
+/// Env::max_datagram_bytes() is `datagram_limit`.
+obs::CheckOptions strict_check(const Scenario& s, std::size_t datagram_limit) {
   obs::CheckOptions check;
   check.require_quiesced = true;
   check.basic_protocol = !s.alternative;
-  if (s.alternative) {
-    check.max_state_chunk_bytes = stack.ab.max_state_bytes;
-  }
+  check.max_state_chunk_bytes = datagram_limit;
   return check;
+}
+
+/// Sending a datagram above the network's limit is a protocol bug, not
+/// loss, so any oversize drop fails the run, and it is named instead of
+/// `other` because it likely caused whatever else went wrong.
+std::string oversize_or(const sim::Simulation& sim, std::string other) {
+  const std::uint64_t dropped = sim.net_stats().dropped_oversize;
+  if (dropped == 0) return other;
+  return std::to_string(dropped) + " datagram(s) above the " +
+         std::to_string(sim.config().net.max_datagram_bytes) +
+         "-byte limit dropped";
 }
 
 /// The multi-group twin of run_scenario's body (s.groups > 1). Same setup,
@@ -351,12 +361,13 @@ RunResult run_sharded_scenario(const Scenario& s,
         },
         sim->now() + kDrainTimeout);
     if (!result.delivered) {
-      result.failure = "required submissions not delivered everywhere";
+      result.failure =
+          oversize_or(*sim, "required submissions not delivered everywhere");
       return result;
     }
     result.quiesced = c.await_quiesced(kDrainTimeout);
     if (!result.quiesced) {
-      result.failure = "cluster failed to quiesce";
+      result.failure = oversize_or(*sim, "cluster failed to quiesce");
       return result;
     }
   } catch (const std::exception& e) {
@@ -376,12 +387,15 @@ RunResult run_sharded_scenario(const Scenario& s,
   result.events_fired = sim->events_fired();
 
   // ---- the oracle proper: strict offline sharded trace check ------------
+  result.failure = oversize_or(*sim, {});
+  if (!result.failure.empty()) return result;
   if (c.trace_dropped() != 0) {
     result.failure = "trace ring dropped events; raise kTraceCapacity";
     return result;
   }
   const auto report = obs::check_sharded_trace(
-      c.collect_trace(), s.groups, strict_check(s, cfg.node.stack));
+      c.collect_trace(), s.groups,
+      strict_check(s, cfg.sim.net.max_datagram_bytes - group::kEnvelopeBytes));
   result.check_stats = report.stats;
   result.checker_ok = report.ok();
   if (!result.checker_ok) {
@@ -420,12 +434,13 @@ RunResult run_scenario(const Scenario& s,
 
     result.delivered = c.await_delivery(required, {}, kDrainTimeout);
     if (!result.delivered) {
-      result.failure = "required submissions not delivered everywhere";
+      result.failure =
+          oversize_or(*sim, "required submissions not delivered everywhere");
       return result;
     }
     result.quiesced = c.await_quiesced(kDrainTimeout);
     if (!result.quiesced) {
-      result.failure = "cluster failed to quiesce";
+      result.failure = oversize_or(*sim, "cluster failed to quiesce");
       return result;
     }
     c.oracle().check();
@@ -449,12 +464,14 @@ RunResult run_scenario(const Scenario& s,
   result.overall = wl.overall();
 
   // ---- the oracle proper: strict offline trace check --------------------
+  result.failure = oversize_or(*sim, {});
+  if (!result.failure.empty()) return result;
   if (c.trace_dropped() != 0) {
     result.failure = "trace ring dropped events; raise kTraceCapacity";
     return result;
   }
-  const auto report =
-      obs::check_trace(c.collect_trace(), strict_check(s, cfg.stack));
+  const auto report = obs::check_trace(
+      c.collect_trace(), strict_check(s, cfg.sim.net.max_datagram_bytes));
   result.check_stats = report.stats;
   result.checker_ok = report.ok();
   if (!result.checker_ok) {

@@ -51,6 +51,10 @@ obs::MetricsRegistry* SimHost::metrics_registry() {
 
 std::uint32_t SimHost::group_size() const { return sim_.n(); }
 
+std::size_t SimHost::max_datagram_bytes() const {
+  return sim_.config_.net.max_datagram_bytes;
+}
+
 TimePoint SimHost::now() const { return sim_.scheduler_.now(); }
 
 TimerId SimHost::schedule_after(Duration delay, std::function<void()> fn) {
@@ -285,6 +289,12 @@ void Simulation::transmit(ProcessId from, ProcessId to, const Wire& msg,
   net_stats_.sent_by_type[msg.type] += 1;
   net_stats_.bytes_by_type[msg.type] += bytes;
 
+  // Before any random draw, so a run that never sends an oversize payload
+  // keeps its random stream.
+  if (msg.payload.size() > config_.net.max_datagram_bytes) {
+    net_stats_.dropped_oversize += 1;
+    return;
+  }
   if (from != to && blocked_links_.count({from, to}) != 0) {
     net_stats_.dropped_partition += 1;
     return;

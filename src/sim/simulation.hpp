@@ -41,7 +41,7 @@ enum class PartitionMode {
 };
 
 /// Channel behaviour. The defaults give a lossy but lively network. Self
-/// sends bypass the channel: never dropped, delivered after a fixed 10 µs.
+/// sends bypass the channel: never lost, delivered after a fixed 10 µs.
 struct NetConfig {
   Duration delay_min = millis(1);
   Duration delay_max = millis(10);
@@ -49,6 +49,9 @@ struct NetConfig {
   double drop_prob = 0.0;
   /// Probability an individual datagram is delivered twice.
   double dup_prob = 0.0;
+  /// Every host's Env::max_datagram_bytes(); a larger payload, self sends
+  /// included, is dropped as UDP would drop it.
+  std::size_t max_datagram_bytes = kUdpMaxDatagramBytes;
 };
 
 struct SimConfig {
@@ -75,6 +78,7 @@ struct NetStats {
   std::uint64_t dropped_channel = 0;   // lost by the lossy channel
   std::uint64_t dropped_down = 0;      // receiver was down on arrival
   std::uint64_t dropped_partition = 0; // link administratively blocked
+  std::uint64_t dropped_oversize = 0;  // above NetConfig::max_datagram_bytes
   std::uint64_t duplicated = 0;
   std::uint64_t bytes_sent = 0;
   /// Sends and bytes per message type — attributes traffic to protocol
@@ -113,6 +117,7 @@ class SimHost final : public Env {
   TimerId schedule_after(Duration delay, std::function<void()> fn) override;
   void cancel_timer(TimerId id) override;
   void send(ProcessId to, const Wire& msg) override;
+  std::size_t max_datagram_bytes() const override;
   StableStorage& storage() override {
     return tracing_storage_ ? static_cast<StableStorage&>(*tracing_storage_)
                             : *storage_;

@@ -93,15 +93,18 @@ TEST(GossipDigest, WireLayoutRoundTripsThroughBothEncoders) {
   EXPECT_EQ(empty.payload.size(), digest_header_bytes(m.cover.size()));
 }
 
-// A delta plan larger than max_delta_bytes must be split across several
+// A delta plan larger than the datagram limit must be split across several
 // datagrams (each a self-contained in-order suffix), not sent as one
-// oversized frame a real UDP host would silently drop. The ratio pin: no
-// datagram may carry more messages than the budget admits.
+// oversized datagram the network drops. The ratio pin: no datagram may
+// carry more messages than the budget admits.
 TEST(GossipDigest, DeltaPlansAreChunkedToTheDatagramBudget) {
   ClusterConfig cfg = digest_config(905, /*eager=*/false);
   cfg.sim.net.drop_prob = 0;
   cfg.sim.net.dup_prob = 0;
-  cfg.stack.ab.max_delta_bytes = 600;
+  cfg.sim.net.max_datagram_bytes = 600;
+  // A 600-byte network cannot carry a proposal of the whole 40-message
+  // burst (about 3.2 KB); capping proposals keeps every datagram within it.
+  cfg.stack.ab.max_proposal_msgs = 5;
   Cluster c(cfg);
   c.start_all();
   std::vector<MsgId> ids;
@@ -116,7 +119,7 @@ TEST(GossipDigest, DeltaPlansAreChunkedToTheDatagramBudget) {
   // Budget math: header = digest_header_bytes(3), entry = 80 bytes, so at
   // most (600 - header) / 80 = 6 messages fit one datagram.
   const std::size_t per_datagram =
-      (cfg.stack.ab.max_delta_bytes - digest_header_bytes(kN)) / (16 + 64);
+      (cfg.sim.net.max_datagram_bytes - digest_header_bytes(kN)) / (16 + 64);
   std::uint64_t datagrams = 0, msgs = 0;
   for (ProcessId p = 0; p < kN; ++p) {
     const auto& met = c.stack(p)->ab().metrics();
@@ -127,6 +130,7 @@ TEST(GossipDigest, DeltaPlansAreChunkedToTheDatagramBudget) {
   EXPECT_LE(msgs, datagrams * per_datagram);
   // And chunking actually engaged: the backlog needed multiple datagrams.
   EXPECT_GT(datagrams, 1u);
+  EXPECT_EQ(c.sim().net_stats().dropped_oversize, 0u);
 }
 
 // The REVIEW regression end-to-end: node 0's broadcasts (inc,4),(inc,5)

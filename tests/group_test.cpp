@@ -100,6 +100,37 @@ TEST(GroupEnvelope, UnwrapChecksGroupAndSenderAgainstTheLayout) {
   EXPECT_FALSE(unwrap(layout, 5, Wire{kGroupEnvelope, Bytes{0x01}}));
 }
 
+// A group stack's datagram limit is its host's less the envelope: a payload
+// of exactly the stack's limit seals into a payload of exactly the host's,
+// which the host carries; one byte more is dropped as oversize.
+TEST(GroupEnvelope, GroupEnvLimitLeavesRoomForTheEnvelope) {
+  struct Idle final : NodeApp {
+    void start(bool) override {}
+    void on_message(ProcessId, const Wire&) override {}
+  };
+  constexpr std::size_t kHostLimit = 1000;
+  sim::SimConfig cfg{.n = 3, .seed = 1};
+  cfg.net.max_datagram_bytes = kHostLimit;
+  sim::Simulation sim(cfg);
+  sim.set_node_factory([](Env&) { return std::make_unique<Idle>(); });
+  sim.start_all();
+
+  GroupHostEnv env(sim.host(1), GroupConfig::uniform(3, 2), /*gid=*/1);
+  const std::size_t limit = env.max_datagram_bytes();
+  EXPECT_EQ(limit, kHostLimit - 10);
+  const Wire full{MsgType::kAbGossip, Bytes(limit, 0x5A)};
+  EXPECT_EQ(wrap(1, full).payload.size(), kHostLimit);
+
+  env.send(0, full);
+  sim.run_for(seconds(1));
+  EXPECT_EQ(sim.net_stats().delivered, 1u);
+  EXPECT_EQ(sim.net_stats().dropped_oversize, 0u);
+  env.send(0, Wire{MsgType::kAbGossip, Bytes(limit + 1, 0x5A)});
+  sim.run_for(seconds(1));
+  EXPECT_EQ(sim.net_stats().delivered, 1u);
+  EXPECT_EQ(sim.net_stats().dropped_oversize, 1u);
+}
+
 TEST(GroupRouter, KeyHashIsDeterministicAndInRange) {
   const auto layout = GroupConfig::uniform(3, 4);
   const GroupRouter router(layout);

@@ -370,7 +370,7 @@ TEST(TraceMetricsAgreement, DeliveredCounterMatchesTraceThroughCatchUp) {
   cfg.stack.ab = core::Options::alternative();
   cfg.stack.ab.checkpoint_period = millis(50);
   cfg.stack.ab.delta = 2;
-  cfg.stack.ab.max_state_bytes = 512;  // several chunks even for tiny state
+  cfg.sim.net.max_datagram_bytes = 512;  // several chunks even for tiny state
   harness::Cluster c(cfg);
   c.start_all();
 

@@ -126,12 +126,13 @@ void run_seed(std::uint64_t seed) {
   for (std::uint32_t g = 0; g < kGroups; ++g) c.shard_digest(g);
 
   ASSERT_EQ(c.trace_dropped(), 0u) << "seed " << seed;
+  EXPECT_EQ(c.sim().net_stats().dropped_oversize, 0u) << "seed " << seed;
   obs::CheckOptions check;
   check.require_quiesced = true;
   check.basic_protocol = !alternative;
-  if (alternative) {
-    check.max_state_chunk_bytes = cfg.node.stack.ab.max_state_bytes;
-  }
+  // The group envelope's bytes come out of each stack's datagram limit.
+  check.max_state_chunk_bytes =
+      cfg.sim.net.max_datagram_bytes - group::kEnvelopeBytes;
   const auto report =
       obs::check_sharded_trace(c.collect_trace(), kGroups, check);
   for (const auto& v : report.violations) {

@@ -264,6 +264,27 @@ TEST(SimNetwork, PartitionBlocksAndHealRestores) {
   EXPECT_EQ(c.shared[1].received.size(), 1u);
 }
 
+// The network carries a payload of exactly its limit and drops one byte
+// more, counted apart from channel loss. Self sends cross the same limit,
+// as a UDP host's self-addressed datagram does.
+TEST(SimNetwork, PayloadAboveTheLimitIsDroppedAndCounted) {
+  EXPECT_EQ(NetConfig{}.max_datagram_bytes, 65'497u);  // UDP's, by default
+  SimConfig cfg{.n = 2, .seed = 1};
+  cfg.net.max_datagram_bytes = 100;
+  ProbeCluster c(cfg);
+  c.sim.start_all();
+  Env& env = c.probe(0)->env();
+  EXPECT_EQ(env.max_datagram_bytes(), 100u);
+  env.send(1, Wire{MsgType::kFdHeartbeat, Bytes(100, 1)});
+  env.send(1, Wire{MsgType::kFdHeartbeat, Bytes(101, 1)});
+  env.send(0, Wire{MsgType::kFdHeartbeat, Bytes(101, 1)});
+  c.sim.run_for(seconds(1));
+  EXPECT_EQ(c.shared[1].received.size(), 1u);
+  EXPECT_TRUE(c.shared[0].received.empty());
+  EXPECT_EQ(c.sim.net_stats().dropped_oversize, 2u);
+  EXPECT_EQ(c.sim.net_stats().dropped_channel, 0u);
+}
+
 // ------------------------------------------------------------- Determinism
 
 TEST(SimDeterminism, SameSeedSameTrace) {

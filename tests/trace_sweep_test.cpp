@@ -86,6 +86,7 @@ std::vector<obs::TraceEvent> run_seed(std::uint64_t seed) {
   // delivery prefixes, empty Unordered everywhere).
   EXPECT_TRUE(c.await_quiesced(seconds(120))) << "seed " << seed;
   EXPECT_EQ(c.trace_dropped(), 0u) << "seed " << seed;
+  EXPECT_EQ(c.sim().net_stats().dropped_oversize, 0u) << "seed " << seed;
 
   obs::CheckOptions options;
   options.require_quiesced = true;
@@ -124,7 +125,7 @@ void run_state_seed(std::uint64_t seed) {
   cfg.stack.ab = Options::alternative();
   cfg.stack.ab.checkpoint_period = millis(40);
   cfg.stack.ab.delta = 2;
-  cfg.stack.ab.max_state_bytes = 512;  // several chunks even for tiny state
+  cfg.sim.net.max_datagram_bytes = 512;  // several chunks even for tiny state
   cfg.stack.ab.trimmed_state_transfer = (seed / 2) % 2;
   cfg.stack.ab.digest_gossip = (seed / 4) % 2;
   Cluster c(cfg);
@@ -171,10 +172,11 @@ void run_state_seed(std::uint64_t seed) {
   EXPECT_TRUE(c.await_delivery(ids, {}, seconds(120))) << "seed " << seed;
   EXPECT_TRUE(c.await_quiesced(seconds(120))) << "seed " << seed;
   EXPECT_EQ(c.trace_dropped(), 0u) << "seed " << seed;
+  EXPECT_EQ(c.sim().net_stats().dropped_oversize, 0u) << "seed " << seed;
 
   obs::CheckOptions options;
   options.require_quiesced = true;
-  options.max_state_chunk_bytes = cfg.stack.ab.max_state_bytes;
+  options.max_state_chunk_bytes = cfg.sim.net.max_datagram_bytes;
   const auto trace = c.collect_trace();
   const auto report = obs::check_trace(trace, options);
   EXPECT_TRUE(report.ok()) << "seed " << seed << ": "

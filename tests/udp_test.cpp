@@ -4,6 +4,7 @@
 // machinery covers whatever the kernel drops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "apps/kv_store.hpp"
@@ -129,7 +130,8 @@ TEST(Udp, CrashRecoveryOverRealSockets) {
 // frame limit can only recover via state transfer, and a one-shot state
 // datagram above 64 KiB is silently dropped by the transport — the peer
 // would retry forever. The chunked catch-up session must stream the state
-// in datagrams bounded by Options::max_state_bytes instead.
+// in datagrams of at most max_datagram_bytes() instead; its snapshot
+// slices fill that limit exactly.
 TEST(Udp, LargeStateCatchUpAfterTruncation) {
   core::StackConfig stack;
   stack.ab = core::Options::alternative();
@@ -280,6 +282,60 @@ TEST(Udp, OversizeFrameFailsAlone) {
     EXPECT_EQ(small_received.load(), 1);
     EXPECT_EQ(h0.send_failures(), 1u);
     hosts.clear();  // joins the loops before small_received dies
+  }
+}
+
+// The limit is exact: a payload of max_datagram_bytes() fills IPv4's UDP
+// payload to the byte and arrives intact, one byte more is counted in
+// send_failures, and a small datagram queued behind it in the same pass
+// still arrives. Snapshot slices fill the limit exactly, so an off-by-one
+// here would livelock Udp.LargeStateCatchUpAfterTruncation.
+TEST(Udp, PayloadOfExactlyTheLimitArrives) {
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "unbatched");
+    std::atomic<int> full_received{0}, small_received{0};
+    UdpBatchConfig batch;
+    batch.enabled = batched;
+    auto hosts = make_local_udp_cluster(2, 12, batch);
+    UdpHost& h0 = *hosts[0];
+    const std::size_t limit = h0.max_datagram_bytes();
+    struct Sink final : NodeApp {
+      Sink(std::size_t limit, std::atomic<int>& full, std::atomic<int>& small)
+          : limit_(limit), full_(full), small_(small) {}
+      void start(bool) override {}
+      void on_message(ProcessId, const Wire& msg) override {
+        const Bytes& p = msg.payload;
+        if (p.size() == limit_ &&
+            std::all_of(p.begin(), p.end(),
+                        [](std::uint8_t b) { return b == 0xAB; })) {
+          full_.fetch_add(1);
+        }
+        if (p.size() == 8) small_.fetch_add(1);
+      }
+      std::size_t limit_;
+      std::atomic<int>& full_;
+      std::atomic<int>& small_;
+    };
+    const NodeFactory factory = [&, limit](Env&) {
+      return std::make_unique<Sink>(limit, full_received, small_received);
+    };
+    for (auto& h : hosts) h->start_node(factory, /*recovering=*/false);
+
+    ASSERT_TRUE(h0.call([&h0, limit] {
+      h0.send(1, Wire{MsgType::kAbGossip, Bytes(limit, 0xAB)});
+      h0.send(1, Wire{MsgType::kAbGossip, Bytes(limit + 1, 0xAB)});
+      h0.send(1, Wire{MsgType::kAbGossip, Bytes(8, 0xCD)});
+    }));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while ((full_received.load() == 0 || small_received.load() == 0) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(full_received.load(), 1);
+    EXPECT_EQ(small_received.load(), 1);
+    EXPECT_EQ(h0.send_failures(), 1u);
+    hosts.clear();  // joins the loops before the counters die
   }
 }
 
