@@ -31,8 +31,7 @@ namespace {
 
 constexpr std::uint32_t kNodes = 3;
 
-ShardedClusterConfig make_config(std::uint32_t shards, std::uint64_t seed,
-                                 std::uint64_t window = 1) {
+ShardedClusterConfig make_config(std::uint32_t shards, std::uint64_t seed) {
   ShardedClusterConfig cfg;
   cfg.sim.n = kNodes;
   cfg.sim.seed = seed;
@@ -44,11 +43,6 @@ ShardedClusterConfig make_config(std::uint32_t shards, std::uint64_t seed,
   cfg.node.stack.ab.log_unordered = true;
   cfg.node.stack.ab.incremental_unordered_log = true;
   cfg.node.stack.ab.max_proposal_msgs = 8;
-  // E14c: the pipelining window (DESIGN.md §14) is the second axis of
-  // ordering parallelism — α in-flight rounds inside each group, N groups
-  // across the key space. The axes compose multiplicatively until the
-  // offered load is absorbed.
-  cfg.node.stack.ab.pipeline_window = window;
   return cfg;
 }
 
@@ -102,11 +96,10 @@ double per_sec(const ShardRunResult& r) {
 
 void emit_row(const char* experiment, std::uint32_t shards, int clients,
               double hot, const ShardRunResult& r, double speedup,
-              ShardedCluster& c, std::uint64_t window = 1) {
+              ShardedCluster& c) {
   Json row;
   row.field("experiment", experiment)
       .field("shards", shards)
-      .field("window", window)
       .field("clients", clients)
       .field("hot", hot)
       .field("delivered", r.delivered)
@@ -156,38 +149,6 @@ void run_tables() {
                fmt_u64(r.rounds),
                fmt_u64(r.group_min) + "/" + fmt_u64(r.group_max)});
         emit_row("shards_scaleout", shards, clients, 0.0, r, speedup, c);
-      }
-    }
-    t.print(std::cout);
-  }
-
-  banner("E14c: shards x pipelining window",
-         "Both axes of ordering parallelism crossed: N independent groups, "
-         "alpha in-flight rounds per group. Aggregate delivered/s should "
-         "grow along both axes (diminishing once the offered load is "
-         "absorbed); speedup is vs the (1 shard, window 1) cell.");
-  {
-    Table t({"shards", "window", "elapsed ms", "agg msgs/s", "speedup",
-             "rounds", "grp min/max"});
-    const std::vector<std::uint64_t> kWindows =
-        bench_quick() ? std::vector<std::uint64_t>{1, 4}
-                      : std::vector<std::uint64_t>{1, 4, 16};
-    double base = 0;
-    for (const std::uint32_t shards : kShards) {
-      for (const std::uint64_t window : kWindows) {
-        ShardedCluster c(make_config(shards, 1470 + shards, window));
-        c.start_all();
-        const auto r =
-            run_keyed_open_loop(c, kTotal, kClients.front(), cycle_key);
-        if (shards == 1 && window == 1) base = per_sec(r);
-        const double speedup = base > 0 ? per_sec(r) / base : 0;
-        t.row({std::to_string(shards), std::to_string(window),
-               Table::num(static_cast<double>(r.elapsed) / 1e6),
-               Table::num(per_sec(r), 0), Table::num(speedup, 2),
-               fmt_u64(r.rounds),
-               fmt_u64(r.group_min) + "/" + fmt_u64(r.group_max)});
-        emit_row("shards_window_sweep", shards, kClients.front(), 0.0, r,
-                 speedup, c, window);
       }
     }
     t.print(std::cout);

@@ -76,47 +76,6 @@ void run_tables() {
     t.print(std::cout);
   }
 
-  banner("E2w: pipelining window sweep (batch = 1, capped batches)",
-         "Claim: with bounded proposal batches (max_proposal_msgs = 8) one "
-         "round at a time is the ordering bottleneck; alpha in-flight rounds "
-         "multiply the msgs/round x rounds/sec ceiling until the offered "
-         "load is absorbed. Single-message submissions at high offered load "
-         "isolate the pipeline (unbounded batches would absorb the backlog "
-         "in one proposal and hide it).");
-  {
-    Table t({"window", "elapsed ms", "msgs/s", "rounds", "p50 ms", "p99 ms"});
-    const int kWinTotal = bench_quick() ? 160 : 800;
-    const Duration kWinGap = micros(100);  // 10k msgs/s offered
-    const std::vector<std::uint64_t> windows =
-        bench_quick() ? std::vector<std::uint64_t>{1, 16}
-                      : std::vector<std::uint64_t>{1, 4, 16, 64};
-    for (const std::uint64_t window : windows) {
-      ClusterConfig cfg = make_config(true, 205);
-      cfg.stack.ab.max_proposal_msgs = 8;
-      cfg.stack.ab.pipeline_window = window;
-      Cluster c(cfg);
-      c.start_all();
-      const auto r = run_open_loop(c, kWinTotal, 1, kWinGap);
-      t.row({std::to_string(window),
-             Table::num(static_cast<double>(r.elapsed) / 1e6),
-             Table::num(r.throughput_per_sec(), 0), fmt_u64(r.rounds),
-             Table::num(r.latency.p50_ms), Table::num(r.latency.p99_ms)});
-      Json row;
-      row.field("experiment", "throughput_window_sweep")
-          .field("window", window)
-          .field("batch", 1)
-          .field("max_proposal_msgs", 8)
-          .field("elapsed_ms", static_cast<double>(r.elapsed) / 1e6)
-          .field("throughput_per_sec", r.throughput_per_sec())
-          .field("rounds", r.rounds)
-          .field("p50_ms", r.latency.p50_ms, 3)
-          .field("p99_ms", r.latency.p99_ms, 3);
-      with_metrics(row, c);
-      emit_json_row(row);
-    }
-    t.print(std::cout);
-  }
-
   banner("E2b: offered load sweep (batch = 16)",
          "Higher offered load amortizes rounds until the round pipeline "
          "saturates.");

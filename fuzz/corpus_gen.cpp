@@ -248,8 +248,7 @@ void scenario_seeds(CorpusWriter& w) {
          "disk(at=10ms,for=300ms,node=2,min=100us,max=2ms,stallp=0.02,"
          "stall=20ms) burst(at=400ms,victims=1|2,down=100ms) "
          "storm(at=200ms,node=3,ops=4,phase=torn,times=2,gap=80ms) "
-         "load(at=0s,for=700ms,gap=5ms,clients=8,bytes=32,keys=64,hot=0.9) "
-         "win(a=4)");
+         "load(at=0s,for=700ms,gap=5ms,clients=8,bytes=32,keys=64,hot=0.9)");
   w.text("scenario", "scn1 seed=1 n=3");
 }
 

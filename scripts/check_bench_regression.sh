@@ -1,17 +1,22 @@
 #!/usr/bin/env bash
-# Guards bench_throughput and bench_logops against perf regressions in CI.
+# Guards bench_throughput, bench_shards and bench_logops against perf
+# regressions in CI.
 #
 #   scripts/check_bench_regression.sh [RESULTS_DIR]
 #
-# Compares the freshly produced BENCH_throughput.json (quick-mode run in
-# RESULTS_DIR, default ./bench-results) against the committed full-run
-# baseline at the repo root:
+# Reads the freshly produced quick-mode results in RESULTS_DIR (default
+# ./bench-results):
 #
-#   * the open-loop batch-1 row must not fall below ABCAST_BENCH_MIN_RATIO
-#     (default 0.5) of the committed batch-1 throughput — the slack absorbs
-#     the quick sweep's smaller totals, not a protocol regression;
-#   * the window sweep must still show pipelining: the window=16 cell must
-#     beat the window=1 cell by at least 2x (the full-run gap is ~10x).
+#   * BENCH_throughput.json: the open-loop batch-1 row must not fall below
+#     ABCAST_BENCH_MIN_RATIO (default 0.5) of the committed batch-1
+#     throughput at the repo root — the slack absorbs the quick sweep's
+#     smaller totals, not a protocol regression;
+#   * BENCH_shards.json: sharding must still parallelize ordering. In the
+#     shards_scaleout rows at 16 clients, 4 shards must deliver at least 2x
+#     the throughput of 1 shard (the quick run reads ~2.9x, the committed
+#     full run ~3.5x). Shard count is the one axis of ordering parallelism;
+#     this check replaces one that guarded the pipelining window, which has
+#     been deleted.
 #
 # Virtual-time measurements are deterministic per seed, so a breach is a
 # real behavior change, not machine noise.
@@ -42,6 +47,7 @@ BASELINE="${ROOT}/BENCH_throughput.json"
 SCENARIOS="${ROOT}/BENCH_scenarios.json"
 STATE="${ROOT}/BENCH_state.json"
 CURRENT="${RESULTS}/BENCH_throughput.json"
+SHARDS="${RESULTS}/BENCH_shards.json"
 LOGOPS="${RESULTS}/BENCH_logops.json"
 RATIO="${ABCAST_BENCH_MIN_RATIO:-0.5}"
 LOGOPS_RATIO="${ABCAST_LOGOPS_MIN_RATIO:-1.2}"
@@ -57,14 +63,12 @@ for committed in "${SCENARIOS}" "${STATE}"; do
     exit 2
   fi
 done
-if [[ ! -f "${CURRENT}" ]]; then
-  echo "missing bench results: ${CURRENT} (run scripts/run_bench.sh first)" >&2
-  exit 2
-fi
-if [[ ! -f "${LOGOPS}" ]]; then
-  echo "missing bench results: ${LOGOPS} (run scripts/run_bench.sh first)" >&2
-  exit 2
-fi
+for results in "${CURRENT}" "${SHARDS}" "${LOGOPS}"; do
+  if [[ ! -f "${results}" ]]; then
+    echo "missing bench results: ${results} (run scripts/run_bench.sh first)" >&2
+    exit 2
+  fi
+done
 
 python3 - "${SCENARIOS}" <<'PYEOF'
 import json
@@ -148,16 +152,39 @@ if cur < floor:
         f"REGRESSION: batch-1 throughput {cur:.1f} msgs/s fell below "
         f"{ratio} x committed baseline ({base:.1f} msgs/s)"
     )
+PYEOF
 
-w1 = throughput(current_path, "throughput_window_sweep", window=1)
-w16 = throughput(current_path, "throughput_window_sweep", window=16)
-if w1 is None or w16 is None:
-    sys.exit(f"{current_path}: window sweep rows (window=1, window=16) missing")
-print(f"window sweep: alpha=1 {w1:.1f} msgs/s, alpha=16 {w16:.1f} msgs/s")
-if w16 < 2.0 * w1:
+python3 - "${SHARDS}" <<'PYEOF'
+import json
+import sys
+
+shards_path = sys.argv[1]
+min_speedup = 2.0
+
+with open(shards_path) as f:
+    rows = [json.loads(line) for line in f if line.strip()]
+
+
+def scaleout(shards):
+    for r in rows:
+        if (r.get("experiment") == "shards_scaleout"
+                and r.get("clients") == 16 and r.get("shards") == shards):
+            return r["throughput_per_sec"]
+    sys.exit(f"{shards_path}: no shards_scaleout row at 16 clients, "
+             f"{shards} shard(s)")
+
+
+one, four = scaleout(1), scaleout(4)
+speedup = four / max(one, 1e-9)
+print(
+    f"sharded scale-out, 16 clients: 1 shard {one:.1f} msgs/s, 4 shards "
+    f"{four:.1f} msgs/s -> {speedup:.2f}x (floor {min_speedup}x)"
+)
+if speedup < min_speedup:
     sys.exit(
-        f"REGRESSION: pipelining gain collapsed (alpha=16 {w16:.1f} < "
-        f"2 x alpha=1 {w1:.1f})"
+        f"REGRESSION: 4 shards deliver {speedup:.2f}x the throughput of "
+        f"1 shard, below {min_speedup}x — sharding stopped parallelizing "
+        f"ordering"
     )
 print("bench regression guard: OK")
 PYEOF

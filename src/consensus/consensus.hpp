@@ -93,19 +93,14 @@ class ConsensusService {
   virtual void set_decided_callback(DecidedCallback cb) = 0;
 
   /// True if this process has (durably) proposed to instance `k` and `k`
-  /// is still undecided: a decided instance keeps only its decision.
+  /// is still undecided: a decided instance keeps only its decision. The
+  /// sequencer proposes to its current round only while this is false.
   virtual bool proposed(InstanceId k) const = 0;
 
   /// True when a decision for `k` is locally known — a cheap probe (no
-  /// value copy) the pipelined proposer uses to skip window slots whose
+  /// value copy) the sequencer uses to skip proposing to a round whose
   /// outcome is already fixed.
   virtual bool decided(InstanceId k) const = 0;
-
-  /// The value this process durably proposed to the undecided instance
-  /// `k`, or nullptr (never proposed, or decided since). Recovery of the
-  /// pipelining window decodes these proposals to rebuild its in-flight
-  /// bookkeeping (see DESIGN.md §14).
-  virtual const Bytes* proposal_of(InstanceId k) const = 0;
 
   /// Pushes up to `max` locally-known decisions for instances >= from_k to
   /// `to`: how a peer the upper layer sees lagging learns decisions whose

@@ -35,7 +35,6 @@ void EngineBase::bind_metrics() {
   metrics_group_.bind("cons_corrupt_records", labels,
                       &metrics_.corrupt_records);
   metrics_group_.bind("cons_quarantined", labels, &metrics_.quarantined);
-  inflight_gauge_ = &registry->gauge("cons_inflight", labels);
 }
 
 void EngineBase::start(bool recovering) {
@@ -64,7 +63,6 @@ void EngineBase::start(bool recovering) {
     if (!has_decision(k)) proposals_.emplace(k, std::move(v));
     return true;
   });
-  set_inflight_gauge();
   // A torn engine record means durable promises/estimates for k are
   // forgotten, decided or not: quarantine k (see is_quarantined).
   for (const InstanceId k :
@@ -118,7 +116,6 @@ void EngineBase::propose(InstanceId k, const Bytes& value) {
     trace(obs::EventKind::kPropose, k, crc32(value));
     it = proposals_.emplace(k, value).first;
     metrics_.proposals += 1;
-    set_inflight_gauge();
   }
   engine_propose(k, it->second);
 }
@@ -127,11 +124,6 @@ std::optional<Bytes> EngineBase::decision(InstanceId k) {
   auto it = decisions_.find(k);
   if (it == decisions_.end()) return std::nullopt;
   return it->second;
-}
-
-const Bytes* EngineBase::proposal_of(InstanceId k) const {
-  auto it = proposals_.find(k);
-  return it == proposals_.end() ? nullptr : &it->second;
 }
 
 void EngineBase::learn_decision(InstanceId k, const Bytes& value,
@@ -144,7 +136,7 @@ void EngineBase::learn_decision(InstanceId k, const Bytes& value,
   trace(obs::EventKind::kDecide, k, crc32(value),
         i_decided ? "local" : "learned");
   decisions_.emplace(k, value);
-  if (proposals_.erase(k) != 0) set_inflight_gauge();
+  proposals_.erase(k);
   quarantined_.erase(k);  // the outcome is known; amnesia no longer matters
   if (i_decided) {
     metrics_.decided_local += 1;
@@ -224,7 +216,6 @@ void EngineBase::truncate_below(InstanceId k) {
   proposals_.erase(proposals_.begin(), proposals_.lower_bound(k));
   decisions_.erase(decisions_.begin(), decisions_.lower_bound(k));
   quarantined_.erase(quarantined_.begin(), quarantined_.lower_bound(k));
-  set_inflight_gauge();
   engine_truncate(k);
 }
 

@@ -30,7 +30,6 @@ class EngineBase : public ConsensusService {
   void set_decided_callback(DecidedCallback cb) final { decided_cb_ = std::move(cb); }
   bool proposed(InstanceId k) const final { return proposals_.count(k) != 0; }
   bool decided(InstanceId k) const final { return decisions_.count(k) != 0; }
-  const Bytes* proposal_of(InstanceId k) const final;
   void offer_decisions(ProcessId to, InstanceId from_k,
                        std::uint32_t max) final;
   void truncate_below(InstanceId k) final;
@@ -132,13 +131,6 @@ class EngineBase : public ConsensusService {
   std::vector<InstanceId> recover_records(
       const char* family,
       const std::function<bool(InstanceId, Bytes&&)>& load);
-  /// Mirrors the proposed-but-undecided instance count into the
-  /// cons_inflight gauge — the live consensus pipelining depth.
-  void set_inflight_gauge() {
-    if (inflight_gauge_ != nullptr) {
-      inflight_gauge_->set(static_cast<std::int64_t>(proposals_.size()));
-    }
-  }
 
   /// Dual-slot low-water mark: a torn write while truncating loses at most
   /// the latest advance, and since records are only erased AFTER the mark
@@ -153,7 +145,6 @@ class EngineBase : public ConsensusService {
   std::map<InstanceId, Bytes> decisions_;
   std::set<InstanceId> quarantined_;
   InstanceId low_water_ = 0;
-  obs::Gauge* inflight_gauge_ = nullptr;  // registry-owned; may be null
   obs::TraceRecorder* tracer_ = nullptr;  // host-owned; may be null
   bool started_ = false;
   // Declared last: unbinds metrics_ from the registry before it is

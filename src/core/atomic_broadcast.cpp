@@ -90,8 +90,6 @@ void AtomicBroadcast::bind_metrics() {
   metrics_group_.bind("ab_delta_rejected", labels, &metrics_.delta_rejected);
   metrics_group_.bind("ab_gossip_suppressed", labels,
                       &metrics_.gossip_suppressed);
-  metrics_group_.bind("ab_proposals_event_triggered", labels,
-                      &metrics_.proposals_event_triggered);
   metrics_group_.bind("ab_state_sent", labels, &metrics_.state_sent);
   metrics_group_.bind("ab_state_sent_trimmed", labels,
                       &metrics_.state_sent_trimmed);
@@ -198,7 +196,6 @@ void AtomicBroadcast::start(bool recovering, std::uint64_t incarnation) {
     drain();
     metrics_.replayed_rounds = k_ - k_before;
     prune_unordered();
-    rebuild_window_state();
   }
 
   gossip_tick();
@@ -292,99 +289,23 @@ void AtomicBroadcast::prune_unordered() {
   }
 }
 
-void AtomicBroadcast::maybe_propose(Trigger trigger) {
-  // The sequencer task of Fig. 2, pipelined: up to α rounds may be in
-  // flight, and α = 1 is the paper's sequential sequencer (the head slot's
-  // gate is its whole rule). Slots fill in ascending order, so the set of
-  // proposed instances stays contiguous from k_ and the recovery scan in
-  // rebuild_window_state can stop at the first gap.
-  gc_window_slots();
-  for (std::uint64_t j = k_; j < k_ + options_.pipeline_window; ++j) {
-    if (cons_.proposed(j) || cons_.decided(j)) continue;
-    propose_window_slot(j, trigger);
-  }
-}
-
-void AtomicBroadcast::propose_window_slot(std::uint64_t j, Trigger trigger) {
-  // One MsgId-ordered walk builds the slot's batch AND classifies content:
-  // every message an in-flight slot already carries rides along cap-free,
-  // new messages fill the remaining max_proposal_msgs budget. The riders
-  // are what keeps each proposal prefix-closed per (sender, incarnation)
-  // above our agreed frontier: no single decided value can then skip over a
-  // still-pending predecessor, no matter which slots' proposals win which
-  // rounds (DESIGN.md §14 has the induction).
+void AtomicBroadcast::maybe_propose() {
+  // The sequencer task of Fig. 2: round k_ is proposed once, and round
+  // k_ + 1 only after k_ decides (DESIGN.md §14). Propose whenever anything
+  // is pending, or when gossip revealed we lag (an empty proposal is safe
+  // there: the decision is locked without our input).
+  if (cons_.proposed(k_) || cons_.decided(k_)) return;
+  if (unordered_.empty() && gossip_k_ <= k_) return;
   const std::size_t cap = options_.max_proposal_msgs;
-  std::vector<const AppMsg*> batch;
-  std::vector<MsgId> fresh;
-  for (const auto& [id, m] : unordered_) {
-    if (inflight_.count(id) != 0) {
-      batch.push_back(&m);
-      continue;
-    }
-    if (cap != 0 && fresh.size() >= cap) continue;
-    batch.push_back(&m);
-    fresh.push_back(id);
-  }
-  if (j == k_) {
-    // Head slot: the paper's rule. Propose whenever anything is pending, or
-    // when gossip revealed we lag (empty proposals are safe there — the
-    // decision is locked without our input).
-    if (batch.empty() && gossip_k_ <= k_) return;
-  } else if (j >= gossip_k_) {
-    // Slots past the head open only for genuinely new content — otherwise
-    // consecutive slots would carry identical rider-only batches and burn
-    // rounds. Event trigger: open when the new portion fills the batch
-    // budget (any new message, with unbounded batches). Timer trigger (the
-    // gossip tick): flush a partial batch so a trickle workload still
-    // pipelines.
-    if (fresh.empty()) return;
-    const bool full = cap == 0 || fresh.size() >= cap;
-    if (!full && trigger != Trigger::kTimer) return;
-  }
-  // else j < gossip_k_: some peer already finished round j, so its outcome
-  // is fixed — propose (even empty) to drive our instance to the decision.
+  const std::size_t count =
+      cap == 0 ? unordered_.size() : std::min(cap, unordered_.size());
   BufWriter w;
-  w.u32(checked_u32(batch.size()));
-  for (const AppMsg* m : batch) m->encode(w);
+  w.u32(checked_u32(count));
+  auto it = unordered_.begin();
+  for (std::size_t i = 0; i < count; ++i, ++it) it->second.encode(w);
   metrics_.proposals += 1;
-  if (batch.empty()) metrics_.empty_proposals += 1;
-  if (trigger == Trigger::kEvent) metrics_.proposals_event_triggered += 1;
-  for (const MsgId& id : fresh) inflight_.insert(id);
-  if (!fresh.empty()) slot_new_[j] = std::move(fresh);
-  cons_.propose(j, std::move(w).take());
-}
-
-void AtomicBroadcast::gc_window_slots() {
-  // The commit gate passed these slots: whatever they first proposed is
-  // either delivered (their value won) or back to being plain new content
-  // (a competing value won) — in both cases it leaves the in-flight set.
-  while (!slot_new_.empty() && slot_new_.begin()->first < k_) {
-    for (const MsgId& id : slot_new_.begin()->second) inflight_.erase(id);
-    slot_new_.erase(slot_new_.begin());
-  }
-}
-
-void AtomicBroadcast::rebuild_window_state() {
-  // Recovery: re-derive which pending messages a logged-but-undecided
-  // proposal already carries. Slots propose in ascending order, so walking
-  // up from k_ and attributing each message to the first proposal holding
-  // it reproduces the pre-crash bookkeeping; the scan skips decided slots
-  // (consensus keeps no proposal for them) and stops at the first
-  // never-proposed undecided slot (the proposed set is contiguous from k_).
-  for (std::uint64_t j = k_;; ++j) {
-    if (cons_.decided(j)) continue;  // outcome fixed; applies via drain
-    const Bytes* prop = cons_.proposal_of(j);
-    if (prop == nullptr) break;
-    std::vector<MsgId> fresh;
-    try {
-      for (const auto& m : decode_batch(*prop)) {
-        if (inflight_.insert(m.id).second) fresh.push_back(m.id);
-      }
-    } catch (const CodecError&) {
-      // Defensive: consensus recovery already discarded torn proposals.
-    }
-    if (!fresh.empty()) slot_new_[j] = std::move(fresh);
-  }
+  if (count == 0) metrics_.empty_proposals += 1;
+  cons_.propose(k_, std::move(w).take());
 }
 
 void AtomicBroadcast::on_decided(InstanceId k, const Bytes& value) {
@@ -529,14 +450,6 @@ void AtomicBroadcast::gossip_tick() {
     gossip_dirty_ = false;
   } else {
     metrics_.gossip_suppressed += 1;
-  }
-  if (options_.pipeline_window > 1) {
-    // Timer leg of event-driven proposing: flush partial batches into open
-    // window slots past the head so a trickle workload still pipelines
-    // instead of waiting for the batch budget to fill. A window of one has
-    // no such slot, so its ticks never propose: a head slot whose propose()
-    // returned at once (below the truncation mark) is retried on events.
-    maybe_propose(Trigger::kTimer);
   }
   env_.schedule_after(options_.gossip_period, [this] { gossip_tick(); });
 }

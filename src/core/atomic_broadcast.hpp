@@ -25,7 +25,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -65,11 +64,6 @@ struct AbMetrics {
   /// were parked in the reorder buffer; see DESIGN.md.
   RelaxedU64 delta_rejected;
   RelaxedU64 gossip_suppressed;  // idle ticks skipped (digest mode)
-  /// Proposals fired by an event (broadcast arrival, batch full, decide,
-  /// gossip) rather than the periodic timer leg of the pipelined proposer.
-  /// In a window of one every proposal is event-triggered (the timer leg
-  /// exists only for partial window slots past the head).
-  RelaxedU64 proposals_event_triggered;
   /// Catch-up sessions opened toward lagging peers (§5.3). One session
   /// streams the whole missing state in bounded chunks; the chunk counters
   /// below account the individual datagrams.
@@ -211,23 +205,10 @@ class AtomicBroadcast {
                          std::uint64_t peer_total);
   void checkpoint_tick();
   void take_checkpoint();
-  /// What caused a proposal attempt. Timer-triggered attempts (the gossip
-  /// tick) may open partial batches for window slots beyond k_; every other
-  /// call site is an event (broadcast, decide, gossip arrival).
-  enum class Trigger { kEvent, kTimer };
-  void maybe_propose(Trigger trigger = Trigger::kEvent);
-  /// One window slot j >= k_ of the proposer: builds the prefix-closed
-  /// cumulative batch (all in-flight messages ride along cap-free; new
-  /// messages fill up to max_proposal_msgs) and proposes it if its gate
-  /// opens.
-  void propose_window_slot(std::uint64_t j, Trigger trigger);
-  /// Rebuilds slot_new_/inflight_ after recovery from the per-instance
-  /// proposal logs of still-undecided rounds ≥ k_.
-  void rebuild_window_state();
-  /// Drops window bookkeeping for slots the commit gate has passed
-  /// (slot < k_): their first-proposed messages become plain "new" again if
-  /// a foreign value won the round.
-  void gc_window_slots();
+  /// The sequencer of Fig. 2: proposes round k_ once, with the pending
+  /// backlog (its first max_proposal_msgs messages when capped), or empty
+  /// when gossip shows this process lags.
+  void maybe_propose();
   /// Applies every locally-known decision starting at k_, then proposes.
   void drain();
   void apply_batch(const Bytes& value);
@@ -313,17 +294,6 @@ class AtomicBroadcast {
   std::map<MsgId, AppMsg> reorder_buf_;
   bool gossip_dirty_ = true;     // something changed since the last tick send
   std::uint32_t idle_ticks_ = 0;
-  /// Messages first proposed by each still-relevant window slot (keys are
-  /// InstanceIds ≥ k_ once gc_window_slots ran). When slot j's round decides
-  /// or is skipped, its entries leave inflight_ — if a foreign value won,
-  /// they are re-proposable as new content. In a window of one it holds at
-  /// most the head slot.
-  std::map<std::uint64_t, std::vector<MsgId>> slot_new_;
-  /// Union of slot_new_ over undecided slots: messages some in-flight
-  /// proposal already carries. They ride along in later slots' batches
-  /// (cap-exempt, keeping every proposal prefix-closed per sender) but do
-  /// not count as new content that justifies opening another slot.
-  std::set<MsgId> inflight_;
   AbMetrics metrics_;
   obs::TraceRecorder* tracer_ = nullptr;      // host-owned; may be null
   obs::Histogram* batch_size_hist_ = nullptr;  // registry-owned; may be null

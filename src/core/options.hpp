@@ -74,24 +74,13 @@ struct Options {
 
   /// Upper bound on messages per Consensus proposal; 0 means a proposal
   /// carries the whole Unordered backlog (the paper's unbounded batch).
-  /// Bounding the batch gives a round pipeline a finite per-group ordering
+  /// Bounding the batch gives the sequencer a finite per-group ordering
   /// rate — the regime where multi-group sharding (E14) pays off — and
   /// models real orderers, which cap batch size to bound decision latency
   /// and proposal datagrams. Messages left out stay in Unordered and ride
   /// a later round; per-sender seq order within one proposer is preserved
   /// because the batch takes a prefix of the MsgId-ordered backlog.
   std::size_t max_proposal_msgs = 0;
-
-  /// Number of Consensus rounds that may be in flight concurrently (the
-  /// pipelining window α). 1 reproduces the paper's sequential protocol:
-  /// round k must decide before k+1 is proposed. With α > 1 the process
-  /// proposes rounds k..k+α-1 before k decides; delivery stays gated on the
-  /// contiguous decided prefix, so out-of-order decides park in the
-  /// per-instance decision log until the gap closes (see DESIGN.md §14).
-  /// Slots beyond k carry the union of every in-flight proposal plus new
-  /// messages, which keeps each proposal prefix-closed per sender and makes
-  /// the window safe under competing proposers and supersession.
-  std::uint64_t pipeline_window = 1;
 
   // ---- §5.5: incremental logging -----------------------------------------
   /// When logging Unordered, write only the new message instead of the
@@ -130,9 +119,6 @@ struct Options {
                      "incremental_unordered_log requires log_unordered");
     ABCAST_CHECK_MSG(!trimmed_state_transfer || state_transfer,
                      "trimmed_state_transfer requires state_transfer");
-    ABCAST_CHECK_MSG(pipeline_window >= 1,
-                     "pipeline_window must be at least 1 (1 = sequential "
-                     "rounds, the paper's protocol)");
     if (checkpointing) ABCAST_CHECK(checkpoint_period > 0);
     if (state_transfer) ABCAST_CHECK(delta >= 1);
   }

@@ -146,21 +146,7 @@ struct Installer {
   void operator()(const LoadClause&) const {
     // Load clauses are driven by LoadDriver, not scheduled here.
   }
-
-  void operator()(const WinClause&) const {
-    // Configuration, not a timed fault: pipeline_window is applied to the
-    // cluster config before start (like skew); see scenario_stack.
-  }
 };
-
-/// The pipelining window a scenario requests (win(a=N) clause), default 1.
-std::uint64_t scenario_window(const Scenario& s) {
-  std::uint64_t alpha = 1;
-  for (const auto& clause : s.clauses) {
-    if (const auto* w = std::get_if<WinClause>(&clause)) alpha = w->alpha;
-  }
-  return alpha;
-}
 
 std::uint64_t fnv1a_order(const std::vector<MsgId>& order) {
   std::uint64_t h = 1469598103934665603ull;
@@ -191,7 +177,7 @@ sim::SimConfig scenario_sim(const Scenario& s,
 }
 
 /// The (per-group) stack a scenario selects: its engine, the alternative
-/// protocol with 50 ms checkpoints, its gossip mode and its window α.
+/// protocol with 50 ms checkpoints, and its gossip mode.
 core::StackConfig scenario_stack(const Scenario& s) {
   core::StackConfig cfg;
   cfg.engine = s.engine;
@@ -200,7 +186,6 @@ core::StackConfig scenario_stack(const Scenario& s) {
     cfg.ab.checkpoint_period = millis(50);
   }
   cfg.ab.digest_gossip = s.digest_gossip;
-  cfg.ab.pipeline_window = scenario_window(s);
   return cfg;
 }
 

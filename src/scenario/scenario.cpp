@@ -233,7 +233,6 @@ const char* clause_kind(const Clause& c) {
         else if constexpr (std::is_same_v<T, DiskClause>) return "disk";
         else if constexpr (std::is_same_v<T, BurstClause>) return "burst";
         else if constexpr (std::is_same_v<T, StormClause>) return "storm";
-        else if constexpr (std::is_same_v<T, WinClause>) return "win";
         else return "load";
       },
       c);
@@ -282,8 +281,6 @@ std::string Scenario::serialize() const {
                 << ",ops=" << cl.ops_ahead
                 << ",phase=" << fmt_phase(cl.phase)
                 << ",times=" << cl.times << ",gap=" << fmt_dur(cl.gap);
-          } else if constexpr (std::is_same_v<T, WinClause>) {
-            out << "a=" << cl.alpha;
           } else {  // LoadClause
             out << "at=" << fmt_dur(cl.at) << ",for=" << fmt_dur(cl.hold)
                 << ",gap=" << fmt_dur(cl.mean_gap)
@@ -454,12 +451,6 @@ std::optional<Scenario> Scenario::parse(const std::string& line,
       if (opt(kvs, "keys", v6) && !p.u32(v6, cl.keys)) return bail();
       if (opt(kvs, "hot", v7) && !p.real(v7, cl.hot)) return bail();
       s.clauses.emplace_back(cl);
-    } else if (kind == "win") {
-      WinClause cl;
-      if (!need(kvs, kind, "a", v1, p) || !p.u32(v1, cl.alpha)) {
-        return bail();
-      }
-      s.clauses.emplace_back(cl);
     } else {
       p.fail("unknown clause kind '" + kind + "'");
       return bail();
@@ -501,8 +492,6 @@ std::optional<Scenario> Scenario::parse(const std::string& line,
             }
           } else if constexpr (std::is_same_v<T, StormClause>) {
             return cl.node < s.n && cl.ops_ahead >= 1;
-          } else if constexpr (std::is_same_v<T, WinClause>) {
-            return cl.alpha >= 1;
           } else {  // LoadClause
             // hot without keys would not survive serialize() (which omits
             // both when keys == 0), breaking the one-line-repro fixpoint.
@@ -652,15 +641,6 @@ Scenario generate_scenario(std::uint64_t seed) {
   s.alternative = ((seed / 2) % 2) != 0;
   s.digest_gossip = ((seed / 4) % 2) != 0;
   s.n = (seed % 10 == 7) ? 5 : 3;
-  // The pipelining-window axis (α ∈ {1, 4, 16}): a deterministic seed digit
-  // like the axes above, emitted as a clause only when α != 1 so every
-  // pre-window scenario line is unchanged. Two thirds of the sweep runs
-  // pipelined, crossing α with engine × variant × gossip × fault mix.
-  switch ((seed / 8) % 3) {
-    case 1: s.clauses.emplace_back(WinClause{4}); break;
-    case 2: s.clauses.emplace_back(WinClause{16}); break;
-    default: break;
-  }
 
   Rng rng(seed * 0x9e3779b97f4a7c15ull + 0xabcbadull);
   s.horizon = millis(rng.uniform(600, 1000));

@@ -37,7 +37,7 @@ namespace abcast::scenario {
 /// `// ablint:scenario-roundtrip <kind>` round-trip test for each entry;
 /// add the test when you add the kind.
 constexpr const char* kScenarioClauseKinds[] = {
-    "part", "flap", "gray", "skew", "disk", "burst", "storm", "load", "win",
+    "part", "flap", "gray", "skew", "disk", "burst", "storm", "load",
 };
 
 /// part(at,for,side,mode): partition {side} from the rest at `at`, heal
@@ -146,19 +146,9 @@ struct LoadClause {
   bool operator==(const LoadClause&) const = default;
 };
 
-/// win(a): run the whole cluster with Options::pipeline_window = a — α
-/// consensus rounds in flight concurrently (DESIGN.md §14). Like skew, a
-/// property of the configuration applied before start, not a timed fault;
-/// the sweeps cross it into hostile schedules so pipelined windows face
-/// crash-recovery churn.
-struct WinClause {
-  std::uint32_t alpha = 1;
-  bool operator==(const WinClause&) const = default;
-};
-
 using Clause = std::variant<PartitionClause, FlapClause, GrayClause,
                             SkewClause, DiskClause, BurstClause, StormClause,
-                            LoadClause, WinClause>;
+                            LoadClause>;
 
 /// The serialized keyword of a clause ("part", "flap", ...).
 const char* clause_kind(const Clause& c);
@@ -190,10 +180,9 @@ struct Scenario {
 
 /// The adversary: expands one seed into a scenario. Deterministic; the
 /// engine/variant/gossip axes are crossed uniformly (seed, seed/2, seed/4
-/// parities, matching the trace_sweep convention), the pipelining window
-/// α ∈ {1, 4, 16} by (seed/8) mod 3 (emitted as a win() clause when not 1),
-/// and the clause mix is drawn from the seed's RNG with every fault kind
-/// guaranteed to appear within any 8 consecutive seeds.
+/// parities, matching the trace_sweep convention), and the clause mix is
+/// drawn from the seed's RNG with every fault kind guaranteed to appear
+/// within any 8 consecutive seeds.
 Scenario generate_scenario(std::uint64_t seed);
 
 }  // namespace abcast::scenario

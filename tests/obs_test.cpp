@@ -358,10 +358,11 @@ TEST(TraceJsonTest, KindNamesRoundTrip) {
 // The delivered counter and the kDeliver trace stream must agree on every
 // node, including one that catches up through a chunked state-transfer
 // session: tail chunks deliver through the same accounting path as normal
-// drains, and a snapshot install skips the counter and the trace
-// symmetrically. The lag comes from a partition, not a crash — recovery
-// replay legitimately re-delivers without bumping the counter, which
-// would make the comparison meaningless.
+// drains. (A snapshot install skips the counter and the trace symmetrically;
+// this run turns application checkpoints off so that the whole missed
+// history streams as tail chunks.) The lag comes from a partition, not a
+// crash — recovery replay legitimately re-delivers without bumping the
+// counter, which would make the comparison meaningless.
 TEST(TraceMetricsAgreement, DeliveredCounterMatchesTraceThroughCatchUp) {
   harness::ClusterConfig cfg;
   cfg.sim.n = 3;
@@ -371,6 +372,9 @@ TEST(TraceMetricsAgreement, DeliveredCounterMatchesTraceThroughCatchUp) {
   cfg.stack.ab.checkpoint_period = millis(50);
   cfg.stack.ab.delta = 2;
   cfg.sim.net.max_datagram_bytes = 512;  // several chunks even for tiny state
+  // No application checkpoints: the missed history streams as tail chunks
+  // rather than folding into a snapshot.
+  cfg.stack.ab.app_checkpointing = false;
   harness::Cluster c(cfg);
   c.start_all();
 
@@ -384,13 +388,13 @@ TEST(TraceMetricsAgreement, DeliveredCounterMatchesTraceThroughCatchUp) {
                               Bytes(96, static_cast<std::uint8_t>(b))));
     ASSERT_TRUE(c.await_delivery({ids.back()}, {0, 1}, seconds(60)));
   }
-  c.sim().run_for(millis(300));  // checkpoints fold the prefix away
+  c.sim().run_for(millis(300));  // checkpoints truncate the consensus log
   c.sim().heal_partition();
   ASSERT_TRUE(c.await_delivery(ids, {2}, seconds(120)));
   ASSERT_TRUE(c.await_quiesced(seconds(120)));
   ASSERT_EQ(c.trace_dropped(), 0u);
 
-  EXPECT_GE(c.stack(2)->ab().metrics().state_chunks_applied, 1u);
+  EXPECT_GE(c.stack(2)->ab().metrics().state_chunks_applied, 2u);
   std::vector<std::uint64_t> traced(3, 0);
   for (const auto& e : c.collect_trace()) {
     if (e.kind == EventKind::kDeliver) traced[e.node] += 1;

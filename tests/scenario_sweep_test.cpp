@@ -95,18 +95,20 @@ TEST(ScenarioSweep, DiskFaultCellOnSegmentedLogMatchesMemBackend) {
   std::filesystem::remove_all(root, ec);
 }
 
-// A bench_scenarios cell (seed 10075) that once broke total order: the
-// coordinator engine let a later round override a value a majority had
-// locked in round 0 (CoordEngine.RoundZeroLockOutranksInitialEstimates pins
-// the engine-level bug).
+// A generated cell (seed 13371, one round in flight) that breaks total
+// order when the coordinator engine lets a later round override a value a
+// majority locked in round 0: with CoordEngine's round + 1 stamp reverted it
+// reports "total order violated at p1 position 6".
+// CoordEngine.RoundZeroLockOutranksInitialEstimates pins the engine-level
+// bug; bench_scenarios seed 10075 first showed it.
 TEST(ScenarioSweep, CoordRoundZeroLockCellReplaysClean) {
   constexpr const char* kLine =
-      "scn1 seed=10075 n=3 horizon=782ms engine=coord variant=alt "
-      "gossip=full win(a=16) "
-      "load(at=38ms,for=644ms,gap=10ms,clients=64,bytes=51) "
-      "skew(node=1,scale=0.72) "
-      "flap(at=92ms,a=1,b=2,period=26ms,count=4) "
-      "part(at=134ms,for=167ms,side=0,mode=out)";
+      "scn1 seed=13371 n=3 horizon=955ms engine=coord variant=alt "
+      "gossip=full "
+      "load(at=4ms,for=851ms,gap=8ms,clients=64,bytes=40) "
+      "skew(node=0,scale=0.77) "
+      "part(at=110ms,for=348ms,side=2|1,mode=in) "
+      "flap(at=287ms,a=2,b=1,period=38ms,count=4)";
   std::string error;
   const auto s = Scenario::parse(kLine, &error);
   ASSERT_TRUE(s.has_value()) << error;

@@ -119,15 +119,6 @@ TEST(ScenarioRoundtrip, Load) {
   expect_roundtrip(s);
 }
 
-TEST(ScenarioRoundtrip, Win) {
-  // ablint:scenario-roundtrip win
-  Scenario s = base_scenario();
-  s.clauses.push_back(WinClause{4});
-  expect_roundtrip(s);
-  s.clauses.push_back(WinClause{64});
-  expect_roundtrip(s);
-}
-
 TEST(ScenarioRoundtrip, EveryKindInOneLine) {
   Scenario s = base_scenario();
   s.clauses.push_back(PartitionClause{millis(100), millis(200), {0},
@@ -141,7 +132,6 @@ TEST(ScenarioRoundtrip, EveryKindInOneLine) {
   s.clauses.push_back(
       StormClause{millis(500), 2, 4, CrashPhase::kAfterOp, 2, millis(70)});
   s.clauses.push_back(LoadClause{millis(0), millis(800), millis(5), 64, 16});
-  s.clauses.push_back(WinClause{4});
   ASSERT_EQ(s.clauses.size(), std::size(kScenarioClauseKinds));
   expect_roundtrip(s);
 }
@@ -163,7 +153,6 @@ TEST(ScenarioParse, RejectsMalformedLines) {
       "scn1 n=3 skew(node=0,scale=0)",             // scale must be > 0
       "scn1 n=3 storm(at=1ms,node=0,ops=0,phase=torn,times=1,gap=2ms)",
       "scn1 n=3 load(at=0s,for=1s,gap=0s,clients=4,bytes=8)",  // gap = 0
-      "scn1 win(a=0)",                             // window must be >= 1
       "scn1 gray(at=1ms,for=2ms,node=0",           // unterminated clause
       "scn1 n=0",                                  // empty cluster
       // Fuzzing-campaign hardening (fuzz/corpus/scenario/): strtod accepts
@@ -189,7 +178,7 @@ TEST(ScenarioParse, RejectsMalformedLines) {
 // clause counts, process lists, and the line itself are bounded.
 TEST(ScenarioParse, RejectsOversizedInputs) {
   std::string many_clauses = "scn1 n=3";
-  for (int i = 0; i < 129; ++i) many_clauses += " win(a=1)";
+  for (int i = 0; i < 129; ++i) many_clauses += " skew(node=0,scale=1)";
   std::string error;
   EXPECT_FALSE(Scenario::parse(many_clauses, &error).has_value());
   EXPECT_NE(error.find("clauses"), std::string::npos);
@@ -208,7 +197,7 @@ TEST(ScenarioParse, RejectsOversizedInputs) {
 
   // 128 clauses exactly is still accepted — the cap is not off by one.
   std::string at_cap = "scn1 n=3";
-  for (int i = 0; i < 128; ++i) at_cap += " win(a=1)";
+  for (int i = 0; i < 128; ++i) at_cap += " skew(node=0,scale=1)";
   EXPECT_TRUE(Scenario::parse(at_cap, nullptr).has_value());
 }
 

@@ -128,6 +128,11 @@ void run_state_seed(std::uint64_t seed) {
   cfg.sim.net.max_datagram_bytes = 512;  // several chunks even for tiny state
   cfg.stack.ab.trimmed_state_transfer = (seed / 2) % 2;
   cfg.stack.ab.digest_gossip = (seed / 4) % 2;
+  // Without application checkpoints the rejoiner's whole history streams
+  // as tail chunks, so the corridor's 512 B limit actually binds; with them
+  // the history folds into a small snapshot.
+  const bool tail_only = (seed / 8) % 2;
+  if (tail_only) cfg.stack.ab.app_checkpointing = false;
   Cluster c(cfg);
   c.start_all();
   Rng rng(seed * 104729 + 7);
@@ -144,7 +149,8 @@ void run_state_seed(std::uint64_t seed) {
   c.sim().crash(victim);
   for (int b = 0; b < 10; ++b) {
     const ProcessId sender = survivors[static_cast<std::size_t>(b) % 2];
-    ids.push_back(c.broadcast(sender, Bytes(96, static_cast<std::uint8_t>(b))));
+    ids.push_back(c.broadcast(sender, Bytes(40 + 23 * static_cast<std::size_t>(b),
+                                            static_cast<std::uint8_t>(b))));
     // Await each broadcast so every one closes at least one round: the
     // victim must fall behind by well over Δ rounds, not just Δ messages.
     EXPECT_TRUE(c.await_delivery({ids.back()}, survivors, seconds(60)))
@@ -190,6 +196,21 @@ void run_state_seed(std::uint64_t seed) {
                (e.detail == "send_chunk" || e.detail == "send_snap");
       });
   EXPECT_TRUE(chunked) << "seed " << seed << ": no state chunk ever sent";
+  if (tail_only) {
+    // The tail filled several datagrams, one of them near the limit.
+    std::size_t tail_chunks = 0;
+    std::uint64_t largest = 0;
+    for (const auto& e : trace) {
+      if (e.kind != obs::EventKind::kStateTransfer ||
+          e.detail != "send_chunk") {
+        continue;
+      }
+      tail_chunks += 1;
+      largest = std::max(largest, e.arg);
+    }
+    EXPECT_GE(tail_chunks, 3u) << "seed " << seed;
+    EXPECT_GE(largest, 384u) << "seed " << seed;
+  }
 }
 
 void run_state_range(std::uint64_t first_seed, std::uint64_t count) {
