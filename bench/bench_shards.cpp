@@ -1,12 +1,16 @@
 // E14 — Sharded multi-group scale-out.
 //
-// Claim: with the per-group round pipeline as the ordering bottleneck
-// (bounded proposal batches — max_proposal_msgs — give one group a finite
-// msgs/round × rounds/sec ceiling), partitioning the key space over N
-// groups on the SAME nodes multiplies aggregate delivered/s by ~N: groups
-// run their consensus rounds independently, so shard count is the degree
-// of ordering parallelism. Acceptance: ≥3× aggregate delivered/s at
-// 4 shards vs 1 shard, same node count, same load profile.
+// Claim: with the per-group round pipeline as the ordering bottleneck,
+// partitioning the key space over N groups on the SAME nodes multiplies
+// aggregate delivered/s by ~N: groups run their consensus rounds
+// independently, so shard count is the degree of ordering parallelism.
+// Acceptance: ≥3× aggregate delivered/s at 4 shards vs 1 shard, same node
+// count, same load profile.
+//
+// The per-group ceiling comes from the transport, as a real orderer's
+// does: on a network of kMaxDatagramBytes a proposal carries what fits one
+// datagram, so one group orders a finite msgs/round × rounds/sec. The
+// binary exits 1 when any run drops an oversize datagram.
 //
 // A contrast table shows the failure mode: a hot-key skew collapses the
 // load onto few shards and the scale-out evaporates — sharding only buys
@@ -30,19 +34,23 @@ using abcast::harness::Table;
 namespace {
 
 constexpr std::uint32_t kNodes = 3;
+/// The network's datagram limit. Without a bound a proposal carries the
+/// whole backlog and one group absorbs any offered load in virtual time —
+/// there would be nothing for sharding to scale.
+constexpr std::size_t kMaxDatagramBytes = 700;
+
+/// Runs that dropped an oversize datagram; main() exits 1 when non-zero.
+int g_oversize_runs = 0;
 
 ShardedClusterConfig make_config(std::uint32_t shards, std::uint64_t seed) {
   ShardedClusterConfig cfg;
   cfg.sim.n = kNodes;
   cfg.sim.seed = seed;
+  cfg.sim.net.max_datagram_bytes = kMaxDatagramBytes;
   cfg.node.layout = GroupConfig::uniform(kNodes, shards);
-  // The E2 open-loop profile (§5.4 durable early-return), plus the bounded
-  // batch that makes per-group ordering rate finite. Without the cap a
-  // proposal carries the whole backlog and one group absorbs any offered
-  // load in virtual time — there would be nothing for sharding to scale.
+  // The E2 open-loop profile (§5.4 durable early-return).
   cfg.node.stack.ab.log_unordered = true;
   cfg.node.stack.ab.incremental_unordered_log = true;
-  cfg.node.stack.ab.max_proposal_msgs = 8;
   return cfg;
 }
 
@@ -97,11 +105,19 @@ double per_sec(const ShardRunResult& r) {
 void emit_row(const char* experiment, std::uint32_t shards, int clients,
               double hot, const ShardRunResult& r, double speedup,
               ShardedCluster& c) {
+  const std::uint64_t oversize = c.sim().net_stats().dropped_oversize;
+  if (oversize != 0) {
+    std::cerr << "bench_shards: " << experiment << " shards=" << shards
+              << " clients=" << clients << " hot=" << hot << " dropped "
+              << oversize << " oversize datagrams\n";
+    g_oversize_runs += 1;
+  }
   Json row;
   row.field("experiment", experiment)
       .field("shards", shards)
       .field("clients", clients)
       .field("hot", hot)
+      .field("max_datagram_bytes", kMaxDatagramBytes)
       .field("delivered", r.delivered)
       .field("elapsed_ms", static_cast<double>(r.elapsed) / 1e6)
       .field("throughput_per_sec", per_sec(r))
@@ -200,6 +216,7 @@ BENCHMARK(BM_ShardedOpenLoop4)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   init_metrics_json(argc, argv);
   run_tables();
+  if (g_oversize_runs != 0) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

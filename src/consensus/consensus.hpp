@@ -87,6 +87,10 @@ class ConsensusService {
   /// ignored (idempotence across recoveries).
   virtual void propose(InstanceId k, const Bytes& value) = 0;
 
+  /// The largest value propose() takes (it throws above): one whose every
+  /// carrying message fits a datagram of Env::max_datagram_bytes().
+  virtual std::size_t max_value_bytes() const = 0;
+
   /// Locally-known decision for `k` (memory or decision log), if any.
   virtual std::optional<Bytes> decision(InstanceId k) = 0;
 

@@ -17,6 +17,11 @@ namespace abcast::consensus_wire {
 
 using InstanceId = std::uint64_t;
 
+/// The largest fixed part of a message carrying a value: PROMISE's and
+/// ESTIMATE's three u64s and the value's u32 length (ACCEPT and NEW_ESTIMATE
+/// need 20 B, DECIDED 12 B). EngineBase::max_value_bytes() subtracts it.
+inline constexpr std::size_t kValueHeaderBytes = 8 + 8 + 8 + 4;
+
 // ---- shared by both engines (EngineBase) ----------------------------------
 
 /// kPaxosDecided / kCoordDecide payload: a decision, pushed once by its

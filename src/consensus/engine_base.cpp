@@ -100,8 +100,13 @@ std::vector<InstanceId> EngineBase::recover_records(
   return damaged;
 }
 
+std::size_t EngineBase::max_value_bytes() const {
+  return env_.max_datagram_bytes() - consensus_wire::kValueHeaderBytes;
+}
+
 void EngineBase::propose(InstanceId k, const Bytes& value) {
   ABCAST_CHECK_MSG(started_, "propose before start");
+  ABCAST_CHECK_MSG(value.size() <= max_value_bytes(), "proposal too big");
   // Truncated instances are closed: their records are gone, so proposing
   // would re-run consensus with amnesia. A caller this far behind (its
   // checkpoint was lost to a torn write) is caught up by a state transfer,

@@ -26,6 +26,7 @@ class EngineBase : public ConsensusService {
  public:
   void start(bool recovering) final;
   void propose(InstanceId k, const Bytes& value) final;
+  std::size_t max_value_bytes() const final;
   std::optional<Bytes> decision(InstanceId k) final;
   void set_decided_callback(DecidedCallback cb) final { decided_cb_ = std::move(cb); }
   bool proposed(InstanceId k) const final { return proposals_.count(k) != 0; }

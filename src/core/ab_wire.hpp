@@ -19,7 +19,7 @@
 namespace abcast::core {
 
 /// Full-set gossip datagram (Options::digest_gossip == false): the sender's
-/// round, delivered count, and its entire Unordered set.
+/// round, delivered count, and its Unordered set (as much of it as fits).
 struct GossipMsg {
   std::uint64_t k = 0;
   /// Local delivered count — advertised so peers can trim state transfers
@@ -41,6 +41,9 @@ struct GossipMsg {
     return m;
   }
 };
+
+/// Encoded size of a full-set gossip datagram's k, total and unordered count.
+inline std::size_t gossip_header_bytes() { return 8 + 8 + 4; }
 
 /// One self-contained chunk of a §5.3 catch-up session (replaces the
 /// retired one-shot StateMsg, whose whole-AgreedLog payload could exceed

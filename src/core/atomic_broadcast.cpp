@@ -56,12 +56,20 @@ AtomicBroadcast::AtomicBroadcast(Env& env, ConsensusService& consensus,
       storage_(env.storage(), "ab"), agreed_(env.group_size()),
       tracer_(env.tracer()) {
   options_.validate();
-  // Deltas, tail chunks and snapshot slices are sized to the datagram limit:
-  // it must hold their largest header, the digest's, and a 64-byte message.
+  // Every datagram that carries messages is sized to the limit: it must
+  // hold the largest header, the digest's, and a 64-byte message.
+  const std::size_t limit = env_.max_datagram_bytes();
   ABCAST_CHECK_MSG(
-      env_.max_datagram_bytes() >= digest_header_bytes(env.group_size()) + 80,
+      limit >= digest_header_bytes(env.group_size()) + 80,
       "the datagram limit must fit a digest or chunk header plus one small "
       "message");
+  // Admission: a message rides alone in each of its carriers — a proposal
+  // (a value less its u32 count), full-set gossip, a delta, a tail chunk.
+  const std::size_t room =
+      std::min({cons_.max_value_bytes() - 4, limit - gossip_header_bytes(),
+                limit - digest_header_bytes(env.group_size()),
+                limit - state_chunk_header_bytes()});
+  max_payload_bytes_ = room - delta_entry_bytes(AppMsg{});
   bind_metrics();
 }
 
@@ -208,6 +216,7 @@ void AtomicBroadcast::start(bool recovering, std::uint64_t incarnation) {
 
 MsgId AtomicBroadcast::broadcast(Bytes payload) {
   ABCAST_CHECK_MSG(started_, "broadcast before start");
+  ABCAST_CHECK_MSG(payload.size() <= max_payload_bytes_, "payload too big");
   counter_ += 1;
   AppMsg m;
   m.id = MsgId{env_.self(), make_seq(incarnation_, counter_)};
@@ -244,14 +253,10 @@ MsgId AtomicBroadcast::broadcast(Bytes payload) {
       // says it is missing.
       send_eager_deltas();
     } else {
-      // Send the WHOLE unordered set, exactly like a gossip tick — never a
-      // single message. Correctness depends on gossip sets being monotone:
-      // any process holding an unagreed message also holds that sender's
-      // earlier unagreed ones, which is what makes the vector-clock
-      // duplicate-suppression rule in AgreedLog safe. A single-message
-      // datagram racing ahead of its predecessor on the non-FIFO channel
-      // would let a proposal contain (p,s+1) without (p,s) and drop (p,s)
-      // everywhere.
+      // Send a gossip datagram exactly like a tick, never a single message:
+      // one racing ahead of its predecessor on the non-FIFO channel would
+      // leave a process holding (p,s+1) without (p,s), a proposal could
+      // carry it, and AgreedLog's duplicate filter would drop (p,s).
       send_gossip_now();
     }
   }
@@ -296,16 +301,49 @@ void AtomicBroadcast::maybe_propose() {
   // there: the decision is locked without our input).
   if (cons_.proposed(k_) || cons_.decided(k_)) return;
   if (unordered_.empty() && gossip_k_ <= k_) return;
-  const std::size_t cap = options_.max_proposal_msgs;
-  const std::size_t count =
-      cap == 0 ? unordered_.size() : std::min(cap, unordered_.size());
   BufWriter w;
-  w.u32(checked_u32(count));
-  auto it = unordered_.begin();
-  for (std::size_t i = 0; i < count; ++i, ++it) it->second.encode(w);
+  const std::size_t count =
+      encode_unordered(w, cons_.max_value_bytes() - 4,
+                       static_cast<ProcessId>(k_ % env_.group_size()));
   metrics_.proposals += 1;
   if (count == 0) metrics_.empty_proposals += 1;
   cons_.propose(k_, std::move(w).take());
+}
+
+std::size_t AtomicBroadcast::encode_unordered(BufWriter& w,
+                                              std::size_t budget,
+                                              ProcessId first) const {
+  std::size_t bytes = 0;
+  for (const auto& [id, m] : unordered_) bytes += delta_entry_bytes(m);
+  if (bytes <= budget) {
+    w.u32(checked_u32(unordered_.size()));
+    for (const auto& [id, m] : unordered_) m.encode(w);
+    return unordered_.size();
+  }
+  // A prefix of each sender's chain keeps the dedup rule sound (a batch
+  // holding (p, s+1) holds (p, s) unless (p, s) is agreed); rotating the
+  // first sender keeps a flood from one from starving the others.
+  const std::uint32_t n = env_.group_size();
+  std::vector<std::size_t> take(n, 0);
+  std::size_t count = 0;
+  bytes = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const ProcessId p = (first + i) % n;
+    for (auto it = unordered_.lower_bound(MsgId{p, 0});
+         it != unordered_.end() && it->first.sender == p; ++it) {
+      const std::size_t entry = delta_entry_bytes(it->second);
+      if (bytes + entry > budget) break;
+      bytes += entry;
+      take[p] += 1;
+    }
+    count += take[p];
+  }
+  w.u32(checked_u32(count));
+  for (ProcessId p = 0; p < n; ++p) {  // sender-major: MsgId order
+    auto it = unordered_.lower_bound(MsgId{p, 0});
+    for (std::size_t j = 0; j < take[p]; ++j, ++it) it->second.encode(w);
+  }
+  return count;
 }
 
 void AtomicBroadcast::on_decided(InstanceId k, const Bytes& value) {
@@ -404,8 +442,8 @@ void AtomicBroadcast::send_gossip_now() {
   BufWriter w;
   w.u64(k_);
   w.u64(agreed_.total());
-  w.u32(checked_u32(unordered_.size()));
-  for (const auto& [id, m] : unordered_) m.encode(w);
+  encode_unordered(w, env_.max_datagram_bytes() - gossip_header_bytes(),
+                   gossip_first_++ % env_.group_size());
   const Wire wire{MsgType::kAbGossip, std::move(w).take()};
   metrics_.gossip_bytes_sent += wire.payload.size() * env_.group_size();
   env_.multisend(wire);
@@ -478,7 +516,7 @@ void AtomicBroadcast::send_eager_deltas() {
   }
 }
 
-std::size_t AtomicBroadcast::send_delta_chunks(
+void AtomicBroadcast::send_delta_chunks(
     ProcessId to, PeerView& view, bool want_reply,
     const std::vector<std::uint64_t>& my_cover,
     const std::vector<const AppMsg*>& plan, const char* detail) {
@@ -486,7 +524,6 @@ std::size_t AtomicBroadcast::send_delta_chunks(
   const std::size_t budget = env_.max_datagram_bytes();
   std::vector<const AppMsg*> chunk;
   std::size_t chunk_bytes = header;
-  std::size_t shipped = 0;
   const auto flush = [&] {
     const Wire wire =
         make_digest_wire(k_, agreed_.total(), want_reply, my_cover, chunk,
@@ -496,38 +533,21 @@ std::size_t AtomicBroadcast::send_delta_chunks(
     metrics_.delta_sent += 1;
     metrics_.delta_msgs_sent += chunk.size();
     // Optimistically assume delivery so back-to-back broadcasts ship each
-    // message once; the peer's next digest overwrites with the truth. Only
-    // messages actually handed to a send count — a message that never fit
-    // must not be marked covered, or repair for this peer would livelock.
+    // message once; the peer's next digest overwrites with the truth.
     for (const auto* m : chunk) {
       if (m->id.sender < view.cover.size()) view.cover[m->id.sender] = m->id.seq;
     }
-    shipped += chunk.size();
     trace(obs::EventKind::kGossipSend, k_, MsgId{}, chunk.size(), detail);
     chunk.clear();
     chunk_bytes = header;
   };
-  bool skipping = false;
-  ProcessId skip_sender = 0;
   for (const AppMsg* m : plan) {
-    if (skipping && m->id.sender == skip_sender) continue;
-    skipping = false;
     const std::size_t entry = delta_entry_bytes(*m);
-    if (header + entry > budget) {
-      // This one message alone overflows a datagram; no chunking can ship
-      // it. Skip the rest of its sender's suffix too — without this link
-      // the peer's guard would park everything after it anyway — and leave
-      // view.cover honest so we never believe the peer has it.
-      skipping = true;
-      skip_sender = m->id.sender;
-      continue;
-    }
     if (chunk_bytes + entry > budget) flush();
     chunk.push_back(m);
     chunk_bytes += entry;
   }
-  if (!chunk.empty() || (want_reply && shipped == 0)) flush();
-  return shipped;
+  if (!chunk.empty() || want_reply) flush();
 }
 
 void AtomicBroadcast::maybe_send_delta_reply(ProcessId to) {
@@ -851,14 +871,10 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
     while (pos < agreed_.total()) {
       const AppMsg& m = suffix[static_cast<std::size_t>(pos - base_count)];
       const std::size_t entry = delta_entry_bytes(m);
-      // A single message above the budget ships alone: its batch already
-      // crossed the transport inside one consensus decision, so one frame
-      // demonstrably carries it.
-      if (bytes + entry > budget && !c.msgs.empty()) break;
+      if (bytes + entry > budget) break;
       c.msgs.push_back(m);
       bytes += entry;
       ++pos;
-      if (bytes >= budget) break;
     }
     c.final_chunk = pos >= agreed_.total();
     const Wire wire = make_wire(MsgType::kAbStateChunk, c);

@@ -101,6 +101,10 @@ class AtomicBroadcast {
   /// A-broadcast(m). See file header for completion semantics.
   MsgId broadcast(Bytes payload);
 
+  /// The largest payload broadcast() accepts (it throws above): one whose
+  /// message rides alone in every datagram that carries messages.
+  std::size_t max_payload_bytes() const { return max_payload_bytes_; }
+
   /// The id the NEXT broadcast() call will assign. Lets a harness register
   /// the id with its oracle BEFORE invoking broadcast(), so a broadcast
   /// interrupted by a crash mid-log (but still durable and later delivered)
@@ -190,13 +194,12 @@ class AtomicBroadcast {
   void send_eager_deltas();
   /// Ships `plan` to `to` in datagrams of at most Env::max_datagram_bytes()
   /// each (suffix-in-seq-order chunks stay guard-acceptable on their own),
-  /// bumping view.cover only for messages actually handed to a send. With
-  /// `want_reply`, at least one datagram goes out even for an empty plan
-  /// (the pure-pull case). Returns the number of messages shipped.
-  std::size_t send_delta_chunks(ProcessId to, PeerView& view, bool want_reply,
-                                const std::vector<std::uint64_t>& my_cover,
-                                const std::vector<const AppMsg*>& plan,
-                                const char* detail);
+  /// bumping view.cover for each. With `want_reply`, at least one datagram
+  /// goes out even for an empty plan (the pure-pull case).
+  void send_delta_chunks(ProcessId to, PeerView& view, bool want_reply,
+                         const std::vector<std::uint64_t>& my_cover,
+                         const std::vector<const AppMsg*>& plan,
+                         const char* detail);
   void maybe_send_delta_reply(ProcessId to);
   void maybe_send_pull(ProcessId to);
   /// Returns the number of messages the contiguity guard rejected.
@@ -205,10 +208,15 @@ class AtomicBroadcast {
                          std::uint64_t peer_total);
   void checkpoint_tick();
   void take_checkpoint();
-  /// The sequencer of Fig. 2: proposes round k_ once, with the pending
-  /// backlog (its first max_proposal_msgs messages when capped), or empty
-  /// when gossip shows this process lags.
+  /// The sequencer of Fig. 2: proposes round k_ once, with as much of the
+  /// pending backlog as fits a consensus value (encode_unordered, starting
+  /// at sender k_ mod n), or empty when gossip shows this process lags.
   void maybe_propose();
+  /// Writes a u32 count and the messages of unordered_ whose entries fit
+  /// `budget`, in MsgId order: all when they fit, else a prefix of each
+  /// sender's chain, senders in turn from `first` (PROTOCOL.md §5).
+  std::size_t encode_unordered(BufWriter& w, std::size_t budget,
+                               ProcessId first) const;
   /// Applies every locally-known decision starting at k_, then proposes.
   void drain();
   void apply_batch(const Bytes& value);
@@ -271,6 +279,8 @@ class AtomicBroadcast {
   std::map<MsgId, AppMsg> unordered_;
   std::uint64_t incarnation_ = 0;
   std::uint64_t counter_ = 0;    // per-incarnation broadcast counter
+  std::size_t max_payload_bytes_ = 0;  // set once, in the constructor
+  std::uint32_t gossip_first_ = 0;  // rotates per full-set gossip datagram
   /// Live catch-up sessions we are serving, one per lagging peer. Volatile:
   /// a crash drops them and the receivers' gossip recreates them.
   std::map<ProcessId, CatchUpSession> state_sessions_;

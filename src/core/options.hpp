@@ -2,7 +2,8 @@
 // the alternative protocol (Figs. 3–5). Each §5 mechanism is independently
 // toggleable so the ablation benches can isolate one at a time.
 //
-// Datagram sizes are not options: the transport's Env::max_datagram_bytes().
+// Datagram sizes are not options: the transport's Env::max_datagram_bytes()
+// sizes every datagram, and so bounds the messages one round can order.
 #pragma once
 
 #include <cstdint>
@@ -71,16 +72,6 @@ struct Options {
   /// completes before ordering (higher throughput; one more log op per
   /// broadcast).
   bool log_unordered = false;
-
-  /// Upper bound on messages per Consensus proposal; 0 means a proposal
-  /// carries the whole Unordered backlog (the paper's unbounded batch).
-  /// Bounding the batch gives the sequencer a finite per-group ordering
-  /// rate — the regime where multi-group sharding (E14) pays off — and
-  /// models real orderers, which cap batch size to bound decision latency
-  /// and proposal datagrams. Messages left out stay in Unordered and ride
-  /// a later round; per-sender seq order within one proposer is preserved
-  /// because the batch takes a prefix of the MsgId-ordered backlog.
-  std::size_t max_proposal_msgs = 0;
 
   // ---- §5.5: incremental logging -----------------------------------------
   /// When logging Unordered, write only the new message instead of the

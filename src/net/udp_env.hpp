@@ -23,10 +23,9 @@
 // Limitations (inherent to UDP over IPv4): a datagram carries at most 65507
 // bytes, so a Wire payload at most max_datagram_bytes() = 65497. A larger
 // one is dropped when it is queued and counted in send_failures; the rest
-// of the pass still goes out. Digest deltas and catch-up state are chunked
-// to the limit. Full-set gossip and consensus proposals are not: a large
-// enough Unordered backlog makes them too big, which
-// Options::max_proposal_msgs bounds only for proposals.
+// of the pass still goes out. The protocol sizes every datagram to the
+// limit (proposals, full-set gossip, digest deltas and catch-up state), and
+// AtomicBroadcast::broadcast refuses a payload that could not ride alone.
 #pragma once
 
 #include <cstdint>

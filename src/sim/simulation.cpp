@@ -288,6 +288,8 @@ void Simulation::transmit(ProcessId from, ProcessId to, const Wire& msg,
   net_stats_.bytes_sent += bytes;
   net_stats_.sent_by_type[msg.type] += 1;
   net_stats_.bytes_by_type[msg.type] += bytes;
+  auto& largest = net_stats_.max_payload_by_type[msg.type];
+  largest = std::max(largest, msg.payload.size());
 
   // Before any random draw, so a run that never sends an oversize payload
   // keeps its random stream.

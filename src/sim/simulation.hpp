@@ -85,6 +85,8 @@ struct NetStats {
   /// layers (heartbeats vs consensus vs gossip vs state transfer ...).
   std::map<MsgType, std::uint64_t> sent_by_type;
   std::map<MsgType, std::uint64_t> bytes_by_type;
+  /// Largest payload sent per message type: how near the limit it runs.
+  std::map<MsgType, std::size_t> max_payload_by_type;
 
   std::uint64_t sent_of(MsgType t) const {
     auto it = sent_by_type.find(t);

@@ -1,11 +1,13 @@
 // Tests for the basic Atomic Broadcast protocol (paper Fig. 2): rounds,
 // gossip dissemination, replay-based recovery, minimal logging, the
-// sequencer's one round in flight (capped batches under competing
-// proposers, crashes mid-round, decisions parked above a lagging round),
+// sequencer's one round in flight (batches bounded by the datagram limit
+// under competing proposers, crashes mid-round, decisions parked above a
+// lagging round), admission and fair selection of what a datagram carries,
 // and the four correctness properties in targeted scenarios.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/gossip_wire.hpp"
 #include "harness/fixture.hpp"
 
 using namespace abcast;
@@ -21,15 +23,30 @@ ClusterConfig basic_config(std::uint32_t n, std::uint64_t seed) {
   return cfg;
 }
 
-/// Options::alternative() with proposals capped at `cap` messages.
-ClusterConfig capped_alternative_config(std::uint64_t seed, std::size_t cap) {
+/// The payload of the bounded-batch tests below.
+constexpr std::size_t kPayload = 64;
+
+/// A datagram limit at which a consensus proposal carries at most
+/// `per_round` (1 or 2) messages of kPayload bytes: a proposal's entries get
+/// the limit less 32 bytes (the largest consensus header and the batch
+/// count), each entry takes 16 + 64 bytes, and the 40 bytes of slack are
+/// less than one more entry.
+std::size_t limit_for(std::size_t per_round) {
+  return 32 + (16 + kPayload) * per_round + 40;
+}
+
+/// Options::alternative() with proposals bounded to `per_round` messages.
+ClusterConfig bounded_alternative_config(std::uint64_t seed,
+                                         std::size_t per_round) {
   ClusterConfig cfg;
   cfg.sim.n = 3;
   cfg.sim.seed = seed;
+  cfg.sim.net.max_datagram_bytes = limit_for(per_round);
   cfg.stack.ab = core::Options::alternative();
-  cfg.stack.ab.max_proposal_msgs = cap;
   return cfg;
 }
+
+Bytes payload() { return Bytes(kPayload, 'p'); }
 
 }  // namespace
 
@@ -314,19 +331,20 @@ TEST(AbBasic, OneRoundInFlight) {
 }
 
 TEST(AbBasic, CappedBatchesSurviveCompetingProposers) {
-  // Capped batches under competing proposers: each process proposes the
-  // first `cap` messages of its own backlog, so rounds are won by
-  // different processes' values. Every broadcast must still be delivered
-  // exactly once, in one total order: no decided batch may skip a message
-  // that a later round then treats as already covered.
+  // Batches bounded by the datagram limit under competing proposers: each
+  // process proposes the first `per_round` messages its selection takes
+  // from its own backlog, so rounds are won by different processes'
+  // values. Every broadcast must still be delivered exactly once, in one
+  // total order: no decided batch may skip a message that a later round
+  // then treats as already covered.
   for (const auto engine : {ConsensusKind::kPaxos, ConsensusKind::kCoord}) {
-    for (const std::size_t cap : {1u, 2u}) {
+    for (const std::size_t per_round : {1u, 2u}) {
       for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        SCOPED_TRACE(testing::Message() << to_string(engine) << " cap=" << cap
-                                        << " seed=" << seed);
+        SCOPED_TRACE(testing::Message() << to_string(engine) << " per_round="
+                                        << per_round << " seed=" << seed);
         ClusterConfig cfg = basic_config(3, 700 + seed);
         cfg.stack.engine = engine;
-        cfg.stack.ab.max_proposal_msgs = cap;
+        cfg.sim.net.max_datagram_bytes = limit_for(per_round);
         cfg.sim.net.delay_min = millis(1);
         cfg.sim.net.delay_max = millis(12);
         cfg.sim.net.drop_prob = 0.05;
@@ -335,7 +353,8 @@ TEST(AbBasic, CappedBatchesSurviveCompetingProposers) {
         Rng rng(seed);
         std::vector<MsgId> ids;
         for (int i = 0; i < 60; ++i) {
-          ids.push_back(c.broadcast(static_cast<ProcessId>(rng.uniform(0, 2))));
+          ids.push_back(c.broadcast(static_cast<ProcessId>(rng.uniform(0, 2)),
+                                    payload()));
           c.sim().run_for(micros(rng.uniform(0, 3000)));
         }
         ASSERT_TRUE(c.await_delivery(ids, {}, seconds(30)));
@@ -355,12 +374,14 @@ TEST(Pipeline, ConcurrentBroadcastersAgreeOnOneOrder) {
     SCOPED_TRACE(to_string(engine));
     ClusterConfig cfg = basic_config(3, 23);
     cfg.stack.engine = engine;
-    cfg.stack.ab.max_proposal_msgs = 2;
+    cfg.sim.net.max_datagram_bytes = limit_for(2);
     Cluster c(cfg);
     c.start_all();
     std::vector<MsgId> ids;
     for (int round = 0; round < 10; ++round) {
-      for (ProcessId p = 0; p < 3; ++p) ids.push_back(c.broadcast(p));
+      for (ProcessId p = 0; p < 3; ++p) {
+        ids.push_back(c.broadcast(p, payload()));
+      }
       c.sim().run_for(millis(2));
     }
     ASSERT_TRUE(c.await_delivery(ids));
@@ -371,28 +392,36 @@ TEST(Pipeline, ConcurrentBroadcastersAgreeOnOneOrder) {
 }
 
 TEST(Pipeline, CapOneSurvivesCompetingProposers) {
-  // The supersession counter-example (DESIGN.md §14): with cap = 1 a
-  // decided value holding (p, s+1) without (p, s) would make the duplicate
-  // filter treat (p, s) as already covered and drop it forever. With one
-  // round in flight each proposal is taken from the proposer's backlog
-  // after the previous round applied, so all messages must still deliver,
-  // exactly once, in one total order.
+  // The supersession counter-example (DESIGN.md §14): with one message per
+  // proposal a decided value holding (p, s+1) without (p, s) would make the
+  // duplicate filter treat (p, s) as already covered and drop it forever.
+  // With one round in flight each proposal is taken from the proposer's
+  // backlog after the previous round applied, so all messages must still
+  // deliver, exactly once, in one total order.
   for (const auto engine : {ConsensusKind::kPaxos, ConsensusKind::kCoord}) {
     SCOPED_TRACE(to_string(engine));
     ClusterConfig cfg = basic_config(3, 24);
     cfg.stack.engine = engine;
-    cfg.stack.ab.max_proposal_msgs = 1;
+    cfg.sim.net.max_datagram_bytes = limit_for(1);
     Cluster c(cfg);
     c.start_all();
     std::vector<MsgId> ids;
     for (int round = 0; round < 5; ++round) {
-      for (ProcessId p = 0; p < 3; ++p) ids.push_back(c.broadcast(p));
+      for (ProcessId p = 0; p < 3; ++p) {
+        ids.push_back(c.broadcast(p, payload()));
+      }
       c.sim().run_for(millis(1));
     }
     ASSERT_TRUE(c.await_delivery(ids));
     ASSERT_TRUE(c.await_quiesced());
     c.oracle().check();  // integrity: exactly-once, total order
     EXPECT_EQ(c.oracle().global_order().size(), 15u);
+    // The limit really bounds the batches: no round delivered two messages.
+    const auto& batches =
+        c.sim().metrics_registry().histogram("ab_batch_size");
+    for (std::size_t b = 2; b < obs::Histogram::kBuckets; ++b) {
+      EXPECT_EQ(batches.bucket_count(b), 0u) << "bucket " << b;
+    }
   }
 }
 
@@ -402,17 +431,17 @@ TEST(AbBasic, ProposerCrashMidRoundRecoversEverything) {
   // stream then continues without duplicating or losing anything.
   for (const auto engine : {ConsensusKind::kPaxos, ConsensusKind::kCoord}) {
     SCOPED_TRACE(to_string(engine));
-    ClusterConfig cfg = capped_alternative_config(26, /*cap=*/2);
+    ClusterConfig cfg = bounded_alternative_config(26, /*per_round=*/2);
     cfg.stack.engine = engine;
     Cluster c(cfg);
     c.start_all();
     std::vector<MsgId> ids;
-    for (int i = 0; i < 10; ++i) ids.push_back(c.broadcast(0));
+    for (int i = 0; i < 10; ++i) ids.push_back(c.broadcast(0, payload()));
     c.sim().run_for(millis(3));  // some rounds decide, one stays in flight
     c.sim().crash(0);
     c.sim().run_for(millis(50));
     ASSERT_TRUE(c.sim().recover(0));
-    for (int i = 0; i < 6; ++i) ids.push_back(c.broadcast(0));
+    for (int i = 0; i < 6; ++i) ids.push_back(c.broadcast(0, payload()));
     ASSERT_TRUE(c.await_delivery(ids, {}, seconds(120)));
     ASSERT_TRUE(c.await_quiesced(seconds(120)));
     c.oracle().check();
@@ -421,13 +450,13 @@ TEST(AbBasic, ProposerCrashMidRoundRecoversEverything) {
 }
 
 TEST(AbBasic, NonProposerCrashMidRoundCatchesUp) {
-  Cluster c(capped_alternative_config(27, /*cap=*/2));
+  Cluster c(bounded_alternative_config(27, /*per_round=*/2));
   c.start_all();
   std::vector<MsgId> ids;
-  for (int i = 0; i < 6; ++i) ids.push_back(c.broadcast(0));
+  for (int i = 0; i < 6; ++i) ids.push_back(c.broadcast(0, payload()));
   c.sim().run_for(millis(2));
   c.sim().crash(2);
-  for (int i = 0; i < 6; ++i) ids.push_back(c.broadcast(1));
+  for (int i = 0; i < 6; ++i) ids.push_back(c.broadcast(1, payload()));
   ASSERT_TRUE(c.await_delivery(ids, {0, 1}));
   ASSERT_TRUE(c.sim().recover(2));
   ASSERT_TRUE(c.await_delivery(ids, {2}, seconds(120)));
@@ -441,17 +470,89 @@ TEST(AbBasic, CommitGapHistogramRecordsParkedDecides) {
   // histogram is cluster-wide in the sim registry). This also pins the
   // metric's name for the dashboards.
   ClusterConfig cfg = basic_config(3, 29);
-  cfg.stack.ab.max_proposal_msgs = 1;
+  cfg.sim.net.max_datagram_bytes = limit_for(1);
   cfg.sim.net.drop_prob = 0.2;
   Cluster c(cfg);
   c.start_all();
   std::vector<MsgId> ids;
   for (int i = 0; i < 24; ++i) {
-    ids.push_back(c.broadcast(static_cast<ProcessId>(i % 3)));
+    ids.push_back(c.broadcast(static_cast<ProcessId>(i % 3), payload()));
     c.sim().run_for(micros(500));
   }
   ASSERT_TRUE(c.await_delivery(ids, {}, seconds(120)));
   ASSERT_TRUE(c.await_quiesced(seconds(120)));
   c.oracle().check();
   EXPECT_GT(c.sim().metrics_registry().histogram("ab_commit_gap").count(), 0u);
+}
+
+TEST(AbBasic, BroadcastRefusesAPayloadNoDatagramCanCarry) {
+  // A message must ride alone in every datagram that carries messages; one
+  // that cannot would stall every round that carries it. broadcast()
+  // refuses it up front, takes one at the bound, and ordering goes on.
+  for (const bool digest : {false, true}) {
+    SCOPED_TRACE(digest ? "digest gossip" : "full-set gossip");
+    ClusterConfig cfg = basic_config(3, 31);
+    cfg.sim.net.max_datagram_bytes = 1024;
+    cfg.stack.ab.digest_gossip = digest;
+    Cluster c(cfg);
+    c.start_all();
+    core::AtomicBroadcast& ab = c.stack(0)->ab();
+    const std::size_t max = ab.max_payload_bytes();
+    // The digest delta has the largest header of the four carriers; an
+    // entry adds a 12-byte id and a 4-byte length.
+    EXPECT_EQ(max, 1024 - core::digest_header_bytes(3) - 16);
+    EXPECT_THROW(ab.broadcast(Bytes(max + 1, 'x')), InvariantViolation);
+    EXPECT_EQ(ab.unordered_size(), 0u);
+    std::vector<MsgId> ids;
+    for (int i = 0; i < 4; ++i) {
+      ids.push_back(c.broadcast(1, Bytes(100, 'a')));
+      ids.push_back(c.broadcast(0, Bytes(max, 'm')));
+      ids.push_back(c.broadcast(2, Bytes(100, 'b')));
+    }
+    ASSERT_TRUE(c.await_delivery(ids));
+    ASSERT_TRUE(c.await_quiesced());
+    c.oracle().check();
+    EXPECT_EQ(c.oracle().global_order().size(), ids.size());
+    EXPECT_EQ(c.sim().net_stats().dropped_oversize, 0u);
+  }
+}
+
+TEST(AbBasic, NoSenderStarvesWhileBatchesAreFull) {
+  // p0 floods a 1 KiB network with 40 messages every 5 ms for a second, far
+  // more than one proposal or gossip datagram carries per round. A single
+  // message p2 broadcasts at 100 ms must still be ordered during the flood:
+  // proposals and full-set gossip rotate the sender their selection starts
+  // at, so p0's backlog cannot take every round.
+  constexpr Duration kTick = millis(5);
+  constexpr int kTicks = 200;  // one second of flood
+  for (const auto engine : {ConsensusKind::kPaxos, ConsensusKind::kCoord}) {
+    for (const bool digest : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << to_string(engine)
+                   << (digest ? " digest gossip" : " full-set gossip"));
+      ClusterConfig cfg = basic_config(3, 33);
+      cfg.stack.engine = engine;
+      cfg.stack.ab.digest_gossip = digest;
+      cfg.sim.net.max_datagram_bytes = 1024;
+      Cluster c(cfg);
+      c.start_all();
+      MsgId lone{};
+      const auto ordered_everywhere = [&] {
+        for (ProcessId p = 0; p < 3; ++p) {
+          if (!c.stack(p)->ab().is_delivered(lone)) return false;
+        }
+        return true;
+      };
+      bool ordered = false;
+      for (int t = 0; t < kTicks && !ordered; ++t) {
+        for (int i = 0; i < 40; ++i) c.broadcast(0, Bytes(64, 'f'));
+        if (t == 20) lone = c.broadcast(2, Bytes(64, 'l'));
+        c.sim().run_for(kTick);
+        ordered = t >= 20 && ordered_everywhere();
+      }
+      EXPECT_TRUE(ordered) << "p2's message waited out p0's flood";
+      c.oracle().check();
+      EXPECT_EQ(c.sim().net_stats().dropped_oversize, 0u);
+    }
+  }
 }

@@ -321,12 +321,10 @@ TEST(ReplicatedKv, MultiSliceSnapshotCatchUpUnderLoss) {
     cfg.net.drop_prob = 0.05;
     core::StackConfig stack;
     stack.ab = core::Options::alternative();
-    stack.ab.max_proposal_msgs = 4;
     stack.ab.digest_gossip = digest;
     KvCluster c(cfg, stack);
     c.sim.crash(2);
-    // In bursts of one proposal's worth, each applied before the next, so
-    // that full-set gossip of the backlog always fits the network.
+    // In bursts of four puts, each applied before the next.
     const std::string value(200, 'v');
     for (int i = 0; i < 400; i += 4) {
       for (int j = i; j < i + 4; ++j) {

@@ -102,9 +102,6 @@ TEST(GossipDigest, DeltaPlansAreChunkedToTheDatagramBudget) {
   cfg.sim.net.drop_prob = 0;
   cfg.sim.net.dup_prob = 0;
   cfg.sim.net.max_datagram_bytes = 600;
-  // A 600-byte network cannot carry a proposal of the whole 40-message
-  // burst (about 3.2 KB); capping proposals keeps every datagram within it.
-  cfg.stack.ab.max_proposal_msgs = 5;
   Cluster c(cfg);
   c.start_all();
   std::vector<MsgId> ids;

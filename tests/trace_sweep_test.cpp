@@ -1,8 +1,9 @@
 // Acceptance sweeps for the observability subsystem: 100 randomized
 // crash/recovery scenarios (both consensus engines, both protocol
 // variants) plus 100 randomized §5.3 chunked-state-transfer scenarios
-// (checkpoint + truncation churn, crashes on either side of the stream),
-// each recorded by per-host TraceRecorders, and every merged trace must
+// (checkpoint + truncation churn, crashes on either side of the stream)
+// and 32 heavy bursts whose datagrams reach the network's limit, each
+// recorded by per-host TraceRecorders, and every merged trace must
 // satisfy the paper's properties under the offline checker — while mutated
 // traces (a dropped deliver, a swapped order) must be flagged.
 #include <gtest/gtest.h>
@@ -220,6 +221,70 @@ void run_state_range(std::uint64_t first_seed, std::uint64_t count) {
   }
 }
 
+/// One heavy burst on a 1 KiB lossy network: 1–3 senders broadcast at once
+/// at least five datagrams' worth of messages, so proposals, full-set
+/// gossip and digest deltas all overflow and must carry what fits. Every
+/// message is delivered, nothing is dropped as oversize, the strict checker
+/// passes, and some AB datagram comes within one message of the limit: a
+/// budget that overshot the limit would be caught here.
+void run_burst_seed(std::uint64_t seed) {
+  constexpr std::size_t kLimit = 1024;
+  constexpr std::size_t kMaxPayload = 200;
+  ClusterConfig cfg;
+  cfg.sim.n = kN;
+  cfg.sim.seed = seed * 53 + 5000;
+  cfg.sim.trace_capacity = 1 << 16;  // large enough that nothing drops
+  cfg.sim.net.max_datagram_bytes = kLimit;
+  cfg.sim.net.drop_prob = 0.05;
+  cfg.stack.engine = (seed % 2) ? ConsensusKind::kCoord : ConsensusKind::kPaxos;
+  const bool alternative = (seed / 2) % 2;
+  if (alternative) cfg.stack.ab = Options::alternative();
+  cfg.stack.ab.digest_gossip = (seed / 4) % 2;
+  cfg.stack.ab.eager_dissemination = (seed / 8) % 2;
+  Cluster c(cfg);
+  c.start_all();
+  Rng rng(seed * 6151 + 3);
+
+  const auto senders = static_cast<std::uint32_t>(1 + rng.uniform(0, 2));
+  std::vector<MsgId> ids;
+  std::size_t burst_bytes = 0;
+  while (burst_bytes < 5 * kLimit) {
+    const auto from = static_cast<ProcessId>(ids.size() % senders);
+    const auto size = static_cast<std::size_t>(rng.uniform(24, kMaxPayload));
+    const auto fill = static_cast<std::uint8_t>(ids.size());
+    ids.push_back(c.broadcast(from, Bytes(size, fill)));
+    burst_bytes += 16 + size;  // the entry: id, length, payload
+  }
+
+  EXPECT_TRUE(c.await_delivery(ids, {}, seconds(120))) << "seed " << seed;
+  EXPECT_TRUE(c.await_quiesced(seconds(120))) << "seed " << seed;
+  c.oracle().check();
+  EXPECT_EQ(c.trace_dropped(), 0u) << "seed " << seed;
+  const auto& net = c.sim().net_stats();
+  EXPECT_EQ(net.dropped_oversize, 0u) << "seed " << seed;
+  std::size_t largest = 0;
+  for (const MsgType t : {MsgType::kAbGossip, MsgType::kAbGossipDigest,
+                          MsgType::kAbStateChunk}) {
+    const auto it = net.max_payload_by_type.find(t);
+    if (it != net.max_payload_by_type.end()) {
+      largest = std::max(largest, it->second);
+    }
+  }
+  EXPECT_LE(largest, kLimit) << "seed " << seed;
+  EXPECT_GT(largest + 16 + kMaxPayload, kLimit)
+      << "seed " << seed << ": no AB datagram came near the limit";
+
+  obs::CheckOptions options;
+  options.require_quiesced = true;
+  options.basic_protocol = !alternative;
+  options.max_state_chunk_bytes = kLimit;
+  const auto report = obs::check_trace(c.collect_trace(), options);
+  EXPECT_TRUE(report.ok()) << "seed " << seed << ": "
+                           << (report.ok()
+                                   ? std::string()
+                                   : obs::to_string(report.violations[0]));
+}
+
 }  // namespace
 
 // 4 shards x 25 seeds = 100 randomized crash/recovery scenarios, every
@@ -237,6 +302,15 @@ TEST(TraceSweepState, Seeds0To24) { run_state_range(0, 25); }
 TEST(TraceSweepState, Seeds25To49) { run_state_range(25, 25); }
 TEST(TraceSweepState, Seeds50To74) { run_state_range(50, 25); }
 TEST(TraceSweepState, Seeds75To99) { run_state_range(75, 25); }
+
+// 32 heavy bursts over {Paxos, Coord} x {basic, alternative} x {full-set,
+// digest} gossip (eager on half), on a 1 KiB network with loss.
+TEST(TraceSweepBurst, Seeds0To31) {
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    run_burst_seed(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
 
 // Mutating a real trace must flip the verdict: the checker is only trusted
 // because it rejects corrupted histories.

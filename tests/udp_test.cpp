@@ -416,6 +416,37 @@ TEST(Udp, SendFailuresVisibleInMetricsRegistry) {
   hosts.clear();  // unbind before the registry dies
 }
 
+// A burst bigger than one datagram converges: proposals and gossip carry
+// what fits the transport's limit, and the rest rides later rounds. Ten
+// thousand 64-byte puts submitted in one call make a backlog of about
+// 0.9 MB at p0; an unbounded proposal of it could never be sent.
+TEST(Udp, BurstBeyondOneDatagramConverges) {
+  UdpBatchConfig batch;
+  batch.enabled = true;
+  UdpKv c(3, 11, {}, batch);
+  constexpr std::uint64_t kPuts = 10'000;
+  auto& h0 = *c.hosts[0];
+  ASSERT_TRUE(h0.call([&h0] {
+    auto* node = static_cast<RsmNode*>(h0.node_unsafe());
+    const std::string value(64, 'v');
+    for (std::uint64_t i = 0; i < kPuts; ++i) {
+      node->submit(KvCommand::put("k" + std::to_string(i), value));
+    }
+  }));
+  EXPECT_TRUE(c.wait_for(
+      [&] {
+        for (ProcessId p = 0; p < 3; ++p) {
+          if (c.applied[p]->load() < kPuts) return false;
+        }
+        return true;
+      },
+      seconds(30)));
+  for (ProcessId p = 0; p < 3; ++p) {
+    EXPECT_EQ(c.applied[p]->load(), kPuts) << "p" << p;
+    EXPECT_EQ(c.hosts[p]->send_failures(), 0u) << "p" << p;
+  }
+}
+
 // Concurrent external submitters against the batched engine: the send
 // queue and buffer ring are loop-thread-only, the metrics are relaxed
 // atomics — TSan (ctest -L threaded) holds this test to that story.

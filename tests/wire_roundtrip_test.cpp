@@ -18,6 +18,7 @@
 #include "core/gossip_wire.hpp"
 #include "core/vector_clock.hpp"
 #include "group/group_wire.hpp"
+#include "harness/fixture.hpp"
 #include "multicast/multicast_wire.hpp"
 
 namespace abcast {
@@ -172,6 +173,27 @@ TEST(WireRoundtrip, NewEstimateMsg) {
 
 // ablint:roundtrip RoundMsg
 TEST(WireRoundtrip, RoundMsg) { expect_roundtrip(RoundMsg{11, 4}); }
+
+// A value of ConsensusService::max_value_bytes() rides every consensus
+// message that carries one; PROMISE and ESTIMATE, the largest, fill the
+// datagram exactly.
+TEST(WireRoundtrip, ValueOfMaxValueBytesFitsEveryCarrier) {
+  for (const auto engine : {ConsensusKind::kPaxos, ConsensusKind::kCoord}) {
+    SCOPED_TRACE(to_string(engine));
+    harness::ClusterConfig cfg;
+    cfg.sim.net.max_datagram_bytes = 1000;
+    cfg.stack.engine = engine;
+    harness::Cluster c(cfg);
+    c.start_all();
+    const std::size_t limit = cfg.sim.net.max_datagram_bytes;
+    const Bytes v(c.stack(0)->consensus().max_value_bytes(), 0x5A);
+    EXPECT_EQ(encode_to_bytes(PromiseMsg{1, 2, 3, v}).size(), limit);
+    EXPECT_EQ(encode_to_bytes(EstimateMsg{1, 2, 3, v}).size(), limit);
+    EXPECT_LE(encode_to_bytes(DecidedMsg{1, v}).size(), limit);
+    EXPECT_LE(encode_to_bytes(AcceptMsg{1, 2, v}).size(), limit);
+    EXPECT_LE(encode_to_bytes(NewEstimateMsg{1, 2, v}).size(), limit);
+  }
+}
 
 // ablint:roundtrip GroupEnvelopeMsg
 TEST(WireRoundtrip, GroupEnvelopeMsg) {
