@@ -1,5 +1,6 @@
 // Invariant checking that throws instead of aborting, so tests can assert on
-// violations and the simulator can surface them with context.
+// violations and the simulator can surface them with context; and the one
+// exception a caller is expected to handle.
 #pragma once
 
 #include <sstream>
@@ -14,6 +15,16 @@ class InvariantViolation : public std::logic_error {
  public:
   explicit InvariantViolation(const std::string& what)
       : std::logic_error(what) {}
+};
+
+/// Thrown when the library refuses a caller's request, such as a broadcast
+/// payload no datagram can carry. The caller's error, not a bug: the
+/// library's state is unchanged, and the real-time hosts hand it to the
+/// thread that made the call (rt::EventLoop::call).
+class RequestRefused : public std::invalid_argument {
+ public:
+  explicit RequestRefused(const std::string& what)
+      : std::invalid_argument(what) {}
 };
 
 namespace detail {

@@ -37,10 +37,11 @@ void EngineBase::bind_metrics() {
   metrics_group_.bind("cons_quarantined", labels, &metrics_.quarantined);
 }
 
-void EngineBase::start(bool recovering) {
+void EngineBase::start(bool recovering, std::uint64_t incarnation) {
   (void)recovering;  // undecided proposals resume either way
   ABCAST_CHECK_MSG(!started_, "consensus started twice");
   started_ = true;
+  incarnation_ = incarnation;
 
   low_water_ = trunc_mark_.load();
   metrics_.corrupt_records += trunc_mark_.corrupt_slots();

@@ -24,7 +24,7 @@ namespace abcast {
 
 class EngineBase : public ConsensusService {
  public:
-  void start(bool recovering) final;
+  void start(bool recovering, std::uint64_t incarnation) final;
   void propose(InstanceId k, const Bytes& value) final;
   std::size_t max_value_bytes() const final;
   std::optional<Bytes> decision(InstanceId k) final;
@@ -109,6 +109,10 @@ class EngineBase : public ConsensusService {
 
   std::uint32_t majority() const { return env_.group_size() / 2 + 1; }
 
+  /// True in the process's first incarnation: no earlier one can have sent
+  /// anything, so nothing this one lost to a torn record was ever seen.
+  bool first_incarnation() const { return incarnation_ == 1; }
+
   /// Records a protocol trace event when the host installed a recorder.
   void trace(obs::EventKind kind, InstanceId k, std::uint64_t arg = 0,
              std::string detail = {}) {
@@ -146,6 +150,7 @@ class EngineBase : public ConsensusService {
   std::map<InstanceId, Bytes> decisions_;
   std::set<InstanceId> quarantined_;
   InstanceId low_water_ = 0;
+  std::uint64_t incarnation_ = 0;  // set by start()
   obs::TraceRecorder* tracer_ = nullptr;  // host-owned; may be null
   bool started_ = false;
   // Declared last: unbinds metrics_ from the registry before it is

@@ -39,7 +39,10 @@ ProcessId PaxosEngine::ballot_owner(Ballot b) const {
 }
 
 PaxosEngine::Instance& PaxosEngine::instance(InstanceId k) {
-  return instances_[k];
+  auto [it, created] = instances_.try_emplace(k);
+  // A non-nominee's patience runs from when it first heard of k.
+  if (created) it->second.idle_since = env_.now();
+  return it->second;
 }
 
 void PaxosEngine::persist_acceptor(InstanceId k, const Instance& inst) {
@@ -61,6 +64,7 @@ bool PaxosEngine::engine_load(InstanceId k, const Bytes& payload) {
   } catch (const CodecError&) {
     return false;
   }
+  loaded.idle_since = env_.now();
   if (!has_decision(k)) instances_[k] = std::move(loaded);
   return true;
 }
@@ -83,12 +87,32 @@ void PaxosEngine::engine_propose(InstanceId k, const Bytes& value) {
 void PaxosEngine::start_ballot(InstanceId k, Instance& inst) {
   inst.ballot = next_ballot(std::max({inst.ballot, inst.ballot_floor,
                                       inst.promised}));
+  metrics_.attempts += 1;
+  if (inst.ballot == 1 && first_incarnation()) {
+    // Ballot 1 is p0's first and no ballot is lower, so its phase 1 could
+    // only report "nothing accepted". It carries one value per instance
+    // while no earlier incarnation of p0 exists: the proposal, fixed until
+    // the decision (a retry uses 1 + n). A recovered p0 may have lost the
+    // value it pushed at ballot 1 to a torn record, so it runs phase 1,
+    // which draws that value back (PROTOCOL.md §4).
+    start_accept(k, inst, inst.proposal);
+    return;
+  }
   inst.phase = Phase::kPrepare;
   inst.promises.clear();
   inst.accepts.clear();
   inst.phase_started = env_.now();
-  metrics_.attempts += 1;
   env_.multisend(make_wire(MsgType::kPaxosPrepare, PrepareMsg{k, inst.ballot}));
+}
+
+void PaxosEngine::start_accept(InstanceId k, Instance& inst,
+                               const Bytes& value) {
+  inst.pushing = value;
+  inst.phase = Phase::kAccept;
+  inst.accepts.clear();
+  inst.phase_started = env_.now();
+  env_.multisend(make_wire(MsgType::kPaxosAccept,
+                           AcceptMsg{k, inst.ballot, inst.pushing}));
 }
 
 // Starts or retries a ballot when this process should be driving instance k.
@@ -171,12 +195,7 @@ void PaxosEngine::engine_message(ProcessId from, const Wire& msg) {
           value = &info.accepted_value;
         }
       }
-      inst.pushing = *value;
-      inst.phase = Phase::kAccept;
-      inst.accepts.clear();
-      inst.phase_started = env_.now();
-      env_.multisend(make_wire(MsgType::kPaxosAccept,
-                               AcceptMsg{m.k, inst.ballot, inst.pushing}));
+      start_accept(m.k, inst, *value);
       return;
     }
     case MsgType::kPaxosAccept: {

@@ -8,6 +8,10 @@
 // undecided instances have state here: a decided one is erased at once and
 // never reloaded (EngineBase answers its messages with the decision).
 //
+// Ballot 1 belongs to p0 and has no lower ballot, so in p0's first
+// incarnation it skips phase 1: the default leader orders an instance in
+// one ACCEPT/ACCEPTED round trip. Every other ballot runs both phases.
+//
 // Liveness safeguards beyond textbook Synod:
 //  * retry with a higher ballot on timeout, but only while the oracle
 //    nominates us (avoids duelling proposers);
@@ -62,7 +66,7 @@ class PaxosEngine final : public EngineBase {
     std::set<ProcessId> accepts;
     Bytes pushing;              // value being pushed in phase 2
     TimePoint phase_started = 0;
-    TimePoint idle_since = 0;   // when we last went idle without a decision
+    TimePoint idle_since = 0;   // created, or last went idle undecided
 
     // Acceptor side (mirrored in stable storage).
     Ballot promised = 0;
@@ -75,6 +79,8 @@ class PaxosEngine final : public EngineBase {
   Instance& instance(InstanceId k);
   void persist_acceptor(InstanceId k, const Instance& inst);
   void start_ballot(InstanceId k, Instance& inst);
+  /// Enters phase 2 of inst.ballot and multisends ACCEPT(ballot, value).
+  void start_accept(InstanceId k, Instance& inst, const Bytes& value);
   void drive(InstanceId k, Instance& inst);
 
   std::map<InstanceId, Instance> instances_;

@@ -1,6 +1,7 @@
 #include "core/atomic_broadcast.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
@@ -216,7 +217,11 @@ void AtomicBroadcast::start(bool recovering, std::uint64_t incarnation) {
 
 MsgId AtomicBroadcast::broadcast(Bytes payload) {
   ABCAST_CHECK_MSG(started_, "broadcast before start");
-  ABCAST_CHECK_MSG(payload.size() <= max_payload_bytes_, "payload too big");
+  if (payload.size() > max_payload_bytes_) {
+    throw RequestRefused("payload of " + std::to_string(payload.size()) +
+                         " B is above max_payload_bytes() = " +
+                         std::to_string(max_payload_bytes_));
+  }
   counter_ += 1;
   AppMsg m;
   m.id = MsgId{env_.self(), make_seq(incarnation_, counter_)};

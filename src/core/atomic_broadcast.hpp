@@ -101,8 +101,9 @@ class AtomicBroadcast {
   /// A-broadcast(m). See file header for completion semantics.
   MsgId broadcast(Bytes payload);
 
-  /// The largest payload broadcast() accepts (it throws above): one whose
-  /// message rides alone in every datagram that carries messages.
+  /// The largest payload broadcast() accepts (it throws RequestRefused
+  /// above): one whose message rides alone in every datagram that carries
+  /// messages.
   std::size_t max_payload_bytes() const { return max_payload_bytes_; }
 
   /// The id the NEXT broadcast() call will assign. Lets a harness register

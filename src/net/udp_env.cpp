@@ -145,16 +145,32 @@ void UdpHost::queue_frame(ProcessId to, const SharedBytes& frame) {
   send_queue_.push_back(PendingSend{to, frame});
 }
 
+void UdpHost::queue_self(const Wire& msg) {
+  // Held to the datagram limit like any send, though it is never framed.
+  if (msg.payload.size() > max_datagram_bytes()) {
+    metrics_.send_failures += 1;
+    return;
+  }
+  send_to_self(msg);
+}
+
 void UdpHost::send(ProcessId to, const Wire& msg) {
   ABCAST_CHECK(to < peer_addrs_.size());
-  queue_frame(to, SharedBytes(make_frame(msg)));
+  if (to == self()) {
+    queue_self(msg);
+  } else {
+    queue_frame(to, SharedBytes(make_frame(msg)));
+  }
 }
 
 void UdpHost::multisend(const Wire& msg) {
-  // One encode, one refcounted frame, group_size() queue entries — and
+  // One encode, one refcounted frame, a queue entry per peer — and
   // (batching permitting) one sendmmsg for the lot at the barrier.
+  queue_self(msg);
   const SharedBytes frame(make_frame(msg));
-  for (ProcessId to = 0; to < group_size(); ++to) queue_frame(to, frame);
+  for (ProcessId to = 0; to < group_size(); ++to) {
+    if (to != self()) queue_frame(to, frame);
+  }
 }
 
 void UdpHost::release_sends() {

@@ -12,7 +12,9 @@
 // (storage().flush() before any queued datagram is released). The socket is
 // the loop's input fd. Datagrams are framed as [u32 sender pid][Wire];
 // anything malformed or from an unknown peer is dropped (CodecError can
-// never propagate past the loop — unreliable transport semantics).
+// never propagate past the loop — unreliable transport semantics). A
+// message to self is neither framed nor sent: the loop delivers it after
+// the barrier (EventLoop::send_to_self).
 //
 // I/O (DESIGN.md §16.2): send/multisend queue refcounted frames — a
 // multisend encodes once — and the barrier releases the queue with
@@ -102,7 +104,8 @@ class UdpHost final : public rt::EventLoop {
   // Env (called from the event-loop thread only)
   void send(ProcessId to, const Wire& msg) override;
   /// Frames the datagram once ([u32 self][Wire]) and queues it for every
-  /// peer: group_size() queue entries sharing one refcounted frame.
+  /// other peer, the entries sharing one refcounted frame; the copy to self
+  /// goes to the loop.
   void multisend(const Wire& msg) override;
   obs::MetricsRegistry* metrics_registry() override {
     return config_.registry;
@@ -132,6 +135,8 @@ class UdpHost final : public rt::EventLoop {
   /// Drains the socket in recvmmsg chunks.
   void drain_input() override;
   void handle_datagram(const std::uint8_t* data, std::size_t size);
+  /// Hands a message to self to the loop, unless it is oversize.
+  void queue_self(const Wire& msg);
   Bytes make_frame(const Wire& msg) const;
   void queue_frame(ProcessId to, const SharedBytes& frame);
   void fill_dest(ProcessId to, sockaddr_in* addr) const;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <future>
+#include <iterator>
 #include <stdexcept>
 
 #include "common/check.hpp"
@@ -109,7 +110,15 @@ void EventLoop::run_on_loop(Fn&& fn) {
   ABCAST_CHECK(std::this_thread::get_id() != thread_.get_id());
   std::promise<void> done;
   push(now(), /*timer=*/false, [&fn, &done] {
-    fn();
+    try {
+      fn();
+    } catch (const RequestRefused&) {
+      // The caller's error, so the caller's to handle; the loop goes on.
+      // Any other exception ends the process here (StorageIoError: the
+      // log either completes or the process dies).
+      done.set_exception(std::current_exception());
+      return;
+    }
     done.set_value();
   });
   done.get_future().get();
@@ -132,7 +141,9 @@ void EventLoop::crash_node() {
     ABCAST_CHECK_MSG(node_ != nullptr, "process already down");
     up_.store(false);
     node_.reset();  // volatile state dies here
-    drop_sends();   // and so do the datagrams it had not released
+    drop_sends();   // and so do the messages it had not delivered
+    self_sent_.clear();
+    self_ready_.clear();
     if (obs::TraceRecorder* rec = tracer()) {
       rec->record(obs::EventKind::kCrash, now());
     }
@@ -155,17 +166,23 @@ bool EventLoop::call(const std::function<void()>& fn) {
 void EventLoop::run() {
   for (;;) {
     // The barrier: everything the previous pass logged becomes durable,
-    // THEN everything it queued leaves. A throwing flush follows the
-    // StorageIoError contract: the log either completes or the process
-    // dies.
+    // THEN everything it queued leaves, or is ready for this node. A
+    // throwing flush follows the StorageIoError contract: the log either
+    // completes or the process dies.
     storage().flush();
     release_sends();
+    self_ready_.insert(self_ready_.end(),
+                       std::make_move_iterator(self_sent_.begin()),
+                       std::make_move_iterator(self_sent_.end()));
+    self_sent_.clear();
 
     int timeout_ms = 1000;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stop_) return;
-      if (!tasks_.empty()) {
+      if (!self_ready_.empty()) {
+        timeout_ms = 0;
+      } else if (!tasks_.empty()) {
         const Duration wait = tasks_.top().due - now();
         timeout_ms = wait <= 0 ? 0 : static_cast<int>(wait / 1'000'000 + 1);
       }
@@ -185,6 +202,8 @@ void EventLoop::run() {
       }
     }
     if (fds[0].revents & POLLIN) drain_input();
+    for (const Wire& msg : self_ready_) deliver(self_, msg);
+    self_ready_.clear();
 
     for (;;) {
       Task task;

@@ -5,28 +5,33 @@
 // timers, call() bodies), preserving the single-threaded execution model
 // the stacks assume. Each pass of the loop runs, in this order:
 //
-//   1. the barrier: storage().flush(), THEN release_sends(). Whatever the
-//      previous pass logged is durable before any datagram that could
-//      reveal it leaves the process (§3.2: stable storage is all that
-//      survives a crash), so a deferred-sync backend (SegmentedLogStorage
-//      in SyncMode::kDeferred) is externally indistinguishable from a
-//      synchronous one. Every send path queues; none bypasses this;
+//   1. the barrier: storage().flush(), THEN release_sends(), THEN the
+//      messages the node sent to itself move to the ready list. Whatever
+//      the previous pass logged is durable before any message that could
+//      reveal it leaves the process or reaches the node (§3.2: stable
+//      storage is all that survives a crash), so a deferred-sync backend
+//      (SegmentedLogStorage in SyncMode::kDeferred) is externally
+//      indistinguishable from a synchronous one. Every send path queues;
+//      none bypasses this;
 //   2. the wait: poll() on the transport's input fd (if any) and a
 //      self-pipe, timing out at the earliest due task (rounded up to whole
-//      milliseconds);
+//      milliseconds), or at once while the ready list is non-empty;
 //   3. drain_input(): the transport hands arrived datagrams to deliver();
-//   4. every due task, in (due, seq) order.
+//   4. the ready list, handed to the node: a message to self never
+//      reaches the transport (send_to_self);
+//   5. every due task, in (due, seq) order.
 //
 // Timers are incarnation-gated: crash_node() bumps the incarnation, so no
 // timer of a dead incarnation fires. The live-timer table holds the ids
 // that are scheduled and neither fired nor cancelled, so it stays bounded
 // by outstanding timers whatever the cancel/fire interleaving.
 //
-// A transport derives from EventLoop, implements send() by queueing and the
-// release_sends()/drop_sends() hooks (plus drain_input() when it polls an
-// fd), calls start_loop() as the last statement of its constructor and
-// shutdown() as the first of its destructor: the loop thread only ever sees
-// a fully built transport.
+// A transport derives from EventLoop, implements send() by queueing (a
+// message to self goes to send_to_self()) and the release_sends()/
+// drop_sends() hooks (plus drain_input() when it polls an fd), calls
+// start_loop() as the last statement of its constructor and shutdown() as
+// the first of its destructor: the loop thread only ever sees a fully built
+// transport.
 #pragma once
 
 #include <atomic>
@@ -72,11 +77,14 @@ class EventLoop : public Env {
   /// kRecoverEnd when tracer() is set.
   void start_node(const NodeFactory& factory, bool recovering);
   /// Crash: destroys the stack (volatile state dies), discards the sends
-  /// not yet released and makes every pending timer stale. Records kCrash
-  /// when tracer() is set. Input arriving while down is dropped.
+  /// and messages to self not yet delivered and makes every pending timer
+  /// stale. Records kCrash when tracer() is set. Input arriving while down
+  /// is dropped.
   void crash_node();
   /// Runs `fn` on the loop thread and waits for it; returns false (without
-  /// running it) if the node is down.
+  /// running it) if the node is down. A RequestRefused thrown by `fn` is
+  /// rethrown here and the loop runs on; any other exception ends the
+  /// process.
   bool call(const std::function<void()>& fn);
   /// Stops the loop and joins its thread (idempotent). A node that is up
   /// stays alive, for inspection, until the host is destroyed.
@@ -97,6 +105,10 @@ class EventLoop : public Env {
   void deliver_at(TimePoint due, ProcessId from, Wire msg);
   /// Hands `msg` to the node if it is up. Loop thread only.
   void deliver(ProcessId from, const Wire& msg);
+  /// Queues `msg` for this host's own node. The next barrier releases it
+  /// with the sends, and that pass delivers it after a poll that does not
+  /// wait. Loop thread only.
+  void send_to_self(const Wire& msg) { self_sent_.push_back(msg); }
 
   /// The transport's half of the barrier: transmit everything queued since
   /// the previous pass. Runs after storage().flush().
@@ -121,7 +133,8 @@ class EventLoop : public Env {
   void run();
   /// Queues `fn` at `due` (a timer when `timer`) and wakes the loop.
   std::uint64_t push(TimePoint due, bool timer, std::function<void()> fn);
-  /// Runs `fn` on the loop thread and blocks until it has run.
+  /// Runs `fn` on the loop thread and blocks until it has run; forwards a
+  /// RequestRefused it throws.
   template <typename Fn>
   void run_on_loop(Fn&& fn);
   void wake();
@@ -142,6 +155,11 @@ class EventLoop : public Env {
   std::uint64_t incarnation_ = 1;
   std::unordered_set<std::uint64_t> live_timers_;
   bool stop_ = false;
+
+  // Loop thread only: messages to self sent since the last barrier, and
+  // those it released, which the pass delivers after its poll.
+  std::vector<Wire> self_sent_;
+  std::vector<Wire> self_ready_;
 
   std::atomic<bool> up_{false};
   std::unique_ptr<NodeApp> node_;  // loop thread only; dies before storage_

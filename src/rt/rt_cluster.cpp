@@ -35,17 +35,17 @@ obs::MetricsRegistry* RtHost::metrics_registry() {
 
 void RtHost::send(ProcessId to, const Wire& msg) {
   ABCAST_CHECK(to < group_size());
-  outbox_.emplace_back(to, msg);
+  if (to == self()) {
+    send_to_self(msg);
+  } else {
+    outbox_.emplace_back(to, msg);
+  }
 }
 
 void RtHost::release_sends() {
   const RtNetConfig& net = cluster_.config_.net;
   for (auto& [to, msg] : outbox_) {
     RtHost& peer = cluster_.host(to);
-    if (to == self()) {
-      peer.deliver_at(now(), self(), std::move(msg));
-      continue;
-    }
     if (rng().chance(net.drop_prob)) continue;
     peer.deliver_at(now() + rng().uniform(net.delay_min, net.delay_max),
                     self(), msg);

@@ -52,7 +52,8 @@ class RtHost final : public EventLoop {
   ~RtHost() override;
 
   // Env (called from the host thread only)
-  /// Queues `msg`; the loop's barrier hands it to the channel.
+  /// Queues `msg`; the loop's barrier hands it to the channel, or to this
+  /// host's node when `to` is self (never lost, never delayed).
   void send(ProcessId to, const Wire& msg) override;
   StableStorage& storage() override {
     return tracing_storage_ ? *tracing_storage_ : EventLoop::storage();
@@ -65,8 +66,9 @@ class RtHost final : public EventLoop {
   obs::TraceRecorder* recorder() { return recorder_.get(); }
 
  private:
-  /// The in-process channel: each queued message is dropped, delayed and
-  /// maybe duplicated per RtNetConfig, then scheduled on the peer's loop.
+  /// The in-process channel: each queued message to a peer is dropped,
+  /// delayed and maybe duplicated per RtNetConfig, then scheduled on the
+  /// peer's loop.
   void release_sends() override;
   void drop_sends() override { outbox_.clear(); }
 

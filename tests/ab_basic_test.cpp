@@ -501,7 +501,7 @@ TEST(AbBasic, BroadcastRefusesAPayloadNoDatagramCanCarry) {
     // The digest delta has the largest header of the four carriers; an
     // entry adds a 12-byte id and a 4-byte length.
     EXPECT_EQ(max, 1024 - core::digest_header_bytes(3) - 16);
-    EXPECT_THROW(ab.broadcast(Bytes(max + 1, 'x')), InvariantViolation);
+    EXPECT_THROW(ab.broadcast(Bytes(max + 1, 'x')), RequestRefused);
     EXPECT_EQ(ab.unordered_size(), 0u);
     std::vector<MsgId> ids;
     for (int i = 0; i < 4; ++i) {

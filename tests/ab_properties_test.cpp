@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "harness/fixture.hpp"
 #include "sim/fault_plan.hpp"
@@ -238,7 +239,10 @@ TEST(Lemmas, P7UniformDeliveryWhenDelivererDiesForever) {
   c.oracle().check();
 }
 
-// Determinism of the whole stack: same seed, same global order.
+// Determinism of the whole stack: same seed, same global order and the
+// same delivery latencies. Another seed must change the run: ten paced
+// broadcasts may well come out in the same order, but not at the same
+// times.
 TEST(Lemmas, WholeStackIsDeterministic) {
   auto run = [](std::uint64_t seed) {
     ClusterConfig cfg;
@@ -255,11 +259,11 @@ TEST(Lemmas, WholeStackIsDeterministic) {
     c.sim().crash_at(millis(150), 2);
     c.sim().recover_at(millis(350), 2);
     c.await_delivery(ids, {}, seconds(60));
-    return c.oracle().global_order();
+    return std::make_pair(c.oracle().global_order(), c.oracle().latencies());
   };
   const auto a = run(31);
   const auto b = run(31);
-  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.first.size(), b.first.size());
   EXPECT_EQ(a, b);
   EXPECT_NE(a, run(32));
 }

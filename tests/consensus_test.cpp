@@ -5,6 +5,7 @@
 // that an engine holds state only for undecided instances.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "consensus/consensus.hpp"
 #include "consensus/consensus_wire.hpp"
+#include "consensus/keys.hpp"
 #include "fd/failure_detector.hpp"
 #include "sim/simulation.hpp"
 #include "storage/mem_storage.hpp"
@@ -29,6 +31,8 @@ struct Observed {
   // Every (instance, value) pair the decided callback reported, in order.
   std::vector<std::pair<InstanceId, Bytes>> decisions;
   std::vector<std::pair<ProcessId, InstanceId>> obsolete_pings;
+  // When set and true for an arriving message, the message is lost.
+  std::function<bool(ProcessId from, const Wire& msg)> drop;
 };
 
 class ConsNode final : public NodeApp {
@@ -47,9 +51,10 @@ class ConsNode final : public NodeApp {
 
   void start(bool recovering) override {
     fd_.start(recovering);
-    cons_->start(recovering);
+    cons_->start(recovering, fd_.incarnation());
   }
   void on_message(ProcessId from, const Wire& msg) override {
+    if (obs_.drop && obs_.drop(from, msg)) return;
     if (fd_.handles(msg.type)) {
       fd_.on_message(from, msg);
     } else if (cons_->handles(msg.type)) {
@@ -465,4 +470,89 @@ TEST(CoordEngine, RoundZeroLockOutranksInitialEstimates) {
   c.sim.run_for(millis(1));
   ASSERT_TRUE(p1.decided(0));
   EXPECT_EQ(*p1.decision(0), val("v"));
+}
+
+namespace {
+
+// Flips one byte in the middle of a stored record, as a torn put or bit rot
+// would: recovery finds it fails its seal, counts it and erases it.
+void tear_record(StableStorage& storage, const std::string& key) {
+  auto raw = storage.get(key);
+  ASSERT_TRUE(raw.has_value()) << key;
+  auto& byte = (*raw)[raw->size() / 2];
+  byte = static_cast<std::uint8_t>(byte ^ 0xFFu);
+  storage.put(key, *raw);
+}
+
+}  // namespace
+
+// Ballot 1 skips phase 1 only in p0's first incarnation. p0 decides v at
+// ballot 1 on p1's and p2's accepts (its own copy of the ACCEPT is lost, so
+// it keeps no acceptor record), p1 learns v, and the DECIDED to p2 is lost.
+// p0 then crashes and recovers with its proposal and decision records torn,
+// so nothing it holds names v. Were it to send ACCEPT(1, w) straight away,
+// p2 would overwrite (1, v) and p0 would decide w against p1's v. Phase 1
+// of ballot 1 draws (1, v) back from p2 instead.
+TEST(PaxosEngine, RecoveredLeaderRunsPhaseOneAtBallotOne) {
+  ConsCluster c({.n = 3, .seed = 62}, ConsensusKind::kPaxos);
+  // Each filter loses the first matching message only.
+  int lost = 0;
+  auto lose_first = [&lost](ProcessId sender, MsgType type) {
+    return [&lost, sender, type, done = false](ProcessId from,
+                                               const Wire& msg) mutable {
+      if (done || from != sender || msg.type != type) return false;
+      done = true;
+      lost += 1;
+      return true;
+    };
+  };
+  c.observed[0].drop = lose_first(0, MsgType::kPaxosAccept);
+  c.observed[2].drop = lose_first(0, MsgType::kPaxosDecided);
+  c.cons(0).propose(0, val("v"));
+  ASSERT_TRUE(c.await_decision(0, {0, 1}, millis(100)));
+  ASSERT_TRUE(c.sim.run_until_pred([&] { return lost == 2; },
+                                   c.sim.now() + millis(100)));
+  ASSERT_FALSE(c.cons(2).decided(0));
+  EXPECT_EQ(c.cons(0).metrics().attempts, 1u);
+  EXPECT_EQ(c.sim.net_stats().sent_of(MsgType::kPaxosPrepare), 0u);
+
+  c.sim.partition({1});  // p1 keeps v to itself
+  c.sim.crash(0);
+  StableStorage& stable = c.sim.host(0).raw_storage();
+  EXPECT_FALSE(stable.get("cons/" + consensus_keys::inst_key("acc", 0)));
+  tear_record(stable, "cons/" + consensus_keys::inst_key("prop", 0));
+  tear_record(stable, "cons/" + consensus_keys::inst_key("dec", 0));
+  ASSERT_TRUE(c.sim.recover(0));
+  ASSERT_EQ(c.cons(0).metrics().corrupt_records, 2u);
+  ASSERT_FALSE(c.cons(0).decided(0));
+
+  c.cons(0).propose(0, val("w"));
+  ASSERT_TRUE(c.await_decision(0, {0, 2}, seconds(5)));
+  EXPECT_EQ(*c.cons(0).decision(0), *c.cons(1).decision(0));  // v
+  EXPECT_EQ(*c.cons(2).decision(0), val("v"));
+  EXPECT_GT(c.sim.net_stats().sent_of(MsgType::kPaxosPrepare), 0u);
+}
+
+// A non-nominee takes over an accepted, unlearned instance only once its
+// patience (0.75 s for p1) has run since it heard of the instance, however
+// long the process has been up.
+TEST(PaxosEngine, TakeoverPatienceRunsFromWhenTheInstanceAppeared) {
+  using consensus_wire::AcceptMsg;
+  ConsCluster c({.n = 3, .seed = 63}, ConsensusKind::kPaxos);
+  c.sim.run_for(seconds(2));  // well past p1's patience since start
+  const std::string prop_key = "cons/" + consensus_keys::inst_key("prop", 0);
+  StableStorage& stable = c.sim.host(1).raw_storage();
+
+  // p1 accepts a value for instance 0 from p0, which never follows it up.
+  c.cons(1).on_message(0, make_wire(MsgType::kPaxosAccept,
+                                    AcceptMsg{0, 1, val("orphan")}));
+  c.sim.run_for(millis(600));
+  EXPECT_FALSE(stable.get(prop_key).has_value());
+  EXPECT_EQ(c.sim.net_stats().sent_of(MsgType::kPaxosPrepare), 0u);
+
+  // Past its patience since the ACCEPT arrived, p1 drives the value home.
+  ASSERT_TRUE(c.await_decision(0, {0, 1, 2}, seconds(5)));
+  EXPECT_TRUE(stable.get(prop_key).has_value());  // the takeover's proposal
+  EXPECT_GT(c.sim.net_stats().sent_of(MsgType::kPaxosPrepare), 0u);
+  EXPECT_EQ(*c.cons(2).decision(0), val("orphan"));
 }

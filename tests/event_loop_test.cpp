@@ -160,6 +160,35 @@ TYPED_TEST(HostLoop, StorageFlushedBeforeEverySend) {
   EXPECT_EQ(seen.load(), 0);
 }
 
+// A message to self obeys the same barrier without leaving the process:
+// node 0 logs, sends to itself and holds its loop; it must see its own
+// message only after the write is flushed, never inside the send.
+TYPED_TEST(HostLoop, SelfSendArrivesAfterTheBarrier) {
+  std::array<std::atomic<int>, 1> unflushed{};
+  std::atomic<int> seen{-1};
+  TypeParam c(1, [&unflushed](ProcessId p) {
+    return std::make_unique<CountingStorage>(unflushed[p]);
+  });
+  c.start_all([&unflushed, &seen](Env&) {
+    return std::make_unique<DurabilityProbe>(unflushed[0], seen);
+  });
+
+  auto& host = c.host(0);
+  ASSERT_TRUE(host.call([&host, &seen] {
+    host.storage().put("probe", Bytes{1});
+    host.send(0, Wire{MsgType::kAbGossip, Bytes{2}});
+    host.multisend(Wire{MsgType::kAbGossip, Bytes{3}});
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(seen.load(), -1);  // not delivered inside the pass
+  }));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (seen.load() < 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(seen.load(), 0);
+}
+
 namespace {
 
 // Regression test for the cancelled-timer leak: a grow-only list of

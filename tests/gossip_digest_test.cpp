@@ -270,11 +270,17 @@ TEST(GossipDigest, PullOnlyAntiEntropyDelivers) {
 
 // The tentpole's reason to exist: with a standing backlog, digest gossip
 // moves far fewer gossip bytes than full-set gossip for the same workload.
+// Full-set gossip re-sends every message on each tick until it is ordered,
+// so the backlog must outlast several ticks: one-way delays of 10-40 ms
+// make a round (one ACCEPT/ACCEPTED trip, then the DECIDED push) longer
+// than the 30 ms gossip period.
 TEST(GossipDigest, DigestModeShipsFewerGossipBytes) {
   auto run = [](bool digest) {
     ClusterConfig cfg;
     cfg.sim.n = kN;
     cfg.sim.seed = 902;
+    cfg.sim.net.delay_min = millis(10);
+    cfg.sim.net.delay_max = millis(40);
     cfg.stack.ab.digest_gossip = digest;
     Cluster c(cfg);
     c.start_all();

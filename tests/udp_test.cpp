@@ -9,6 +9,7 @@
 
 #include "apps/kv_store.hpp"
 #include "apps/rsm.hpp"
+#include "common/check.hpp"
 #include "net/udp_env.hpp"
 
 using namespace abcast;
@@ -339,9 +340,11 @@ TEST(Udp, PayloadOfExactlyTheLimitArrives) {
   }
 }
 
-// Batched sends go out in sendmmsg chunks of 16. Seven multisends to three
-// hosts (self included) queue 21 datagrams in one pass: exactly two
-// syscalls (16 + 5), and every host receives all seven.
+// Batched sends go out in sendmmsg chunks of 16. Eleven multisends to
+// three hosts queue 22 datagrams to the two peers in one pass: exactly two
+// syscalls (16 + 6), and every host receives all eleven. Host 0's own
+// copies reach it through the loop, not the socket: it receives no
+// datagram.
 TEST(Udp, BatchedFlushSendsInChunksOf16) {
   std::vector<std::unique_ptr<std::atomic<int>>> received;
   for (int i = 0; i < 3; ++i) {
@@ -364,9 +367,10 @@ TEST(Udp, BatchedFlushSendsInChunksOf16) {
         /*recovering=*/false);
   }
 
+  constexpr int kMultisends = 11;
   UdpHost& h0 = *hosts[0];
   ASSERT_TRUE(h0.call([&h0] {
-    for (int i = 0; i < 7; ++i) {
+    for (int i = 0; i < kMultisends; ++i) {
       h0.multisend(Wire{MsgType::kAbGossip, Bytes(16, 0x5A)});
     }
   }));
@@ -374,7 +378,7 @@ TEST(Udp, BatchedFlushSendsInChunksOf16) {
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   const auto all_arrived = [&received] {
     for (const auto& n : received) {
-      if (n->load() < 7) return false;
+      if (n->load() < kMultisends) return false;
     }
     return true;
   };
@@ -382,10 +386,11 @@ TEST(Udp, BatchedFlushSendsInChunksOf16) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   for (ProcessId p = 0; p < 3; ++p) {
-    EXPECT_EQ(received[p]->load(), 7) << "host " << p;
+    EXPECT_EQ(received[p]->load(), kMultisends) << "host " << p;
   }
   EXPECT_EQ(h0.net_metrics().send_syscalls.load(), 2u);
-  EXPECT_EQ(h0.net_metrics().send_datagrams.load(), 21u);
+  EXPECT_EQ(h0.net_metrics().send_datagrams.load(), 2u * kMultisends);
+  EXPECT_EQ(h0.net_metrics().recv_datagrams.load(), 0u);
   hosts.clear();  // joins the loops before the counters die
 }
 
@@ -444,6 +449,26 @@ TEST(Udp, BurstBeyondOneDatagramConverges) {
   for (ProcessId p = 0; p < 3; ++p) {
     EXPECT_EQ(c.applied[p]->load(), kPuts) << "p" << p;
     EXPECT_EQ(c.hosts[p]->send_failures(), 0u) << "p" << p;
+  }
+}
+
+// A command too big for admission is the caller's error: call() rethrows
+// RequestRefused on the submitting thread, and the host orders on.
+TEST(Udp, RefusedCommandReachesTheCallerAndTheLoopRunsOn) {
+  UdpKv c(3, 13);
+  EXPECT_THROW(c.submit_put(0, "big", std::string(70'000, 'x')),
+               RequestRefused);
+  ASSERT_TRUE(c.submit_put(0, "small", std::string(64, 's')));
+  EXPECT_TRUE(c.wait_for(
+      [&] {
+        for (ProcessId p = 0; p < 3; ++p) {
+          if (c.applied[p]->load() < 1) return false;
+        }
+        return true;
+      },
+      seconds(30)));
+  for (ProcessId p = 0; p < 3; ++p) {
+    EXPECT_EQ(c.applied[p]->load(), 1u) << "p" << p;
   }
 }
 
