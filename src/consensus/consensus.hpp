@@ -78,13 +78,13 @@ class ConsensusService {
   ConsensusService& operator=(const ConsensusService&) = delete;
 
   /// Loads persistent state and starts the driver. Call exactly once, after
-  /// set_decided_callback. With recovering=true, instances with a logged
-  /// proposal and no decision resume automatically. `incarnation` is the
-  /// process's incarnation number (1 on its first start, never repeated;
-  /// AtomicBroadcast::start takes the same one): an engine may take
-  /// shortcuts that are safe only while no earlier incarnation can have
-  /// acted, such as Paxos skipping phase 1 of ballot 1.
-  virtual void start(bool recovering, std::uint64_t incarnation) = 0;
+  /// set_decided_callback. Instances with a logged proposal and no decision
+  /// resume automatically. `incarnation` is the process's incarnation number
+  /// (1 on its first start, never repeated; AtomicBroadcast::start takes the
+  /// same one): an engine may take shortcuts that are safe only while no
+  /// earlier incarnation can have acted, such as Paxos skipping phase 1 of
+  /// ballot 1.
+  virtual void start(std::uint64_t incarnation) = 0;
 
   /// See file header. The value actually used is the first one ever logged
   /// for `k` by this process; a different `value` on re-invocation is

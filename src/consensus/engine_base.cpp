@@ -37,8 +37,7 @@ void EngineBase::bind_metrics() {
   metrics_group_.bind("cons_quarantined", labels, &metrics_.quarantined);
 }
 
-void EngineBase::start(bool recovering, std::uint64_t incarnation) {
-  (void)recovering;  // undecided proposals resume either way
+void EngineBase::start(std::uint64_t incarnation) {
   ABCAST_CHECK_MSG(!started_, "consensus started twice");
   started_ = true;
   incarnation_ = incarnation;

@@ -24,7 +24,7 @@ namespace abcast {
 
 class EngineBase : public ConsensusService {
  public:
-  void start(bool recovering, std::uint64_t incarnation) final;
+  void start(std::uint64_t incarnation) final;
   void propose(InstanceId k, const Bytes& value) final;
   std::size_t max_value_bytes() const final;
   std::optional<Bytes> decision(InstanceId k) final;

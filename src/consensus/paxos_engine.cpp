@@ -72,7 +72,8 @@ bool PaxosEngine::engine_load(InstanceId k, const Bytes& payload) {
 void PaxosEngine::engine_propose(InstanceId k, const Bytes& value) {
   // Proposing on a quarantined instance is NOT safe even though proposer
   // state is volatile: ballot uniqueness across our own crashes rests on
-  // the self-promise stored in the (torn, discarded) acceptor record.
+  // the self-promise stored in the (torn, discarded) acceptor record
+  // (ballot 1 aside: only the first incarnation issues it).
   // next_ballot() could then reissue an old ballot with a different value.
   // Peers drive the instance; we learn the decision.
   if (is_quarantined(k)) return;
@@ -80,21 +81,22 @@ void PaxosEngine::engine_propose(InstanceId k, const Bytes& value) {
   if (inst.proposing) return;
   inst.proposing = true;
   inst.proposal = value;
-  inst.idle_since = env_.now();
   drive(k, inst);
 }
 
 void PaxosEngine::start_ballot(InstanceId k, Instance& inst) {
+  // Only the first incarnation issues ballot 1 (see below).
+  const Ballot first_free = first_incarnation() ? 0 : 1;
   inst.ballot = next_ballot(std::max({inst.ballot, inst.ballot_floor,
-                                      inst.promised}));
+                                      inst.promised, first_free}));
   metrics_.attempts += 1;
-  if (inst.ballot == 1 && first_incarnation()) {
+  if (inst.ballot == 1) {
     // Ballot 1 is p0's first and no ballot is lower, so its phase 1 could
-    // only report "nothing accepted". It carries one value per instance
-    // while no earlier incarnation of p0 exists: the proposal, fixed until
-    // the decision (a retry uses 1 + n). A recovered p0 may have lost the
-    // value it pushed at ballot 1 to a torn record, so it runs phase 1,
-    // which draws that value back (PROTOCOL.md §4).
+    // only report "nothing accepted". It carries one value per instance,
+    // ever: the first incarnation's proposal, fixed until the decision (a
+    // retry uses 1 + n). A recovered p0 may have lost that value to a torn
+    // record while an ACCEPT(1, v) is still in flight, so it never reissues
+    // ballot 1; phase 1 of 1 + n draws v back (PROTOCOL.md §4).
     start_accept(k, inst, inst.proposal);
     return;
   }

@@ -8,9 +8,10 @@
 // undecided instances have state here: a decided one is erased at once and
 // never reloaded (EngineBase answers its messages with the decision).
 //
-// Ballot 1 belongs to p0 and has no lower ballot, so in p0's first
-// incarnation it skips phase 1: the default leader orders an instance in
-// one ACCEPT/ACCEPTED round trip. Every other ballot runs both phases.
+// Ballot 1 belongs to p0's first incarnation and has no lower ballot, so it
+// skips phase 1: the default leader orders an instance in one
+// ACCEPT/ACCEPTED round trip. Every other ballot runs both phases, and a
+// recovered p0 starts at 1 + n.
 //
 // Liveness safeguards beyond textbook Synod:
 //  * retry with a higher ballot on timeout, but only while the oracle

@@ -36,7 +36,7 @@ void NodeStack::start(bool recovering) {
   fd_->start(recovering);
   incarnation_ = fd_->incarnation();
   if (incarnation_ == 0) incarnation_ = own_incarnation_bump();
-  cons_->start(recovering, incarnation_);
+  cons_->start(incarnation_);
   ab_.start(recovering, incarnation_);
 }
 

@@ -51,7 +51,7 @@ class ConsNode final : public NodeApp {
 
   void start(bool recovering) override {
     fd_.start(recovering);
-    cons_->start(recovering, fd_.incarnation());
+    cons_->start(fd_.incarnation());
   }
   void on_message(ProcessId from, const Wire& msg) override {
     if (obs_.drop && obs_.drop(from, msg)) return;
@@ -484,6 +484,37 @@ void tear_record(StableStorage& storage, const std::string& key) {
   storage.put(key, *raw);
 }
 
+std::string cons_key(const char* family, InstanceId k) {
+  return "cons/" + consensus_keys::inst_key(family, k);
+}
+
+// A drop filter that loses the first message of `type` from `sender` and
+// counts it in `lost`.
+std::function<bool(ProcessId, const Wire&)> lose_first(ProcessId sender,
+                                                       MsgType type,
+                                                       int& lost) {
+  return [&lost, sender, type, done = false](ProcessId from,
+                                             const Wire& msg) mutable {
+    if (done || from != sender || msg.type != type) return false;
+    done = true;
+    lost += 1;
+    return true;
+  };
+}
+
+// A drop filter that loses nothing and records the ballot of every PREPARE
+// from `sender`.
+std::function<bool(ProcessId, const Wire&)> record_prepares(
+    ProcessId sender, std::vector<std::uint64_t>& ballots) {
+  return [&ballots, sender](ProcessId from, const Wire& msg) {
+    if (from == sender && msg.type == MsgType::kPaxosPrepare) {
+      ballots.push_back(
+          decode_from_bytes<consensus_wire::PrepareMsg>(msg.payload).ballot);
+    }
+    return false;
+  };
+}
+
 }  // namespace
 
 // Ballot 1 skips phase 1 only in p0's first incarnation. p0 decides v at
@@ -491,23 +522,14 @@ void tear_record(StableStorage& storage, const std::string& key) {
 // it keeps no acceptor record), p1 learns v, and the DECIDED to p2 is lost.
 // p0 then crashes and recovers with its proposal and decision records torn,
 // so nothing it holds names v. Were it to send ACCEPT(1, w) straight away,
-// p2 would overwrite (1, v) and p0 would decide w against p1's v. Phase 1
-// of ballot 1 draws (1, v) back from p2 instead.
-TEST(PaxosEngine, RecoveredLeaderRunsPhaseOneAtBallotOne) {
+// p2 would overwrite (1, v) and p0 would decide w against p1's v. The
+// recovered p0 runs phase 1 of ballot 1 + n instead, which draws (1, v)
+// back from p2.
+TEST(PaxosEngine, RecoveredLeaderRunsPhaseOneAboveBallotOne) {
   ConsCluster c({.n = 3, .seed = 62}, ConsensusKind::kPaxos);
-  // Each filter loses the first matching message only.
   int lost = 0;
-  auto lose_first = [&lost](ProcessId sender, MsgType type) {
-    return [&lost, sender, type, done = false](ProcessId from,
-                                               const Wire& msg) mutable {
-      if (done || from != sender || msg.type != type) return false;
-      done = true;
-      lost += 1;
-      return true;
-    };
-  };
-  c.observed[0].drop = lose_first(0, MsgType::kPaxosAccept);
-  c.observed[2].drop = lose_first(0, MsgType::kPaxosDecided);
+  c.observed[0].drop = lose_first(0, MsgType::kPaxosAccept, lost);
+  c.observed[2].drop = lose_first(0, MsgType::kPaxosDecided, lost);
   c.cons(0).propose(0, val("v"));
   ASSERT_TRUE(c.await_decision(0, {0, 1}, millis(100)));
   ASSERT_TRUE(c.sim.run_until_pred([&] { return lost == 2; },
@@ -519,18 +541,78 @@ TEST(PaxosEngine, RecoveredLeaderRunsPhaseOneAtBallotOne) {
   c.sim.partition({1});  // p1 keeps v to itself
   c.sim.crash(0);
   StableStorage& stable = c.sim.host(0).raw_storage();
-  EXPECT_FALSE(stable.get("cons/" + consensus_keys::inst_key("acc", 0)));
-  tear_record(stable, "cons/" + consensus_keys::inst_key("prop", 0));
-  tear_record(stable, "cons/" + consensus_keys::inst_key("dec", 0));
+  EXPECT_FALSE(stable.get(cons_key("acc", 0)));
+  tear_record(stable, cons_key("prop", 0));
+  tear_record(stable, cons_key("dec", 0));
   ASSERT_TRUE(c.sim.recover(0));
   ASSERT_EQ(c.cons(0).metrics().corrupt_records, 2u);
   ASSERT_FALSE(c.cons(0).decided(0));
 
+  std::vector<std::uint64_t> ballots;
+  c.observed[2].drop = record_prepares(0, ballots);
   c.cons(0).propose(0, val("w"));
   ASSERT_TRUE(c.await_decision(0, {0, 2}, seconds(5)));
   EXPECT_EQ(*c.cons(0).decision(0), *c.cons(1).decision(0));  // v
   EXPECT_EQ(*c.cons(2).decision(0), val("v"));
-  EXPECT_GT(c.sim.net_stats().sent_of(MsgType::kPaxosPrepare), 0u);
+  ASSERT_FALSE(ballots.empty());
+  EXPECT_EQ(ballots.front(), 4u);  // 1 + n
+}
+
+// The same rule with p0's ACCEPT(1, v) to p2 still in flight when p0
+// recovers. p0 pushed v to p1 only (its own copy is lost, as when p0
+// crashes before handling it), crashed undecided and lost its proposal
+// record. Were the recovered p0 to run
+// ballot 1 again, p2 would accept (1, w) and p0 would decide w; the late
+// ACCEPT(1, v) would then overwrite p2's (1, w), and p1 and p2, holding v at
+// the highest ballot, would decide v. At ballot 1 + n, p2 refuses the late
+// ACCEPT and w survives p0's crash.
+TEST(PaxosEngine, LateBallotOneAcceptCannotOverwriteARecoveredLeader) {
+  ConsCluster c({.n = 3, .seed = 64}, ConsensusKind::kPaxos);
+  int lost = 0;
+  c.observed[0].drop = lose_first(0, MsgType::kPaxosAccept, lost);
+  std::optional<Wire> late;  // p0's ACCEPT(1, v) to p2, held back
+  c.observed[2].drop = [&late](ProcessId from, const Wire& msg) {
+    if (late || from != 0 || msg.type != MsgType::kPaxosAccept) return false;
+    late = msg;
+    return true;
+  };
+  c.cons(0).propose(0, val("v"));
+  StableStorage& p1_stable = c.sim.host(1).raw_storage();
+  ASSERT_TRUE(c.sim.run_until_pred(
+      [&] { return lost == 1 && late && p1_stable.get(cons_key("acc", 0)); },
+      c.sim.now() + millis(100)));
+  ASSERT_FALSE(c.cons(0).decided(0));  // one accept of the two it needs
+
+  c.sim.partition({1});
+  c.sim.crash(0);
+  StableStorage& stable = c.sim.host(0).raw_storage();
+  EXPECT_FALSE(stable.get(cons_key("acc", 0)));
+  EXPECT_FALSE(stable.get(cons_key("dec", 0)));
+  tear_record(stable, cons_key("prop", 0));
+  ASSERT_TRUE(c.sim.recover(0));
+  ASSERT_EQ(c.cons(0).metrics().corrupt_records, 1u);
+
+  // p0 decides w with p2. p2 never hears of the decision, and p0 crashes.
+  std::vector<std::uint64_t> ballots;
+  const auto record = record_prepares(0, ballots);
+  c.observed[2].drop = [record](ProcessId from, const Wire& msg) {
+    return record(from, msg) ||
+           (from == 0 && msg.type == MsgType::kPaxosDecided);
+  };
+  c.cons(0).propose(0, val("w"));
+  ASSERT_TRUE(c.await_decision(0, {0}, seconds(5)));
+  EXPECT_EQ(*c.cons(0).decision(0), val("w"));
+  ASSERT_FALSE(c.cons(2).decided(0));
+  ASSERT_FALSE(ballots.empty());
+  for (const std::uint64_t b : ballots) EXPECT_GT(b, 1u);
+  c.sim.crash(0);
+  c.sim.heal_partition();
+
+  // The late ACCEPT(1, v) reaches p2; p1 and p2 then settle the instance.
+  c.cons(2).on_message(0, *late);
+  ASSERT_TRUE(c.await_decision(0, {1, 2}, seconds(10)));
+  EXPECT_EQ(*c.cons(1).decision(0), val("w"));
+  EXPECT_EQ(*c.cons(2).decision(0), val("w"));
 }
 
 // A non-nominee takes over an accepted, unlearned instance only once its
@@ -540,7 +622,7 @@ TEST(PaxosEngine, TakeoverPatienceRunsFromWhenTheInstanceAppeared) {
   using consensus_wire::AcceptMsg;
   ConsCluster c({.n = 3, .seed = 63}, ConsensusKind::kPaxos);
   c.sim.run_for(seconds(2));  // well past p1's patience since start
-  const std::string prop_key = "cons/" + consensus_keys::inst_key("prop", 0);
+  const std::string prop_key = cons_key("prop", 0);
   StableStorage& stable = c.sim.host(1).raw_storage();
 
   // p1 accepts a value for instance 0 from p0, which never follows it up.
@@ -550,8 +632,9 @@ TEST(PaxosEngine, TakeoverPatienceRunsFromWhenTheInstanceAppeared) {
   EXPECT_FALSE(stable.get(prop_key).has_value());
   EXPECT_EQ(c.sim.net_stats().sent_of(MsgType::kPaxosPrepare), 0u);
 
-  // Past its patience since the ACCEPT arrived, p1 drives the value home.
-  ASSERT_TRUE(c.await_decision(0, {0, 1, 2}, seconds(5)));
+  // Once its patience has run since the ACCEPT arrived, and not a second
+  // patience later, p1 drives the value home.
+  ASSERT_TRUE(c.await_decision(0, {0, 1, 2}, millis(300)));
   EXPECT_TRUE(stable.get(prop_key).has_value());  // the takeover's proposal
   EXPECT_GT(c.sim.net_stats().sent_of(MsgType::kPaxosPrepare), 0u);
   EXPECT_EQ(*c.cons(2).decision(0), val("orphan"));
