@@ -14,7 +14,12 @@
 #include "storage/mem_storage.hpp"
 #include "storage/segment_log_storage.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
+#include <random>
+#include <string>
+#include <vector>
 
 using namespace abcast;
 using namespace abcast::bench;
@@ -110,6 +115,48 @@ void BM_SegLogPutFsync(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SegLogPutFsync);
+
+// get() reads each value back from its segment: a slice of the 64 KiB
+// read-ahead window while keys come in about append order (replay's scan),
+// a window refill per miss when they come at random. 10k records of 128 B.
+void seglog_get(benchmark::State& state, bool sequential) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("abcast_bench_slg_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    SegmentedLogConfig cfg;
+    cfg.dir = dir;
+    cfg.sync = SyncMode::kNone;
+    SegmentedLogStorage storage(cfg);
+    constexpr std::size_t kRecords = 10000;
+    std::vector<std::string> keys;
+    const Bytes value(128, 'v');
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      char key[40];
+      std::snprintf(key, sizeof key, "cons/dec/%020zu", i);
+      keys.emplace_back(key);
+      storage.put(keys.back(), value);
+    }
+    if (!sequential) std::shuffle(keys.begin(), keys.end(), std::mt19937(1));
+    std::size_t i = 0;
+    for (auto _ : state) {
+      auto v = storage.get(keys[i++ % kRecords]);
+      benchmark::DoNotOptimize(v);
+    }
+  }
+  std::filesystem::remove_all(dir);
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_SegLogGetSequential(benchmark::State& state) {
+  seglog_get(state, /*sequential=*/true);
+}
+BENCHMARK(BM_SegLogGetSequential);
+
+void BM_SegLogGetRandom(benchmark::State& state) {
+  seglog_get(state, /*sequential=*/false);
+}
+BENCHMARK(BM_SegLogGetRandom);
 
 void BM_SchedulerChurn(benchmark::State& state) {
   for (auto _ : state) {

@@ -19,8 +19,8 @@
 //
 // Once an instance decides, its value is the only thing read back about it
 // (Fig. 2's replay). So a service holds proposal and engine state only for
-// undecided instances; a decided one keeps just its logged value, and every
-// later message about it is answered with that value.
+// undecided instances; a decided one keeps just its logged value, read
+// back from the log once it is older than a small cache of recent ones.
 //
 // Channels are fair-lossy (§3.1): a decider pushes each decision to every
 // peer once, unacked, and whoever misses it pulls it. (a) Any message about
@@ -95,7 +95,7 @@ class ConsensusService {
   /// carrying message fits a datagram of Env::max_datagram_bytes().
   virtual std::size_t max_value_bytes() const = 0;
 
-  /// Locally-known decision for `k` (memory or decision log), if any.
+  /// Locally-known decision for `k` (recent cache or decision log), if any.
   virtual std::optional<Bytes> decision(InstanceId k) = 0;
 
   virtual void set_decided_callback(DecidedCallback cb) = 0;

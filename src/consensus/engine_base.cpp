@@ -43,11 +43,13 @@ void EngineBase::start(std::uint64_t incarnation) {
   incarnation_ = incarnation;
 
   low_water_ = trunc_mark_.load();
+  decided_below_ = low_water_;
   metrics_.corrupt_records += trunc_mark_.corrupt_slots();
 
-  // Rebuild the decision log and the undecided proposals. Decisions loaded
+  // Rebuild the decided set and the undecided proposals. Decisions loaded
   // here do NOT fire the decided callback: the upper layer's recovery
-  // procedure queries decision() explicitly while replaying (paper Fig. 2).
+  // procedure queries decision() explicitly while replaying (paper Fig. 2),
+  // served from the cache, which keeps every loaded value until then.
   //
   // A record that fails its seal was torn by a crash mid-put. A torn
   // decision was never announced (learn_decision logs before the callback),
@@ -56,6 +58,7 @@ void EngineBase::start(std::uint64_t incarnation) {
   // never returned: the upper layer simply proposes afresh.
   recover_records("dec", [this](InstanceId k, Bytes&& v) {
     decisions_.emplace(k, std::move(v));
+    mark_decided(k);
     return true;
   });
   recover_records("prop", [this](InstanceId k, Bytes&& v) {
@@ -126,9 +129,37 @@ void EngineBase::propose(InstanceId k, const Bytes& value) {
 }
 
 std::optional<Bytes> EngineBase::decision(InstanceId k) {
-  auto it = decisions_.find(k);
-  if (it == decisions_.end()) return std::nullopt;
-  return it->second;
+  if (!has_decision(k)) return std::nullopt;
+  return decided_value(k);
+}
+
+Bytes EngineBase::decided_value(InstanceId k) {
+  if (auto it = decisions_.find(k); it != decisions_.end()) return it->second;
+  const std::string key = consensus_keys::inst_key("dec", k);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    if (auto raw = storage_.get(key)) {
+      if (auto value = unseal_record(*raw)) return std::move(*value);
+    }
+  }
+  throw StorageIoError("decision record " + key + " is damaged");
+}
+
+void EngineBase::mark_decided(InstanceId k) {
+  decided_above_.insert(k);
+  advance_decided_below(decided_below_);
+}
+
+void EngineBase::advance_decided_below(InstanceId k) {
+  decided_below_ = std::max(decided_below_, k);
+  auto it = decided_above_.begin();
+  while (it != decided_above_.end() && *it <= decided_below_) {
+    if (*it == decided_below_) decided_below_ += 1;
+    it = decided_above_.erase(it);
+  }
+}
+
+void EngineBase::trim_decisions(std::size_t n) {
+  while (decisions_.size() > n) decisions_.erase(decisions_.begin());
 }
 
 void EngineBase::learn_decision(InstanceId k, const Bytes& value,
@@ -140,7 +171,9 @@ void EngineBase::learn_decision(InstanceId k, const Bytes& value,
   storage_.put(consensus_keys::inst_key("dec", k), seal_record(value));
   trace(obs::EventKind::kDecide, k, crc32(value),
         i_decided ? "local" : "learned");
-  decisions_.emplace(k, value);
+  trim_decisions(kDecisionCache - 1);
+  const Bytes& logged = decisions_.emplace(k, value).first->second;
+  mark_decided(k);
   proposals_.erase(k);
   quarantined_.erase(k);  // the outcome is known; amnesia no longer matters
   if (i_decided) {
@@ -155,7 +188,7 @@ void EngineBase::learn_decision(InstanceId k, const Bytes& value,
     metrics_.decided_learned += 1;
   }
   engine_decided(k);  // may free `value` (see the declaration)
-  if (decided_cb_) decided_cb_(k, decisions_.at(k));
+  if (decided_cb_) decided_cb_(k, logged);
 }
 
 void EngineBase::on_message(ProcessId from, const Wire& msg) {
@@ -173,10 +206,10 @@ void EngineBase::on_message(ProcessId from, const Wire& msg) {
     if (obsolete_cb_) obsolete_cb_(from, k);
     return;
   }
-  if (auto it = decisions_.find(k); it != decisions_.end()) {
+  if (has_decision(k)) {
     // Any traffic about a decided instance means the sender has not learned
     // the outcome; short-circuit the whole protocol with the decision.
-    env_.send(from, make_wire(decided_type_, DecidedMsg{k, it->second}));
+    env_.send(from, make_wire(decided_type_, DecidedMsg{k, decided_value(k)}));
     return;
   }
   if (is_quarantined(k)) {
@@ -193,10 +226,14 @@ void EngineBase::on_message(ProcessId from, const Wire& msg) {
 
 void EngineBase::offer_decisions(ProcessId to, InstanceId from_k,
                                  std::uint32_t max) {
-  auto it = decisions_.lower_bound(std::max<InstanceId>(from_k, low_water_));
-  for (std::uint32_t sent = 0; it != decisions_.end() && sent < max;
-       ++it, ++sent) {
-    env_.send(to, make_wire(decided_type_, DecidedMsg{it->first, it->second}));
+  InstanceId k = std::max<InstanceId>(from_k, low_water_);
+  for (std::uint32_t sent = 0; sent < max; ++sent, ++k) {
+    if (k >= decided_below_) {
+      const auto it = decided_above_.lower_bound(k);
+      if (it == decided_above_.end()) return;
+      k = *it;
+    }
+    env_.send(to, make_wire(decided_type_, DecidedMsg{k, decided_value(k)}));
   }
 }
 
@@ -220,13 +257,17 @@ void EngineBase::truncate_below(InstanceId k) {
   }
   proposals_.erase(proposals_.begin(), proposals_.lower_bound(k));
   decisions_.erase(decisions_.begin(), decisions_.lower_bound(k));
+  advance_decided_below(k);
   quarantined_.erase(quarantined_.begin(), quarantined_.lower_bound(k));
   engine_truncate(k);
 }
 
 void EngineBase::tick() {
   engine_tick();
-  env_.schedule_after(kTickPeriod, [this] { tick(); });
+  env_.schedule_after(kTickPeriod, [this] {
+    trim_decisions(kDecisionCache);
+    tick();
+  });
 }
 
 }  // namespace abcast

@@ -4,9 +4,10 @@
 // the recovery scan and truncation of every consensus record.
 //
 // Only undecided instances have proposal or engine state. A decided one
-// keeps just its value; on_message answers any message about it with that
-// value, so an engine drops an instance when it decides and never reloads
-// it. Its records stay in storage until truncate_below.
+// keeps just its logged value, dec/<k>, which on_message answers any
+// message about it with; memory caches only the newest such values. An
+// engine drops an instance when it decides and never reloads it. Its
+// records stay in storage until truncate_below.
 #pragma once
 
 #include <functional>
@@ -30,7 +31,7 @@ class EngineBase : public ConsensusService {
   std::optional<Bytes> decision(InstanceId k) final;
   void set_decided_callback(DecidedCallback cb) final { decided_cb_ = std::move(cb); }
   bool proposed(InstanceId k) const final { return proposals_.count(k) != 0; }
-  bool decided(InstanceId k) const final { return decisions_.count(k) != 0; }
+  bool decided(InstanceId k) const final { return has_decision(k); }
   void offer_decisions(ProcessId to, InstanceId from_k,
                        std::uint32_t max) final;
   void truncate_below(InstanceId k) final;
@@ -90,10 +91,13 @@ class EngineBase : public ConsensusService {
   /// peer when `i_decided` (we produced the decision rather than learning
   /// it), and fires the callback. `value` may live inside the engine's
   /// state for `k`, which engine_decided(k) frees: it is read only before
-  /// that call, and the callback gets the logged copy.
+  /// that call, and the callback gets the cached copy.
   void learn_decision(InstanceId k, const Bytes& value, bool i_decided);
 
-  bool has_decision(InstanceId k) const { return decisions_.count(k) != 0; }
+  bool has_decision(InstanceId k) const {
+    return k >= low_water_ &&
+           (k < decided_below_ || decided_above_.count(k) != 0);
+  }
 
   /// Amnesia containment. When recovery finds the engine's own record for
   /// instance `k` torn or corrupt, the process must not participate in `k`
@@ -127,8 +131,22 @@ class EngineBase : public ConsensusService {
   ConsensusMetrics metrics_;
 
  private:
+  /// Decision values kept in memory: about 90 ms of kv-leader's load.
+  static constexpr std::size_t kDecisionCache = 256;
+
   void bind_metrics();
   void tick();
+  /// Records that `k` (at or above low_water_, not yet decided) decided.
+  void mark_decided(InstanceId k);
+  /// Raises decided_below_ to `k` or above, over every decided instance.
+  void advance_decided_below(InstanceId k);
+  /// Evicts the oldest cached decisions down to `n`.
+  void trim_decisions(std::size_t n);
+  /// Decided instance `k`'s value: cached, or read from dec/<k>. A read
+  /// failing its seal is retried once (read rot is non-sticky, as
+  /// DurableCounter assumes); a second failure throws StorageIoError, so
+  /// the process restarts and recovery treats the record as torn.
+  Bytes decided_value(InstanceId k);
   /// Loads the records "<family>/<k>": erases those below the low-water
   /// mark (stragglers of an interrupted truncation), unseals the rest and
   /// hands each to `load`. A record that fails its seal or that `load`
@@ -147,7 +165,12 @@ class EngineBase : public ConsensusService {
   DecidedCallback decided_cb_;
   std::function<void(ProcessId, InstanceId)> obsolete_cb_;
   std::map<InstanceId, Bytes> proposals_;  // undecided instances only
+  // The newest decisions, at most kDecisionCache once AB's replay has read
+  // those start() loaded (the first learn_decision or scheduled tick trims).
   std::map<InstanceId, Bytes> decisions_;
+  // Decided: all of [low_water_, decided_below_), and decided_above_.
+  InstanceId decided_below_ = 0;
+  std::set<InstanceId> decided_above_;
   std::set<InstanceId> quarantined_;
   InstanceId low_water_ = 0;
   std::uint64_t incarnation_ = 0;  // set by start()

@@ -18,8 +18,7 @@ std::vector<AppMsg> AgreedLog::append(std::vector<AppMsg> batch) {
       skipped_ += 1;
       continue;
     }
-    vc_.observe(m.id);
-    suffix_.push_back(m);
+    push(m);
     delivered.push_back(std::move(m));
   }
   return delivered;
@@ -34,16 +33,22 @@ std::vector<AppMsg> AgreedLog::append_sequence(
       skipped_ += 1;
       continue;
     }
-    vc_.observe(m.id);
-    suffix_.push_back(m);
+    push(m);
     delivered.push_back(m);
   }
   return delivered;
 }
 
+void AgreedLog::push(const AppMsg& m) {
+  vc_.observe(m.id);
+  total_ += 1;
+  if (keep_suffix_) suffix_.push_back(m);
+}
+
 void AgreedLog::reset_to_base(AppCheckpoint ckpt) {
   vc_ = ckpt.vc;
   base_count_ = ckpt.count;
+  total_ = ckpt.count;
   base_ = std::move(ckpt);
   suffix_.clear();
 }
@@ -59,6 +64,7 @@ void AgreedLog::compact(Bytes state) {
 }
 
 void AgreedLog::encode(BufWriter& w) const {
+  ABCAST_CHECK_MSG(keep_suffix_, "encoding an AgreedLog that keeps no suffix");
   w.boolean(base_.has_value());
   if (base_) base_->encode(w);
   w.vec(suffix_, [](BufWriter& ww, const AppMsg& m) { m.encode(ww); });
@@ -73,6 +79,7 @@ AgreedLog AgreedLog::decode(BufReader& r) {
   }
   log.suffix_ =
       r.vec<AppMsg>([](BufReader& rr) { return AppMsg::decode(rr); });
+  log.total_ = log.base_count_ + log.suffix_.size();
   log.vc_ = VectorClock::decode(r);
   return log;
 }

@@ -7,6 +7,9 @@
 //     [application checkpoint (state, VC, count)] ++ [explicit suffix]
 //
 // where the checkpoint part is absent until compact() is first called.
+// Only the (k, Agreed) checkpoint record (§5.1) and the §5.3 tail chunks
+// read the explicit suffix; without them (Options::basic(), Fig. 2) the log
+// only counts it, so its memory does not grow with history.
 // Duplicate suppression is by vector clock: a message decided again in a
 // later round (possible when a batch is re-proposed by a process that
 // missed the earlier decision) is skipped, deterministically at every
@@ -19,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/codec.hpp"
 #include "core/app_msg.hpp"
 #include "core/vector_clock.hpp"
@@ -49,7 +53,10 @@ struct AppCheckpoint {
 class AgreedLog {
  public:
   AgreedLog() = default;
-  explicit AgreedLog(std::uint32_t n) : vc_(n) {}
+  /// `keep_suffix` = false makes the log count its explicit suffix instead
+  /// of holding it: suffix() stays empty and encode() refuses.
+  explicit AgreedLog(std::uint32_t n, bool keep_suffix = true)
+      : keep_suffix_(keep_suffix), vc_(n) {}
 
   /// Appends one decided batch. The batch is sorted by the deterministic
   /// rule and filtered against the vector clock; the messages actually
@@ -78,22 +85,29 @@ class AgreedLog {
   void reset_to_base(AppCheckpoint ckpt);
 
   /// Total messages in the prefix (checkpoint count + suffix length).
-  std::uint64_t total() const { return base_count_ + suffix_.size(); }
+  std::uint64_t total() const { return total_; }
 
   /// Messages folded into the checkpoint part (0 until compact()).
   std::uint64_t base_count() const { return base_count_; }
 
   const VectorClock& vc() const { return vc_; }
   const std::optional<AppCheckpoint>& base() const { return base_; }
+  /// The explicit suffix; empty unless the log keeps it.
   const std::vector<AppMsg>& suffix() const { return suffix_; }
   std::uint64_t skipped_duplicates() const { return skipped_; }
 
+  /// Requires a log that keeps its suffix; decode() returns one.
   void encode(BufWriter& w) const;
   static AgreedLog decode(BufReader& r);
 
  private:
+  /// Appends one newly delivered message to the suffix.
+  void push(const AppMsg& m);
+
+  bool keep_suffix_ = true;
   std::optional<AppCheckpoint> base_;
   std::uint64_t base_count_ = 0;
+  std::uint64_t total_ = 0;
   std::vector<AppMsg> suffix_;
   VectorClock vc_;
   std::uint64_t skipped_ = 0;

@@ -54,7 +54,9 @@ std::string unordered_item_key(const MsgId& id) {
 AtomicBroadcast::AtomicBroadcast(Env& env, ConsensusService& consensus,
                                  DeliverySink& sink, Options options)
     : env_(env), cons_(consensus), sink_(sink), options_(options),
-      storage_(env.storage(), "ab"), agreed_(env.group_size()),
+      storage_(env.storage(), "ab"),
+      agreed_(env.group_size(),
+              options.checkpointing || options.state_transfer),
       tracer_(env.tracer()) {
   options_.validate();
   // Every datagram that carries messages is sized to the limit: it must

@@ -27,18 +27,24 @@ inline Bytes seal_record(Bytes payload) {
   return payload;
 }
 
-/// Strips and verifies the trailer; nullopt means the record is damaged
-/// (truncated, bit-flipped, or overwritten with garbage) and must be treated
-/// as if the log operation never completed.
-inline std::optional<Bytes> unseal_record(const Bytes& raw) {
-  if (raw.size() < 4) return std::nullopt;
-  const std::size_t body = raw.size() - 4;
+/// True when the `size` bytes at `raw` end in the CRC-32 trailer of the
+/// bytes before it.
+inline bool seal_intact(const std::uint8_t* raw, std::size_t size) {
+  if (size < 4) return false;
+  const std::size_t body = size - 4;
   std::uint32_t stored = 0;
   for (int i = 3; i >= 0; --i) {
     stored = (stored << 8) | raw[body + static_cast<std::size_t>(i)];
   }
-  if (crc32(raw.data(), body) != stored) return std::nullopt;
-  return Bytes(raw.begin(), raw.begin() + static_cast<std::ptrdiff_t>(body));
+  return crc32(raw, body) == stored;
+}
+
+/// Strips and verifies the trailer; nullopt means the record is damaged
+/// (truncated, bit-flipped, or overwritten with garbage) and must be treated
+/// as if the log operation never completed.
+inline std::optional<Bytes> unseal_record(const Bytes& raw) {
+  if (!seal_intact(raw.data(), raw.size())) return std::nullopt;
+  return Bytes(raw.begin(), raw.end() - 4);
 }
 
 }  // namespace abcast

@@ -46,6 +46,20 @@ std::optional<std::uint64_t> segment_id(const fs::path& path) {
   return id;
 }
 
+/// Reads up to `len` bytes at `offset`; fewer at the end of the file or on
+/// an error.
+std::size_t pread_upto(int fd, std::uint8_t* out, std::size_t len,
+                       std::uint64_t offset) {
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::pread(fd, out + got, len - got,
+                              static_cast<off_t>(offset + got));
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  return got;
+}
+
 }  // namespace
 
 SegmentedLogStorage::SegmentedLogStorage(SegmentedLogConfig cfg)
@@ -63,7 +77,7 @@ SegmentedLogStorage::~SegmentedLogStorage() {
   if (unsynced_ > 0 && fd_ >= 0 && cfg_.sync != SyncMode::kNone) {
     ::fdatasync(fd_);
   }
-  if (fd_ >= 0) ::close(fd_);
+  for (const auto& [id, fd] : segment_fds_) ::close(fd);
 }
 
 // ---- record framing --------------------------------------------------------
@@ -119,16 +133,13 @@ void SegmentedLogStorage::sync_dir() {
 // ---- segment lifecycle -----------------------------------------------------
 
 void SegmentedLogStorage::open_fresh_segment() {
-  if (fd_ >= 0) {
-    // Seal the outgoing segment: everything in it becomes durable before
-    // the switch, so sync points only ever cover the current fd.
-    sync_point();
-    ::close(fd_);
-    fd_ = -1;
-  }
+  // Seal the outgoing segment, so sync points only ever cover the current
+  // fd; the outgoing fd stays open for reads.
+  if (fd_ >= 0) sync_point();
   const fs::path path = segment_path(cfg_.dir, next_segment_);
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) throw StorageIoError("cannot create " + path.string());
+  segment_fds_.emplace(next_segment_, fd_);
   next_segment_ += 1;
   current_segment_bytes_ = 0;
   seg_stats_.segments_created += 1;
@@ -138,24 +149,24 @@ void SegmentedLogStorage::append_record(std::string_view key,
                                         const Bytes* value) {
   const Bytes framed = frame_record(key, value);
   write_all(fd_, framed, "segment");
+  const Loc loc{next_segment_ - 1, current_segment_bytes_,
+                static_cast<std::uint32_t>(framed.size()),
+                static_cast<std::uint32_t>(value ? value->size() : 0)};
   unsynced_ += 1;
   seg_stats_.appends += 1;
   seg_stats_.bytes_appended += framed.size();
   current_segment_bytes_ += framed.size();
   total_disk_bytes_ += framed.size();
 
-  // Update the live map and the dead-byte accounting.
+  // Update the index and the dead-byte accounting.
   const auto it = records_.find(key);
   if (it != records_.end()) live_disk_bytes_ -= it->second.disk_size;
   if (value != nullptr) {
-    Rec rec;
-    rec.value = *value;
-    rec.disk_size = framed.size();
     live_disk_bytes_ += framed.size();
     if (it != records_.end()) {
-      it->second = std::move(rec);
+      it->second = loc;
     } else {
-      records_.emplace(std::string(key), std::move(rec));
+      records_.emplace(IndexKey(key), loc);
     }
   } else if (it != records_.end()) {
     records_.erase(it);
@@ -163,6 +174,34 @@ void SegmentedLogStorage::append_record(std::string_view key,
 
   if (current_segment_bytes_ >= cfg_.segment_bytes) open_fresh_segment();
   maybe_compact();
+}
+
+void SegmentedLogStorage::read_at(std::uint64_t segment,
+                                  std::uint64_t offset, std::size_t len,
+                                  Bytes& out) {
+  const int fd = segment_fds_.at(segment);
+  if (len > kWindowBytes) {
+    const std::size_t at = out.size();
+    out.resize(at + len);
+    if (pread_upto(fd, out.data() + at, len, offset) < len) {
+      throw StorageIoError("short read from segment");
+    }
+    return;
+  }
+  if (segment != window_segment_ || offset < window_offset_ ||
+      offset + len > window_offset_ + window_len_) {
+    // Refill from `offset`: scans in key order meet records in about the
+    // order they were appended, so the next read is likely ahead.
+    if (!window_) {
+      window_ = std::make_unique_for_overwrite<std::uint8_t[]>(kWindowBytes);
+    }
+    window_segment_ = segment;
+    window_offset_ = offset;
+    window_len_ = pread_upto(fd, window_.get(), kWindowBytes, offset);
+    if (window_len_ < len) throw StorageIoError("short read from segment");
+  }
+  const std::uint8_t* p = window_.get() + (offset - window_offset_);
+  out.insert(out.end(), p, p + len);
 }
 
 void SegmentedLogStorage::maybe_compact() {
@@ -176,33 +215,36 @@ void SegmentedLogStorage::maybe_compact() {
 }
 
 void SegmentedLogStorage::compact() {
-  // Write the whole live map into a fresh segment, make it durable, THEN
+  // Copy every live record into a fresh segment, make it durable, THEN
   // unlink the older segments. A crash at any point is safe: replay walks
   // segments in id order, so replaying a surviving old segment plus a
   // partial compacted one just re-applies a subset of the same records.
   const std::uint64_t doomed_below = next_segment_;
-  open_fresh_segment();  // seals + closes the outgoing segment
-  std::uint64_t compacted_bytes = 0;
-  for (auto& [key, rec] : records_) {
-    const Bytes framed = frame_record(key, &rec.value);
+  open_fresh_segment();  // seals the outgoing segment
+  Bytes framed;
+  for (auto& [key, loc] : records_) {
+    framed.clear();
+    read_at(loc.segment, loc.offset, loc.disk_size, framed);
     write_all(fd_, framed, "compacted segment");
-    rec.disk_size = framed.size();
-    compacted_bytes += framed.size();
+    loc.segment = next_segment_ - 1;
+    loc.offset = current_segment_bytes_;
+    current_segment_bytes_ += framed.size();
     seg_stats_.bytes_appended += framed.size();
   }
   if (cfg_.sync != SyncMode::kNone) {
     sync_fd(fd_, "compacted segment");
     sync_dir();
   }
-  current_segment_bytes_ = compacted_bytes;
-  live_disk_bytes_ = compacted_bytes;
-  total_disk_bytes_ = compacted_bytes;
+  live_disk_bytes_ = current_segment_bytes_;
+  total_disk_bytes_ = current_segment_bytes_;
 
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(cfg_.dir, ec)) {
-    const auto id = segment_id(entry.path());
-    if (id && *id < doomed_below) fs::remove(entry.path(), ec);
+  while (segment_fds_.begin()->first < doomed_below) {
+    ::close(segment_fds_.begin()->second);
+    fs::remove(segment_path(cfg_.dir, segment_fds_.begin()->first), ec);
+    segment_fds_.erase(segment_fds_.begin());
   }
+  window_len_ = 0;  // its segment may be gone
   if (cfg_.sync != SyncMode::kNone) sync_dir();
   seg_stats_.compactions += 1;
 
@@ -224,7 +266,7 @@ void SegmentedLogStorage::replay_segments() {
   }
   std::sort(segments.begin(), segments.end());
   for (const auto& [id, path] : segments) {
-    const std::uint64_t good_prefix = replay_one(path);
+    const std::uint64_t good_prefix = replay_one(id, path);
     std::error_code trunc_ec;
     const auto size = fs::file_size(path, trunc_ec);
     if (!trunc_ec && good_prefix < size) {
@@ -245,47 +287,41 @@ void SegmentedLogStorage::replay_segments() {
     if (!size_ec) total_disk_bytes_ += size;
   }
   live_disk_bytes_ = 0;
-  for (const auto& [key, rec] : records_) live_disk_bytes_ += rec.disk_size;
+  for (const auto& [key, loc] : records_) live_disk_bytes_ += loc.disk_size;
 }
 
-std::uint64_t SegmentedLogStorage::replay_one(const fs::path& path) {
+std::uint64_t SegmentedLogStorage::replay_one(std::uint64_t id,
+                                              const fs::path& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) throw StorageIoError("cannot open " + path.string());
+  segment_fds_.emplace(id, fd);
   std::error_code ec;
   const auto file_size = fs::file_size(path, ec);
   if (ec) return 0;
   Bytes raw(file_size);
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw StorageIoError("cannot open " + path.string());
-  std::size_t off = 0;
-  while (off < raw.size()) {
-    const ssize_t n = ::read(fd, raw.data() + off, raw.size() - off);
-    if (n <= 0) break;
-    off += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  raw.resize(off);
+  raw.resize(pread_upto(fd, raw.data(), raw.size(), 0));
 
   std::size_t pos = 0;
   while (pos + 4 <= raw.size()) {
     BufReader len_r(raw.data() + pos, 4);
     const std::uint32_t len = len_r.u32();
     if (len < 4 || pos + 4 + len > raw.size()) break;  // torn length/tail
-    const Bytes sealed(raw.begin() + static_cast<std::ptrdiff_t>(pos + 4),
-                       raw.begin() + static_cast<std::ptrdiff_t>(pos + 4 + len));
-    const auto body = unseal_record(sealed);
-    if (!body) break;  // CRC failure: the append never completed
+    // CRC failure: the append never completed
+    if (!seal_intact(raw.data() + pos + 4, len)) break;
     try {
-      BufReader r(*body);
+      BufReader r(raw.data() + pos + 4, len - 4);
       const std::uint8_t type = r.u8();
       std::string key = r.str();
       if (type == kRecPut) {
-        Rec rec;
-        rec.value = r.bytes();
-        r.expect_done();
-        rec.disk_size = 4 + len;
-        records_.insert_or_assign(std::move(key), std::move(rec));
+        const std::uint32_t value_size = r.u32();
+        if (value_size != r.remaining()) break;
+        records_.insert_or_assign(IndexKey(key),
+                                  Loc{id, pos, 4 + len, value_size});
       } else if (type == kRecErase) {
         r.expect_done();
-        records_.erase(key);
+        if (const auto it = records_.find(key); it != records_.end()) {
+          records_.erase(it);
+        }
       } else {
         break;  // unknown type: treat like a damaged record
       }
@@ -314,7 +350,11 @@ std::optional<Bytes> SegmentedLogStorage::get(std::string_view key) {
   stats_.get_ops += 1;
   const auto it = records_.find(key);
   if (it == records_.end()) return std::nullopt;
-  return it->second.value;
+  const Loc& loc = it->second;
+  Bytes value;
+  read_at(loc.segment, loc.offset + loc.disk_size - 4 - loc.value_size,
+          loc.value_size, value);
+  return value;
 }
 
 void SegmentedLogStorage::erase(std::string_view key) {
@@ -335,8 +375,9 @@ std::vector<std::string> SegmentedLogStorage::keys_with_prefix(
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
   for (auto it = records_.lower_bound(prefix); it != records_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    out.push_back(it->first);
+    const std::string_view key = it->first.view();
+    if (key.substr(0, prefix.size()) != prefix) break;
+    out.emplace_back(key);
   }
   return out;
 }
@@ -344,8 +385,8 @@ std::vector<std::string> SegmentedLogStorage::keys_with_prefix(
 std::uint64_t SegmentedLogStorage::footprint_bytes() {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
-  for (const auto& [key, rec] : records_) {
-    total += key.size() + rec.value.size();
+  for (const auto& [key, loc] : records_) {
+    total += key.view().size() + loc.value_size;
   }
   return total;
 }

@@ -13,26 +13,31 @@
 //                           fdatasync across every record the pass appended;
 //   * SyncMode::kNone     — no syncing (benchmarks, simulator backends).
 //
-// The full record map is also kept in memory (like MemStableStorage), so
-// get/keys_with_prefix never touch the disk; the log exists purely for
-// crash durability. Recovery scans the segments in id order, replaying
-// put/erase records and stopping a segment's scan at the first record whose
-// length or CRC-32 seal fails; the file is truncated there. That is exact
-// for a torn append (the operation never completed), the only damage a
-// crash causes; it is no defence against media corruption, since one bad
-// byte in a non-final record drops every later record of its segment
-// (DESIGN.md §8.2). Overwrites and tombstones leave dead bytes behind; when
-// the dead ratio crosses the configured threshold, compaction rewrites the
-// live map into a fresh segment and unlinks the old ones (crash-safe: old
-// segments are removed only after the replacement is durable, and replaying
-// both is idempotent because later segments win).
+// Memory holds an index of the live records (key -> segment, offset, sizes),
+// not their values: get() reads a value back through one read-ahead window,
+// which never goes stale since a record never changes once appended. get()
+// checks no CRC: replay at open checks every record's seal, and each
+// protocol record carries its own seal that its reader checks. Recovery
+// scans the segments in id order, indexing put/erase records and stopping a
+// segment's scan at the first record whose length or CRC-32 seal fails; the
+// file is truncated there. That is exact for a torn append (the operation
+// never completed), the only damage a crash causes; it is no defence
+// against media corruption, since one bad byte in a non-final record drops
+// every later record of its segment (DESIGN.md §8.2). Overwrites and
+// tombstones leave dead bytes behind; when the dead ratio crosses the
+// configured threshold, compaction copies the live records into a fresh
+// segment and unlinks the old ones (crash-safe: old segments are removed
+// only after the replacement is durable, and replaying both is idempotent
+// because later segments win).
 //
 // Thread safety: every method is internally locked.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -92,10 +97,60 @@ class SegmentedLogStorage final : public StableStorage {
   std::uint64_t disk_bytes() const;
 
  private:
-  struct Rec {
-    Bytes value;
-    std::uint64_t disk_size = 0;  // framed record size in the log
+  /// A key of the index, held inline up to 30 bytes (as every protocol key
+  /// is), so the index allocates only its node.
+  class IndexKey {
+   public:
+    explicit IndexKey(std::string_view s) {
+      if (s.size() > sizeof rep_.small.chars) {
+        rep_.large = {kHeap, new std::string(s)};
+        return;
+      }
+      rep_.small.len = static_cast<std::uint8_t>(s.size());
+      std::copy(s.begin(), s.end(), rep_.small.chars);
+    }
+    IndexKey(IndexKey&& o) noexcept : rep_(o.rep_) { o.rep_.small.len = 0; }
+    ~IndexKey() { if (rep_.small.len == kHeap) delete rep_.large.heap; }
+    std::string_view view() const {
+      if (rep_.small.len == kHeap) return *rep_.large.heap;
+      return {rep_.small.chars, rep_.small.len};
+    }
+    friend bool operator<(const IndexKey& a, const IndexKey& b) {
+      return a.view() < b.view();
+    }
+    friend bool operator<(const IndexKey& a, std::string_view b) {
+      return a.view() < b;
+    }
+    friend bool operator<(std::string_view a, const IndexKey& b) {
+      return a < b.view();
+    }
+
+   private:
+    static constexpr std::uint8_t kHeap = 0xff;
+    // `len` leads both members, so it can be read whichever one is active.
+    union Rep {
+      struct {
+        std::uint8_t len;
+        char chars[30];
+      } small;
+      struct {
+        std::uint8_t len;  // kHeap
+        std::string* heap;
+      } large;
+    } rep_{};
   };
+
+  /// Where a live put record sits. Its value is the record's last
+  /// `value_size` bytes before the 4-byte CRC trailer.
+  struct Loc {
+    std::uint64_t segment = 0;
+    std::uint64_t offset = 0;      // of the framed record in its segment
+    std::uint32_t disk_size = 0;   // framed record size
+    std::uint32_t value_size = 0;
+  };
+
+  /// Reads larger than this bypass the read-ahead window.
+  static constexpr std::size_t kWindowBytes = 64 * 1024;
 
   // All private helpers assume mu_ is held.
   /// Makes every record appended since the last sync point durable with one
@@ -107,12 +162,15 @@ class SegmentedLogStorage final : public StableStorage {
   Bytes frame_record(std::string_view key, const Bytes* value) const;
   void write_all(int fd, const Bytes& data, const char* what);
   void sync_fd(int fd, const char* what);
+  /// Appends the `len` bytes at `offset` of segment `segment` to `out`.
+  void read_at(std::uint64_t segment, std::uint64_t offset, std::size_t len,
+               Bytes& out);
   void maybe_compact();
   void compact();
   void replay_segments();
-  /// Replays one segment file into the map; returns the byte offset of the
-  /// first damaged record (== file size when the whole segment is clean).
-  std::uint64_t replay_one(const std::filesystem::path& path);
+  /// Indexes one segment file; returns the byte offset of the first damaged
+  /// record (== file size when the whole segment is clean).
+  std::uint64_t replay_one(std::uint64_t id, const std::filesystem::path& path);
   void sync_dir();
 
   SegmentedLogConfig cfg_;
@@ -120,15 +178,23 @@ class SegmentedLogStorage final : public StableStorage {
   SegLogStats seg_stats_;
 
   mutable std::mutex mu_;
-  std::map<std::string, Rec, std::less<>> records_;
+  std::map<IndexKey, Loc, std::less<>> records_;
   std::uint64_t live_disk_bytes_ = 0;   // framed size of live put records
   std::uint64_t total_disk_bytes_ = 0;  // framed size of everything on disk
   std::uint64_t next_segment_ = 0;
   std::uint64_t current_segment_bytes_ = 0;
+  // One fd per live segment, by id; the last is fd_, open read-write.
+  std::map<std::uint64_t, int> segment_fds_;
   int fd_ = -1;
   // Records appended since the last sync point. The roll seals the outgoing
   // segment at a sync point, so they all sit on fd_.
   std::uint64_t unsynced_ = 0;
+  // The read-ahead window: window_len_ bytes of window_segment_ from
+  // window_offset_, allocated at the first read.
+  std::unique_ptr<std::uint8_t[]> window_;
+  std::uint64_t window_segment_ = 0;
+  std::uint64_t window_offset_ = 0;
+  std::size_t window_len_ = 0;
 };
 
 }  // namespace abcast

@@ -230,6 +230,27 @@ TEST(AgreedLog, DecodedLogContinuesCorrectly) {
   EXPECT_EQ(back.append({msg(1, 1)}).size(), 1u);
 }
 
+// A log built without its suffix (Options::basic(): no checkpoint record,
+// no tail chunks) counts what it delivers and still filters duplicates.
+TEST(AgreedLog, CountsWithoutKeepingSuffix) {
+  AgreedLog log(2, /*keep_suffix=*/false);
+  EXPECT_EQ(log.append({msg(0, 1), msg(1, 1)}).size(), 2u);
+  EXPECT_EQ(log.append({msg(0, 1), msg(0, 2)}).size(), 1u);  // (0,1) again
+  EXPECT_EQ(log.append_sequence({msg(1, 2), msg(1, 3)}).size(), 2u);
+  EXPECT_EQ(log.total(), 5u);
+  EXPECT_EQ(log.skipped_duplicates(), 1u);
+  EXPECT_TRUE(log.suffix().empty());
+  EXPECT_TRUE(log.contains(MsgId{1, 3}));
+  EXPECT_FALSE(log.contains(MsgId{0, 3}));
+}
+
+TEST(AgreedLog, EncodeRefusesWithoutSuffix) {
+  AgreedLog log(2, /*keep_suffix=*/false);
+  log.append({msg(0, 1)});
+  BufWriter w;
+  EXPECT_THROW(log.encode(w), InvariantViolation);
+}
+
 // ---------------------------------------------------------------- AppMsg
 
 TEST(AppMsg, BatchRoundTrip) {

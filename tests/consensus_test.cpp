@@ -394,6 +394,42 @@ TEST_P(EngineTest, OfferDecisionsPushesKnownOutcomes) {
   EXPECT_EQ(*c.cons(2).decision(1), val("d1"));
 }
 
+// The decided set is a watermark plus a sparse set above it: decided() and
+// offer_decisions() skip undecided gaps, truncation lifts the watermark,
+// and an instance that closes a gap joins the watermark with the decided
+// ones above it.
+TEST_P(EngineTest, DecidedSetSkipsGapsAndFollowsTruncation) {
+  ConsCluster c({.n = 3, .seed = 19}, GetParam());
+  c.sim.crash(2);
+  const std::vector<InstanceId> decided{0, 1, 3, 5};
+  for (const InstanceId k : decided) {
+    c.cons(0).propose(k, val("g" + std::to_string(k)));
+    ASSERT_TRUE(c.await_decision(k, {0, 1})) << "instance " << k;
+  }
+  for (const InstanceId k : decided) EXPECT_TRUE(c.cons(0).decided(k));
+  for (const InstanceId k : std::vector<InstanceId>{2, 4, 6}) {
+    EXPECT_FALSE(c.cons(0).decided(k));
+    EXPECT_FALSE(c.cons(0).decision(k).has_value());
+  }
+  c.sim.run_for(seconds(3));
+  ASSERT_TRUE(c.sim.recover(2));
+  c.cons(0).offer_decisions(2, 1, 2);  // 1 and 3, across the gap at 2
+  ASSERT_TRUE(c.await_decision(3, {2}));
+  c.sim.run_for(seconds(1));
+  EXPECT_EQ(*c.cons(2).decision(1), val("g1"));
+  EXPECT_FALSE(c.cons(2).decided(0));
+  EXPECT_FALSE(c.cons(2).decided(5));
+
+  c.cons(0).truncate_below(4);
+  EXPECT_FALSE(c.cons(0).decided(3));
+  EXPECT_TRUE(c.cons(0).decided(5));
+  c.cons(0).propose(4, val("g4"));
+  ASSERT_TRUE(c.await_decision(4, {0}));
+  EXPECT_TRUE(c.cons(0).decided(4));
+  EXPECT_EQ(*c.cons(0).decision(5), val("g5"));
+  EXPECT_FALSE(c.cons(0).decided(6));
+}
+
 TEST_P(EngineTest, MetricsAccount) {
   ConsCluster c({.n = 3, .seed = 17}, GetParam());
   c.cons(0).propose(0, val("m"));

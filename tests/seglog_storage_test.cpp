@@ -1,7 +1,8 @@
 // Segmented-log backend (DESIGN.md §16): round-trip + reopen recovery,
 // replay's damage handling (torn tails and CRC failures), segment roll,
-// compaction, the deferred flush barrier and its sync accounting, and the
-// crash-point sweep pinning recovery byte-identical to an in-memory
+// compaction, reads through the index and its read-ahead window, the
+// deferred flush barrier and its sync accounting, and the crash-point
+// sweep pinning the live index and recovery byte-identical to an in-memory
 // reference fed the same faults.
 #include <gtest/gtest.h>
 
@@ -265,6 +266,122 @@ TEST(SegLog, CompactionReclaimsDeadBytesAndSurvivesReopen) {
   EXPECT_EQ(reopened.get("hot/3"), bytes_of("payload-399"));
 }
 
+// Memory holds an index, not values: every get() reads its value back from
+// a segment file, through a 64 KiB read-ahead window or, for a larger
+// value, directly. A read right after a write must see it whether or not
+// the window was filled from that part of the file before the write.
+TEST(SegLog, GetReadsValuesBackThroughTheWindow) {
+  TempDir dir;
+  const auto cfg = cfg_at(dir.path(), SyncMode::kNone);
+  std::map<std::string, Bytes> expect;
+  {
+    SegmentedLogStorage s(cfg);
+    const auto put = [&](const std::string& k, const Bytes& v) {
+      s.put(k, v);
+      expect[k] = v;
+    };
+    put("a", bytes_of("first"));
+    put("b", bytes_of("second"));
+    put("c", bytes_of("third"));
+    EXPECT_EQ(s.get("a"), expect["a"]);  // fills the window from a to EOF
+    EXPECT_EQ(s.get("c"), expect["c"]);  // inside the window
+    put("d", bytes_of("fourth"));        // past what the window read
+    EXPECT_EQ(s.get("d"), expect["d"]);
+    EXPECT_EQ(s.get("b"), expect["b"]);  // before the window's start
+    put("b", bytes_of("second, overwritten"));
+    EXPECT_EQ(s.get("b"), expect["b"]);
+    put("empty", Bytes{});
+    EXPECT_EQ(s.get("empty"), Bytes{});
+    Bytes big(100 * 1024);  // larger than the window
+    for (std::size_t i = 0; i < big.size(); ++i) {
+      big[i] = static_cast<std::uint8_t>(i * 7);
+    }
+    put("big", big);
+    put("e", bytes_of("after the big one"));
+    EXPECT_EQ(s.get("big"), big);
+    EXPECT_EQ(s.get("e"), expect["e"]);
+    EXPECT_EQ(dump(s), expect);
+    EXPECT_EQ(s.footprint_bytes(), live_bytes(expect));
+  }
+  SegmentedLogStorage reopened(cfg);
+  EXPECT_EQ(reopened.get("big"), expect["big"]);
+  EXPECT_EQ(dump(reopened), expect);
+  EXPECT_EQ(reopened.footprint_bytes(), live_bytes(expect));
+}
+
+// Values come back from the right segment after rolls spread the records
+// across files, after compaction moved the live ones into a fresh segment
+// and unlinked the old ones, and after a reopen indexed all of it again.
+TEST(SegLog, GetAfterRollCompactionAndReopen) {
+  TempDir dir;
+  auto cfg = cfg_at(dir.path(), SyncMode::kNone);
+  cfg.segment_bytes = 2048;
+  cfg.compact_min_bytes = 16 * 1024;
+  std::map<std::string, Bytes> expect;
+  {
+    SegmentedLogStorage s(cfg);
+    for (int i = 0; i < 60; ++i) {
+      const std::string k = "k/" + std::to_string(i);
+      expect[k] = bytes_of("v" + std::to_string(i) + std::string(100, 'r'));
+      s.put(k, expect[k]);
+    }
+    EXPECT_GT(s.seg_stats().segments_created, 3u);
+    EXPECT_EQ(s.seg_stats().compactions, 0u);
+    EXPECT_EQ(dump(s), expect);  // after rolls
+    // Overwrite a few keys until compaction runs; read after each write.
+    for (int i = 0; s.seg_stats().compactions < 2; ++i) {
+      ASSERT_LT(i, 10000);
+      const std::string k = "k/" + std::to_string(i % 7);
+      expect[k] = bytes_of("w" + std::to_string(i) + std::string(static_cast<std::size_t>(i % 50), 'o'));
+      s.put(k, expect[k]);
+      ASSERT_EQ(s.get(k), expect[k]) << "write " << i;
+    }
+    EXPECT_EQ(dump(s), expect);  // after compaction
+    s.erase("k/59");
+    expect.erase("k/59");
+    EXPECT_EQ(dump(s), expect);
+  }
+  SegmentedLogStorage reopened(cfg);
+  EXPECT_EQ(dump(reopened), expect);
+  // Reads in reverse key order refill the window at every segment switch.
+  for (auto it = expect.rbegin(); it != expect.rend(); ++it) {
+    EXPECT_EQ(reopened.get(it->first), it->second) << it->first;
+  }
+}
+
+// The index holds a key inline below 31 bytes and allocates a longer one:
+// both kinds sort, enumerate, overwrite and erase alike, before and after
+// a reopen.
+TEST(SegLog, IndexHoldsShortAndLongKeys) {
+  TempDir dir;
+  const auto cfg = cfg_at(dir.path(), SyncMode::kNone);
+  std::map<std::string, Bytes> expect;
+  {
+    SegmentedLogStorage s(cfg);
+    // Keys of 2, 3, 29, 30 (the longest inline), 31, 32 and 202 bytes.
+    for (const std::size_t len : std::vector<std::size_t>{0, 1, 27, 28, 29,
+                                                          30, 200}) {
+      const std::string k = "k/" + std::string(len, static_cast<char>('a' + len % 26));
+      expect[k] = bytes_of("v" + std::to_string(len));
+      s.put(k, expect[k]);
+    }
+    const std::string long_key = "k/" + std::string(200, 's');
+    s.put(long_key, bytes_of("again"));
+    expect[long_key] = bytes_of("again");
+    const std::string erased = "k/" + std::string(30, 'e');
+    s.erase(erased);
+    expect.erase(erased);
+    std::vector<std::string> keys;
+    for (const auto& [k, v] : expect) keys.push_back(k);
+    EXPECT_EQ(s.keys_with_prefix("k/"), keys);
+    EXPECT_EQ(dump(s), expect);
+    EXPECT_EQ(s.footprint_bytes(), live_bytes(expect));
+  }
+  SegmentedLogStorage reopened(cfg);
+  EXPECT_EQ(dump(reopened), expect);
+  EXPECT_EQ(reopened.footprint_bytes(), live_bytes(expect));
+}
+
 TEST(SegLog, DeferredModeSyncsOnlyAtFlush) {
   TempDir dir;
   SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kDeferred));
@@ -349,6 +466,10 @@ TEST(SegLog, CrashPointSweepRecoversIdenticallyToMemReference) {
         ASSERT_EQ(seg_crashed, mem_crashed) << "seed " << seed;
         if (seg_crashed) break;
       }
+      // The live index reads back what the reference holds.
+      ASSERT_EQ(dump(seg.inner()), dump(mem.inner()))
+          << "live divergence at seed " << seed << " phase "
+          << static_cast<int>(phase) << " crash_at " << crash_at;
     }
 
     // "Recover": reopen the log from its on-disk state alone.
