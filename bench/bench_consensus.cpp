@@ -3,7 +3,6 @@
 // Claim: Atomic Broadcast treats Consensus as a black box — both engines
 // yield identical orderings; they differ only in cost (log operations per
 // instance, message counts, decision latency).
-#include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
 
@@ -118,27 +117,6 @@ bool run_tables() {
   return identical == pairs;
 }
 
-void BM_Paxos200(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_once(ConsensusKind::kPaxos, 0.0, 702).workload.delivered);
-  }
-}
-BENCHMARK(BM_Paxos200)->Unit(benchmark::kMillisecond);
-
-void BM_Coord200(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_once(ConsensusKind::kCoord, 0.0, 702).workload.delivered);
-  }
-}
-BENCHMARK(BM_Coord200)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (!run_tables()) return 1;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return run_tables() ? 0 : 1; }

@@ -7,7 +7,6 @@
 // charges log ops zero time, so the table also projects end-to-end latency
 // for several per-fsync costs — that projection is where the baseline's
 // advantage (and the minimal-logging design's point) shows.
-#include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
 #include "core/crash_stop_ab.hpp"
@@ -81,18 +80,9 @@ void run_tables() {
               "operation costs X ms of synchronous disk time)\n");
 }
 
-void BM_CrashStopBaseline(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once("crash-stop CT").workload.delivered);
-  }
-}
-BENCHMARK(BM_CrashStopBaseline)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

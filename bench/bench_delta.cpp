@@ -3,7 +3,6 @@
 // Claim: Δ trades spurious transfers against slow catch-up. A tiny Δ ships
 // (potentially large) state messages for gaps normal catch-up would close
 // anyway; a huge Δ degenerates into per-instance catch-up.
-#include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
 #include "sim/fault_plan.hpp"
@@ -86,18 +85,9 @@ void run_tables() {
   t.print(std::cout);
 }
 
-void BM_DeltaEpisodes(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once(4).transfers_applied);
-  }
-}
-BENCHMARK(BM_DeltaEpisodes)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

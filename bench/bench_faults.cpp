@@ -3,7 +3,6 @@
 //
 // Claim: goodput degrades gracefully as the crash rate rises, and the
 // system never wedges while a majority stays up.
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <functional>
@@ -257,21 +256,11 @@ void run_storage_tables() {
   t.print(std::cout);
 }
 
-void BM_ChurnMarathonPaxos(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_once(seconds(2), ConsensusKind::kPaxos).goodput_per_sec);
-  }
-}
-BENCHMARK(BM_ChurnMarathonPaxos)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   init_metrics_json(argc, argv);
   run_tables();
   run_storage_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,7 +4,6 @@
 // protocol, so broadcast-to-delivery latency of a message tracks the gossip
 // period (plus one consensus round), while network traffic scales inversely
 // with it.
-#include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
 
@@ -74,7 +73,6 @@ BacklogOutcome run_backlog(int backlog, bool digest) {
   cfg.sim.seed = 801;
   cfg.stack.ab.digest_gossip = digest;
   cfg.stack.ab.eager_dissemination = true;  // both modes get the 1-hop path
-  cfg.stack.ab.delta_reply_interval = millis(1);
   Cluster c(cfg);
   c.start_all();
 
@@ -191,20 +189,11 @@ void run_tables() {
   t2.print(std::cout);
 }
 
-void BM_Gossip30ms(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once(millis(30), false).msgs_per_delivered);
-  }
-}
-BENCHMARK(BM_Gossip30ms)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   init_metrics_json(argc, argv);
   run_tables();
   run_backlog_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

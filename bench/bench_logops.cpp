@@ -9,7 +9,6 @@
 // flush after each (the deferred sync must beat a sync per put by sharing
 // one fdatasync across the pass), and syscalls per delivered message over
 // the real UDP transport with sendmmsg/recvmmsg batching off vs on.
-#include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
@@ -39,13 +38,10 @@ std::vector<VariantSpec> variants() {
   ckpt.checkpoint_period = millis(250);
   core::Options batching;
   batching.log_unordered = true;
-  core::Options batching_inc = batching;
-  batching_inc.incremental_unordered_log = true;
   return {
       {"basic (Fig.2)", core::Options::basic()},
       {"+ckpt (5.1)", ckpt},
       {"+unordered log (5.4)", batching},
-      {"+incremental (5.5)", batching_inc},
       {"alternative (full)", core::Options::alternative()},
   };
 }
@@ -273,21 +269,6 @@ void run_udp_syscalls_table() {
               "1.0 by construction — batches of one datagram)\n");
 }
 
-// Wall-clock cost of the full ordering pipeline per message, for reference.
-void BM_EndToEnd200Msgs(benchmark::State& state) {
-  for (auto _ : state) {
-    ClusterConfig cfg;
-    cfg.sim.n = 3;
-    cfg.sim.seed = 1;
-    Cluster c(cfg);
-    c.start_all();
-    const auto res = run_open_loop(c, 200, 8, millis(20));
-    benchmark::DoNotOptimize(res.delivered);
-  }
-  state.counters["msgs"] = 200;
-}
-BENCHMARK(BM_EndToEnd200Msgs)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -295,7 +276,5 @@ int main(int argc, char** argv) {
   run_table();
   run_logged_ops_table();
   run_udp_syscalls_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

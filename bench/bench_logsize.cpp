@@ -3,7 +3,6 @@
 // Claim: without truncation the stable-storage footprint grows without
 // bound (one proposal + decision + engine record per round); application
 // checkpoints plus truncation keep it bounded (sawtooth).
-#include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
 
@@ -74,38 +73,24 @@ void run_tables() {
          "Incremental logging (§5.5) writes only deltas of the Unordered "
          "set.");
   Table t2({"variant", "ab bytes/msg"});
-  for (const bool incremental : {false, true}) {
-    ClusterConfig cfg;
-    cfg.sim.n = 3;
-    cfg.sim.seed = 401;
-    cfg.stack.ab.log_unordered = true;
-    cfg.stack.ab.incremental_unordered_log = incremental;
-    Cluster c(cfg);
-    c.start_all();
-    const int kMsgs = 300;
-    run_open_loop(c, kMsgs, 16, millis(5));
-    auto* mem =
-        dynamic_cast<MemStableStorage*>(&c.sim().host(0).raw_storage());
-    t2.row({incremental ? "incremental (5.5)" : "whole-set (5.4)",
-            Table::num(static_cast<double>(
-                           mem->scope_stats("ab").bytes_written) /
-                       kMsgs, 1)});
-  }
+  ClusterConfig cfg;
+  cfg.sim.n = 3;
+  cfg.sim.seed = 401;
+  cfg.stack.ab.log_unordered = true;
+  Cluster c(cfg);
+  c.start_all();
+  const int kMsgs = 300;
+  run_open_loop(c, kMsgs, 16, millis(5));
+  auto* mem = dynamic_cast<MemStableStorage*>(&c.sim().host(0).raw_storage());
+  const double bytes_per_msg =
+      static_cast<double>(mem->scope_stats("ab").bytes_written) / kMsgs;
+  t2.row({"incremental (5.5)", Table::num(bytes_per_msg, 1)});
   t2.print(std::cout);
 }
 
-void BM_HundredRoundsBounded(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once(true, 50).samples.size());
-  }
-}
-BENCHMARK(BM_HundredRoundsBounded)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,7 +4,6 @@
 // scale with the number of *destination* groups, not with the system size —
 // a message to one group pays one AB round; a message to k groups pays one
 // AB round per group plus one timestamp exchange plus a FINAL round.
-#include <benchmark/benchmark.h>
 
 #include <map>
 
@@ -103,18 +102,9 @@ void run_tables() {
               "size barely matters.\n");
 }
 
-void BM_TwoGroupMulticast(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once(2, 2, 1200).latency.samples);
-  }
-}
-BENCHMARK(BM_TwoGroupMulticast)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

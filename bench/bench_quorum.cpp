@@ -5,7 +5,6 @@
 // cheaper than ordering every operation. This bench quantifies the gap in
 // the same simulator: quorum writes (version-read + install, 2 RTTs, no
 // ordering) against AB-ordered writes (one ordering round each).
-#include <benchmark/benchmark.h>
 
 #include "apps/kv_store.hpp"
 #include "apps/quorum.hpp"
@@ -122,18 +121,9 @@ void run_tables() {
               "RSM semantics for that read path and per-op independence.\n");
 }
 
-void BM_QuorumWrite(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_quorum(3, 30).msgs_per_op);
-  }
-}
-BENCHMARK(BM_QuorumWrite)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,7 +3,6 @@
 // Claim: without checkpoints, recovery replays every decided Consensus
 // instance — cost linear in history length. Logging (k, Agreed)
 // periodically caps the replay at one checkpoint period.
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 
@@ -118,18 +117,9 @@ void run_tables() {
   t2.print(std::cout);
 }
 
-void BM_Recovery100RoundsReplay(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once(100, false, millis(500)).replayed);
-  }
-}
-BENCHMARK(BM_Recovery100RoundsReplay)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -11,7 +11,6 @@
 // oracle-checked scenarios. One JSON row per scenario carries the
 // serialized one-line reproduction plus the windowed p50/p99/p999 series;
 // any failure prints `SCENARIO-FAIL <line>` for copy-paste replay.
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -190,14 +189,6 @@ int run_single(const std::string& line) {
   return r.ok() ? 0 : 1;
 }
 
-void BM_ScenarioRun(benchmark::State& state) {
-  const Scenario s = generate_scenario(kSweepBase);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_scenario(s).delivered_global);
-  }
-}
-BENCHMARK(BM_ScenarioRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -212,8 +203,5 @@ int main(int argc, char** argv) {
   }
   // A red scenario fails the run (and so run_bench.sh and sim_outputs.sh),
   // not just its JSONL row.
-  if (run_tables() != 0) return 1;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return run_tables() == 0 ? 0 : 1;
 }

@@ -15,7 +15,6 @@
 // A contrast table shows the failure mode: a hot-key skew collapses the
 // load onto few shards and the scale-out evaporates — sharding only buys
 // what the router can spread.
-#include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
@@ -50,7 +49,6 @@ ShardedClusterConfig make_config(std::uint32_t shards, std::uint64_t seed) {
   cfg.node.layout = GroupConfig::uniform(kNodes, shards);
   // The E2 open-loop profile (§5.4 durable early-return).
   cfg.node.stack.ab.log_unordered = true;
-  cfg.node.stack.ab.incremental_unordered_log = true;
   return cfg;
 }
 
@@ -199,25 +197,11 @@ void run_tables() {
   }
 }
 
-void BM_ShardedOpenLoop4(benchmark::State& state) {
-  for (auto _ : state) {
-    ShardedCluster c(make_config(4, 1460));
-    c.start_all();
-    benchmark::DoNotOptimize(
-        run_keyed_open_loop(c, 160, 16, [](int i) {
-          return "k" + std::to_string(i % 1024);
-        }).delivered);
-  }
-}
-BENCHMARK(BM_ShardedOpenLoop4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   init_metrics_json(argc, argv);
   run_tables();
   if (g_oversize_runs != 0) return 1;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

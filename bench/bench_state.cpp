@@ -15,7 +15,6 @@
 // Each row is a mean over kSeeds seeds (named in the table), because one
 // seed's catch-up can swing with a single reset session; the datagram
 // bound and convergence are checked on every seed.
-#include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
 #include "obs/trace.hpp"
@@ -51,7 +50,6 @@ ClusterConfig chunked_config(std::size_t max_datagram_bytes,
   cfg.stack.ab.checkpointing = true;
   cfg.stack.ab.truncate_logs = true;
   cfg.stack.ab.state_transfer = true;
-  cfg.stack.ab.trimmed_state_transfer = true;
   cfg.stack.ab.delta = 2;
   cfg.stack.ab.checkpoint_period = millis(150);
   return cfg;
@@ -217,20 +215,10 @@ bool run_tables() {
   return ok;
 }
 
-void BM_ChunkedCatchUp24KiB(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_chunked(24, kUdpMaxDatagramBytes, 724).catch_up_ms);
-  }
-}
-BENCHMARK(BM_ChunkedCatchUp24KiB)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   init_metrics_json(argc, argv);
   if (!run_tables()) return 1;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,7 +3,6 @@
 // Claim: a process that missed D rounds needs O(D) work (and messages) to
 // catch up by running the missed Consensus instances; adopting a state
 // message is O(1) in rounds — the gap widens linearly with downtime.
-#include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
 
@@ -21,14 +20,12 @@ struct CatchUp {
   std::uint64_t state_bytes = 0;     // bytes in state messages
 };
 
-CatchUp run_once(int down_rounds, bool state_transfer,
-                 bool trimmed = false) {
+CatchUp run_once(int down_rounds, bool state_transfer) {
   ClusterConfig cfg;
   cfg.sim.n = 3;
   cfg.sim.seed = 500 + static_cast<std::uint64_t>(down_rounds);
   cfg.stack.ab.checkpointing = true;
   cfg.stack.ab.state_transfer = state_transfer;
-  cfg.stack.ab.trimmed_state_transfer = trimmed;
   cfg.stack.ab.delta = 3;
   Cluster c(cfg);
   c.start_all();
@@ -84,27 +81,13 @@ void run_tables() {
            Table::num(transfer.catch_up_ms), fmt_u64(transfer.transfers),
            fmt_u64(transfer.messages),
            Table::num(static_cast<double>(transfer.state_bytes) / 1e3, 1)});
-    const auto trim = run_once(d, true, true);
-    t.row({std::to_string(d), "trimmed transfer (5.3 opt)",
-           Table::num(trim.catch_up_ms), fmt_u64(trim.transfers),
-           fmt_u64(trim.messages),
-           Table::num(static_cast<double>(trim.state_bytes) / 1e3, 1)});
   }
   t.print(std::cout);
 }
 
-void BM_CatchUp50RoundsTransfer(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once(50, true).catch_up_ms);
-  }
-}
-BENCHMARK(BM_CatchUp50RoundsTransfer)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

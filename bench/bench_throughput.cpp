@@ -4,7 +4,6 @@
 // throughput (fewer instances per message); (b) the early-return
 // A-broadcast (durable Unordered log) lets clients run open-loop instead of
 // closed-loop, which is where the batching headroom actually comes from.
-#include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
 
@@ -18,10 +17,7 @@ ClusterConfig make_config(bool durable_unordered, std::uint64_t seed) {
   ClusterConfig cfg;
   cfg.sim.n = 3;
   cfg.sim.seed = seed;
-  if (durable_unordered) {
-    cfg.stack.ab.log_unordered = true;
-    cfg.stack.ab.incremental_unordered_log = true;
-  }
+  cfg.stack.ab.log_unordered = durable_unordered;
   return cfg;
 }
 
@@ -100,21 +96,10 @@ void run_tables() {
   }
 }
 
-void BM_OpenLoopBatch16(benchmark::State& state) {
-  for (auto _ : state) {
-    Cluster c(make_config(true, 204));
-    c.start_all();
-    benchmark::DoNotOptimize(run_open_loop(c, 200, 16, millis(5)).delivered);
-  }
-}
-BENCHMARK(BM_OpenLoopBatch16)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   init_metrics_json(argc, argv);
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

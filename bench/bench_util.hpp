@@ -3,8 +3,7 @@
 //
 // All experiment numbers are *virtual-time* measurements from the
 // deterministic simulator, so runs are reproducible; wall-clock
-// microbenchmarks of hot paths use google-benchmark (see bench_micro and
-// the per-binary registrations).
+// microbenchmarks of hot paths use google-benchmark (see bench_micro).
 #pragma once
 
 #include <algorithm>
@@ -146,8 +145,8 @@ inline void banner(const char* id, const char* claim) {
 // Experiment binaries emit one single-line JSON object per measured
 // configuration through emit_json_row(). Rows always go to stdout (tagged
 // streams are easy to grep); passing --metrics-json=PATH — stripped from
-// argv by init_metrics_json() before google-benchmark parses it — appends
-// every row to PATH as JSONL for sweep scripts.
+// argv by init_metrics_json() — appends every row to PATH as JSONL for
+// sweep scripts.
 
 /// Ordered single-line JSON object builder. Fields appear in insertion
 /// order; string values are escaped.
@@ -227,8 +226,8 @@ inline std::string& metrics_json_path() {
   return path;
 }
 
-/// Strips --metrics-json=PATH from argv and truncates the file. Call before
-/// benchmark::Initialize so google-benchmark never sees the flag.
+/// Strips --metrics-json=PATH from argv and truncates the file. Other
+/// arguments stay in place for the binary's own parsing.
 inline void init_metrics_json(int& argc, char** argv) {
   int out = 1;
   const std::string prefix = "--metrics-json=";

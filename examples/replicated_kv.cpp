@@ -22,7 +22,6 @@ int main() {
   stack_cfg.ab.truncate_logs = true;       // bounded logs (Fig. 4, line c)
   stack_cfg.ab.state_transfer = true;      // catch up long-dead replicas
   stack_cfg.ab.log_unordered = true;       // deposits survive sender crashes
-  stack_cfg.ab.incremental_unordered_log = true;
 
   sim.set_node_factory([stack_cfg](Env& env) {
     return std::make_unique<RsmNode>(

@@ -44,7 +44,6 @@ int main() {
 
   core::StackConfig stack_cfg;
   stack_cfg.ab.log_unordered = true;  // submissions survive replica crashes
-  stack_cfg.ab.incremental_unordered_log = true;
   cluster.set_node_factory([stack_cfg](Env& env) {
     return std::make_unique<RsmNode>(
         env, stack_cfg, [] { return std::make_unique<KvStore>(); });

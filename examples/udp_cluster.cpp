@@ -25,7 +25,6 @@ int main() {
 
   core::StackConfig stack;
   stack.ab.log_unordered = true;  // submissions survive replica crashes
-  stack.ab.incremental_unordered_log = true;
   NodeFactory factory = [stack](Env& env) {
     return std::make_unique<RsmNode>(
         env, stack, [] { return std::make_unique<KvStore>(); });

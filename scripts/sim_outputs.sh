@@ -12,8 +12,7 @@
 #   bench_<name>.txt
 #       the tables bench_consensus, bench_ct_baseline, bench_delta,
 #       bench_faults, bench_logsize, bench_multicast, bench_quorum,
-#       bench_recovery and bench_statetransfer print before their
-#       google-benchmark loops;
+#       bench_recovery and bench_statetransfer print;
 #   bench_logops_e1.txt
 #       bench_logops' E1 table.
 # Wall-clock parts are left out: BENCH_logops.json (E15a/E15b, also the
@@ -62,6 +61,7 @@ run() {
   fi
 }
 
+# --benchmark_filter=^$ skips an older checkout's google-benchmark loops.
 for b in "${JSONL[@]}"; do
   # stdout repeats the JSONL rows; the file is the copy kept.
   run /dev/null "${BUILD}/bench/bench_${b}" \

@@ -415,13 +415,6 @@ void QuorumReplicaNode::on_message(ProcessId from, const Wire& msg) {
   }
 }
 
-std::optional<std::string> QuorumReplicaNode::local_value(
-    const std::string& key) const {
-  auto it = store_.find(key);
-  if (it == store_.end()) return std::nullopt;
-  return it->second.value;
-}
-
 QuorumVersion QuorumReplicaNode::local_version(const std::string& key) const {
   auto it = store_.find(key);
   return it == store_.end() ? QuorumVersion{} : it->second.version;

@@ -110,8 +110,7 @@ class QuorumReplicaNode final : public NodeApp {
   /// epoch order) via Atomic Broadcast.
   void propose_config(const QuorumConfig& config);
 
-  /// This replica's locally stored value (not a quorum read).
-  std::optional<std::string> local_value(const std::string& key) const;
+  /// This replica's locally stored version (not a quorum read).
   QuorumVersion local_version(const std::string& key) const;
 
   std::uint64_t epoch() const { return epoch_; }

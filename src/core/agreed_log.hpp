@@ -65,8 +65,8 @@ class AgreedLog {
 
   /// Appends a segment of the global delivery sequence AS GIVEN (no
   /// re-sorting — the segment spans multiple rounds, so it is not MsgId-
-  /// sorted), still filtering already-contained messages. Used by trimmed
-  /// state transfers (§5.3 optimization). Returns the newly appended
+  /// sorted), still filtering already-contained messages. Used by the
+  /// tail chunks of §5.3 state transfers. Returns the newly appended
   /// messages in order.
   std::vector<AppMsg> append_sequence(const std::vector<AppMsg>& segment);
 

@@ -19,7 +19,6 @@ namespace {
 // tools/ablint).
 
 constexpr const char* kCkptKey = "ckpt";
-constexpr const char* kUnorderedKey = "unord";
 
 /// Digest mode's keepalive floor: a fully idle process still gossips every
 /// this many ticks.
@@ -28,6 +27,10 @@ constexpr std::uint32_t kGossipKeepalivePeriods = 8;
 /// Decisions offered per gossip or pull from a lagging peer: bounds the
 /// burst one pull triggers, and so how many rounds one round trip closes.
 constexpr std::uint32_t kOfferWindow = 64;
+
+/// Minimum spacing of delta replies, and of pulls, to one peer: bounds the
+/// bytes a duplicated digest can trigger.
+constexpr Duration kDeltaReplyInterval = millis(8);
 
 // §5.3 catch-up session timing.
 /// Chunks a session sends per burst before waiting for the receiver's ack
@@ -179,24 +182,15 @@ void AtomicBroadcast::start(bool recovering, std::uint64_t incarnation) {
         }
       }
     }
-    // §5.4: restore the durable Unordered set. A damaged element was torn
-    // by a crash inside the broadcast() that logged it — the call never
-    // returned, so dropping the message does not violate Validity.
+    // §5.4: restore the durable Unordered set, one record per message. A
+    // damaged record was torn by a crash inside the broadcast() that logged
+    // it — the call never returned, so dropping the message does not
+    // violate Validity.
     if (options_.log_unordered) {
-      if (options_.incremental_unordered_log) {
-        for (const auto& key : storage_.keys_with_prefix("u/")) {
-          AppMsg m;
-          if (load_record(key, [&](BufReader& r) { m = AppMsg::decode(r); })) {
-            unordered_.emplace(m.id, std::move(m));
-          }
-        }
-      } else {
-        std::vector<AppMsg> all;
-        if (load_record(kUnorderedKey, [&](BufReader& r) {
-              all = r.vec<AppMsg>(
-                  [](BufReader& rr) { return AppMsg::decode(rr); });
-            })) {
-          for (auto& m : all) unordered_.emplace(m.id, std::move(m));
+      for (const auto& key : storage_.keys_with_prefix("u/")) {
+        AppMsg m;
+        if (load_record(key, [&](BufReader& r) { m = AppMsg::decode(r); })) {
+          unordered_.emplace(m.id, std::move(m));
         }
       }
     }
@@ -236,14 +230,10 @@ MsgId AtomicBroadcast::broadcast(Bytes payload) {
 
   if (options_.log_unordered) {
     // §5.4: make A-broadcast durable before returning, so the caller may
-    // proceed without waiting for the ordering round.
-    if (options_.incremental_unordered_log) {
-      // §5.5: log only the new element, not the whole set.
-      storage_.put(unordered_item_key(id),
-                   seal_record(encode_to_bytes(unordered_.at(id))));
-    } else {
-      log_unordered_set();
-    }
+    // proceed without waiting for the ordering round. §5.5: log only the
+    // new element, not the whole set.
+    storage_.put(unordered_item_key(id),
+                 seal_record(encode_to_bytes(unordered_.at(id))));
     // Durability barrier for deferred-sync backends (the segmented log in
     // kDeferred mode): §5.4's contract is that the record survives a crash
     // once this call returns, not merely once it is appended. No-op on
@@ -272,21 +262,8 @@ MsgId AtomicBroadcast::broadcast(Bytes payload) {
   return id;
 }
 
-void AtomicBroadcast::log_unordered_set() {
-  std::vector<AppMsg> all;
-  all.reserve(unordered_.size());
-  for (const auto& [id, m] : unordered_) all.push_back(m);
-  storage_.put(kUnorderedKey, seal_record(encode_batch(all)));
-}
-
 void AtomicBroadcast::erase_unordered_record(const MsgId& id) {
-  if (!options_.log_unordered) return;
-  if (options_.incremental_unordered_log) {
-    storage_.erase(unordered_item_key(id));
-  }
-  // Non-incremental mode rewrites the whole set on the next broadcast; no
-  // need to persist the shrink eagerly (resurrected messages are filtered
-  // against Agreed on recovery).
+  if (options_.log_unordered) storage_.erase(unordered_item_key(id));
 }
 
 void AtomicBroadcast::prune_unordered() {
@@ -353,8 +330,7 @@ std::size_t AtomicBroadcast::encode_unordered(BufWriter& w,
   return count;
 }
 
-void AtomicBroadcast::on_decided(InstanceId k, const Bytes& value) {
-  (void)value;
+void AtomicBroadcast::on_decided(InstanceId k) {
   if (k < k_) return;  // stale: already applied (e.g. via state transfer)
   if (k > k_ && commit_gap_hist_ != nullptr) {
     // Decided above the contiguous prefix: this value parks until the gap
@@ -575,7 +551,7 @@ void AtomicBroadcast::maybe_send_delta_reply(ProcessId to) {
   if (plan.empty() && !i_lack) return;
   const TimePoint now = env_.now();
   if (now < view.next_delta_ok) return;  // rate limit per peer
-  view.next_delta_ok = now + options_.delta_reply_interval;
+  view.next_delta_ok = now + kDeltaReplyInterval;
   send_delta_chunks(to, view, /*want_reply=*/i_lack, my_cover, plan, "delta");
 }
 
@@ -647,7 +623,7 @@ void AtomicBroadcast::maybe_send_pull(ProcessId to) {
   PeerView& view = peers_[to];
   const TimePoint now = env_.now();
   if (now < view.next_pull_ok) return;
-  view.next_pull_ok = now + options_.delta_reply_interval;
+  view.next_pull_ok = now + kDeltaReplyInterval;
   send_digest(to, /*want_reply=*/true, "pull");
 }
 
@@ -753,18 +729,10 @@ void AtomicBroadcast::state_pump_for(ProcessId to,
   if (it == state_sessions_.end()) {
     CatchUpSession s;
     s.acked_total = std::min(recipient_total, agreed_.total());
-    // sent_total starts at zero; the pump raises it to the phase floor
-    // (base_count for a full transfer, the acked total when trimming), so
-    // a full transfer really streams the whole explicit suffix.
-    s.sent_total = 0;
-    // §5.3's closing optimization, generalized: every session resumes from
-    // the receiver's advertised total, so "trimmed" now just records that
-    // the whole transfer is tail-only (no snapshot phase needed).
-    const bool needs_snapshot =
-        agreed_.base() && s.acked_total < agreed_.base_count();
-    s.trimmed = options_.trimmed_state_transfer && !needs_snapshot;
     metrics_.state_sent += 1;
-    if (s.trimmed) metrics_.state_sent_trimmed += 1;
+    // Tail-only: the receiver holds our application checkpoint's prefix
+    // (base_count is 0 without one), so no snapshot phase is needed.
+    if (s.acked_total >= agreed_.base_count()) metrics_.state_sent_trimmed += 1;
     it = state_sessions_.emplace(to, std::move(s)).first;
   }
   it->second.last_heard = env_.now();
@@ -855,16 +823,14 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
   }
 
   // Tail phase: stream the explicit suffix from the receiver's confirmed
-  // position (from the checkpoint boundary when trimming is off — the
-  // receiver's clock filters duplicates). Only the final chunk carries the
-  // round jump, so a lost tail leaves the receiver visibly lagging and the
-  // session resumes from its next ack.
-  std::uint64_t floor = base_count;
-  if (options_.trimmed_state_transfer) floor = std::max(floor, s.acked_total);
-  if (s.sent_total < floor) s.sent_total = floor;
+  // position, which the snapshot phase left at or above base_count (§5.3:
+  // "only those messages that are not known by the recipient"). Only the
+  // final chunk carries the round jump, so a lost tail leaves the receiver
+  // visibly lagging and the session resumes from its next ack.
+  if (s.sent_total < s.acked_total) s.sent_total = s.acked_total;
   if (s.acked_total < s.sent_total) {
     if (now < s.resend_at) return;  // burst in flight; wait for acks
-    s.sent_total = std::max(floor, s.acked_total);  // go-back to the last ack
+    s.sent_total = s.acked_total;  // go-back to the last ack
     metrics_.state_resumes += 1;
   }
   const std::vector<AppMsg>& suffix = agreed_.suffix();

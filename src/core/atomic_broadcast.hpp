@@ -68,7 +68,7 @@ struct AbMetrics {
   /// streams the whole missing state in bounded chunks; the chunk counters
   /// below account the individual datagrams.
   RelaxedU64 state_sent;
-  RelaxedU64 state_sent_trimmed;  // of which tail-only (§5.3 opt.)
+  RelaxedU64 state_sent_trimmed;  // of which tail-only (no snapshot phase)
   RelaxedU64 state_applied;       // catch-up sessions adopted (k jumped)
   RelaxedU64 state_chunks_sent;   // chunk datagrams sent (snapshot + tail)
   RelaxedU64 state_chunk_bytes_sent;  // payload bytes across those chunks
@@ -141,7 +141,7 @@ class AtomicBroadcast {
   }
   void on_message(ProcessId from, const Wire& msg);
   /// Route of the Consensus decided callback.
-  void on_decided(InstanceId k, const Bytes& value);
+  void on_decided(InstanceId k);
   /// Route of the Consensus obsolete-instance callback (a peer asked about
   /// a truncated instance: it needs a state transfer).
   void on_peer_truncated(ProcessId from, InstanceId k);
@@ -182,7 +182,6 @@ class AtomicBroadcast {
     std::uint64_t acked_snap_bytes = 0;
     std::uint64_t sent_snap_bytes = 0;
     std::uint64_t snap_total = 0;       // snapshot version being streamed
-    bool trimmed = false;               // classified (and counted) at creation
     TimePoint resend_at = 0;            // go-back deadline for the last burst
     TimePoint last_heard = 0;           // GC: drop silent sessions
   };
@@ -256,7 +255,6 @@ class AtomicBroadcast {
   /// and the reorder-repair pull. `detail` labels the trace event.
   void send_digest(ProcessId to, bool want_reply, const char* detail);
   void erase_unordered_record(const MsgId& id);
-  void log_unordered_set();
   void prune_unordered();
 
   /// Records a protocol trace event when the host installed a recorder.

@@ -13,7 +13,7 @@ NodeStack::NodeStack(Env& env, StackConfig config, DeliverySink& sink)
       cons_(make_consensus(config.engine, env, *fd_)),
       ab_(env, *cons_, sink, config.ab) {
   cons_->set_decided_callback(
-      [this](InstanceId k, const Bytes& v) { ab_.on_decided(k, v); });
+      [this](InstanceId k, const Bytes&) { ab_.on_decided(k); });
   cons_->set_obsolete_callback(
       [this](ProcessId from, InstanceId k) { ab_.on_peer_truncated(from, k); });
 }
@@ -33,7 +33,7 @@ void NodeStack::start(bool recovering) {
   // Order matters: the detector logs/bumps the epoch first (it provides
   // the incarnation number), consensus reloads its logs next, and atomic
   // broadcast replays on top of those reloaded decisions.
-  fd_->start(recovering);
+  fd_->start();
   incarnation_ = fd_->incarnation();
   if (incarnation_ == 0) incarnation_ = own_incarnation_bump();
   cons_->start(incarnation_);

@@ -1,6 +1,7 @@
 // Feature flags selecting between the paper's basic protocol (Fig. 2) and
 // the alternative protocol (Figs. 3–5). Each §5 mechanism is independently
-// toggleable so the ablation benches can isolate one at a time.
+// toggleable so the ablation benches can isolate one at a time; a flag
+// stays only while some bench row shows it winning (DESIGN.md "Knobs").
 //
 // Datagram sizes are not options: the transport's Env::max_datagram_bytes()
 // sizes every datagram, and so bounds the messages one round can order.
@@ -35,9 +36,6 @@ struct Options {
   /// is known to lag, down to a keepalive every few ticks; full-set mode
   /// multisends on every tick, as Fig. 2 does.
   bool digest_gossip = false;
-  /// Minimum spacing of delta replies to one peer (bounds the bytes a
-  /// duplicated / replayed digest can trigger).
-  Duration delta_reply_interval = millis(8);
 
   // ---- §5.1: avoiding the replay phase ---------------------------------
   /// Periodically log (k, Agreed) so recovery resumes from the checkpoint
@@ -56,43 +54,31 @@ struct Options {
 
   // ---- §5.3: state transfer ---------------------------------------------
   /// Send/accept state messages when a peer lags by more than `delta`
-  /// rounds (Fig. 3 lines d–f).
+  /// rounds (Fig. 3 lines d–f). A session streams only the tail the
+  /// recipient's gossip says it lacks (§5.3's closing optimization),
+  /// preceded by the sender's application checkpoint when the recipient
+  /// predates it.
   bool state_transfer = false;
   std::uint64_t delta = 4;
-  /// §5.3's closing optimization: "the state message can be made to carry
-  /// only those messages that are not known by the recipient". Gossip
-  /// advertises the local delivered count; a catch-up session then streams
-  /// only the missing tail of the sequence. A session whose recipient
-  /// predates the sender's application checkpoint streams the checkpoint
-  /// itself first (snapshot phase) regardless of this flag.
-  bool trimmed_state_transfer = false;
 
   // ---- §5.4: message batches / early return -----------------------------
   /// Log the Unordered set on every A-broadcast so the call durably
   /// completes before ordering (higher throughput; one more log op per
-  /// broadcast).
+  /// broadcast). Logged incrementally (§5.5): one small record per message,
+  /// erased once ordered.
   bool log_unordered = false;
-
-  // ---- §5.5: incremental logging -----------------------------------------
-  /// When logging Unordered, write only the new message instead of the
-  /// whole set (one small record per message, erased once ordered).
-  bool incremental_unordered_log = false;
 
   /// Fig. 2 exactly: the only log operation is the Consensus proposal.
   static Options basic() { return Options{}; }
 
-  /// Figs. 3–5 with every extension on (including the §5.3 trimmed-
-  /// transfer note; with app checkpoints enabled it only applies to
-  /// transfers sent before the first compaction).
+  /// Figs. 3–5 with every extension on.
   static Options alternative() {
     Options o;
     o.checkpointing = true;
     o.truncate_logs = true;
     o.app_checkpointing = true;
     o.state_transfer = true;
-    o.trimmed_state_transfer = true;
     o.log_unordered = true;
-    o.incremental_unordered_log = true;
     return o;
   }
 
@@ -106,10 +92,6 @@ struct Options {
                      "truncate_logs requires state_transfer (a process that "
                      "lags past the truncation horizon can only catch up "
                      "via a state message)");
-    ABCAST_CHECK_MSG(!incremental_unordered_log || log_unordered,
-                     "incremental_unordered_log requires log_unordered");
-    ABCAST_CHECK_MSG(!trimmed_state_transfer || state_transfer,
-                     "trimmed_state_transfer requires state_transfer");
     if (checkpointing) ABCAST_CHECK(checkpoint_period > 0);
     if (state_transfer) ABCAST_CHECK(delta >= 1);
   }

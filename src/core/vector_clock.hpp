@@ -73,41 +73,6 @@ class VectorClock {
     return tops_[p].empty() ? 0 : tops_[p].back();
   }
 
-  /// Per-incarnation maximum with `other` (same width): the smallest prefix
-  /// containing both. Used when reconciling checkpoints from two sources.
-  void merge(const VectorClock& other) {
-    ABCAST_CHECK(other.tops_.size() == tops_.size());
-    for (std::size_t p = 0; p < tops_.size(); ++p) {
-      auto& tops = tops_[p];
-      for (const std::uint64_t seq : other.tops_[p]) {
-        const auto it = incarnation_slot(tops, seq);
-        if (it != tops.end() && seq_incarnation(*it) == seq_incarnation(seq)) {
-          if (seq > *it) *it = seq;
-        } else {
-          tops.insert(it, seq);
-        }
-      }
-    }
-  }
-
-  /// True if this clock's prefix contains everything `other` describes
-  /// (every incarnation top of `other` is covered here). Both dominates(a)
-  /// and a.dominates(*this) hold iff the clocks are equal; neither holds iff
-  /// they are concurrent.
-  bool dominates(const VectorClock& other) const {
-    ABCAST_CHECK(other.tops_.size() == tops_.size());
-    for (std::size_t p = 0; p < tops_.size(); ++p) {
-      for (const std::uint64_t seq : other.tops_[p]) {
-        const auto it = incarnation_slot(tops_[p], seq);
-        if (it == tops_[p].end() ||
-            seq_incarnation(*it) != seq_incarnation(seq) || *it < seq) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
   std::uint32_t size() const { return checked_u32(tops_.size()); }
 
   friend bool operator==(const VectorClock&, const VectorClock&) = default;

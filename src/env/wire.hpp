@@ -28,9 +28,6 @@ class SharedBytes {
   operator const Bytes&() const { return get(); }  // NOLINT
   std::size_t size() const { return get().size(); }
 
-  /// Number of Wires sharing this buffer (0 for the empty payload).
-  long use_count() const { return data_.use_count(); }
-
  private:
   static const Bytes& empty() {
     static const Bytes kEmpty;

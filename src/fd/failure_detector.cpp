@@ -25,11 +25,11 @@ EpochFailureDetector::EpochFailureDetector(Env& env)
       storage_(env.storage(), "fd"),
       epochs_(env.group_size(), 0) {}
 
-void EpochFailureDetector::start(bool recovering) {
-  (void)recovering;  // the epoch record itself tells us whether we lived before
-  // Dual-slot counter: a torn write can never roll the epoch back, which
-  // would reuse incarnation numbers (and therefore message ids) and make
-  // the duplicate-suppression logic drop fresh messages.
+void EpochFailureDetector::start() {
+  // The epoch record itself tells us whether we lived before. Dual-slot
+  // counter: a torn write can never roll the epoch back, which would reuse
+  // incarnation numbers (and therefore message ids) and make the
+  // duplicate-suppression logic drop fresh messages.
   epoch_ = DurableCounter(storage_, kEpochKey).bump();
   start_monitor(encode_to_bytes(HeartbeatMsg{epoch_}));
 }

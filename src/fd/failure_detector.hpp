@@ -26,7 +26,7 @@ class EpochFailureDetector final : public FailureDetector {
   explicit EpochFailureDetector(Env& env);
 
   /// Loads and bumps the epoch, then starts the heartbeat task. Call once.
-  void start(bool recovering) override;
+  void start() override;
   void on_message(ProcessId from, const Wire& msg) override;
 
   /// This process's incarnation number (1 on first start).

@@ -30,7 +30,7 @@ namespace abcast {
 class FailureDetector : public LeaderOracle {
  public:
   /// Starts heartbeating and monitoring. Call once per incarnation.
-  virtual void start(bool recovering) = 0;
+  virtual void start() = 0;
 
   /// True for the heartbeat type this detector consumes.
   bool handles(MsgType type) const { return type == heartbeat_.type; }

@@ -8,9 +8,9 @@ namespace abcast {
 SuspectListDetector::SuspectListDetector(Env& env)
     : FailureDetector(env, MsgType::kFdAlive) {}
 
-void SuspectListDetector::start(bool recovering) {
-  (void)recovering;  // nothing persistent: bounded output, no epoch log
-  // An empty payload is enough: presence is the only information carried.
+void SuspectListDetector::start() {
+  // Nothing persistent (bounded output, no epoch log), and an empty payload
+  // is enough: presence is the only information carried.
   start_monitor({});
 }
 

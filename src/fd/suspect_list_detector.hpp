@@ -21,7 +21,7 @@ class SuspectListDetector final : public FailureDetector {
  public:
   explicit SuspectListDetector(Env& env);
 
-  void start(bool recovering) override;
+  void start() override;
   void on_message(ProcessId from, const Wire& msg) override;
 
   /// The bounded output itself: currently suspected processes.

@@ -304,13 +304,6 @@ const ShardSink& ShardedKvNode::shard(std::uint32_t g) const {
   return slot->sink;
 }
 
-std::vector<std::uint32_t> ShardedKvNode::local_groups() const {
-  std::vector<std::uint32_t> out;
-  out.reserve(slots_.size());
-  for (const auto& slot : slots_) out.push_back(slot->gid);
-  return out;
-}
-
 bool ShardedKvNode::drained() const {
   for (const auto& slot : slots_) {
     if (!slot->sink.drained()) return false;

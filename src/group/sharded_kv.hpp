@@ -181,8 +181,6 @@ class ShardedKvNode final : public NodeApp {
   core::NodeStack& stack(std::uint32_t g);
   ShardSink& shard(std::uint32_t g);
   const ShardSink& shard(std::uint32_t g) const;
-  /// Groups served by this node, in slot order.
-  std::vector<std::uint32_t> local_groups() const;
   /// True when every local shard has applied everything it delivered.
   bool drained() const;
   const GroupMetrics& metrics() const { return metrics_; }

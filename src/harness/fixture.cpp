@@ -71,18 +71,6 @@ bool Cluster::await_delivery(const std::vector<MsgId>& ids,
       sim_.now() + timeout);
 }
 
-bool Cluster::await_round(std::uint64_t k, Duration timeout) {
-  return sim_.run_until_pred(
-      [&] {
-        for (ProcessId p = 0; p < sim_.n(); ++p) {
-          core::NodeStack* s = stack(p);
-          if (s != nullptr && s->ab().round() < k) return false;
-        }
-        return true;
-      },
-      sim_.now() + timeout);
-}
-
 bool Cluster::await_quiesced(Duration timeout) {
   return sim_.run_until_pred(
       [&] {
@@ -125,14 +113,6 @@ std::uint64_t Cluster::trace_dropped() {
 std::vector<ProcessId> Cluster::all_processes() const {
   std::vector<ProcessId> out;
   for (ProcessId p = 0; p < config_.sim.n; ++p) out.push_back(p);
-  return out;
-}
-
-std::vector<ProcessId> Cluster::up_processes() {
-  std::vector<ProcessId> out;
-  for (ProcessId p = 0; p < sim_.n(); ++p) {
-    if (sim_.host(p).is_up()) out.push_back(p);
-  }
   return out;
 }
 

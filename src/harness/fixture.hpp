@@ -60,9 +60,6 @@ class Cluster {
                       std::vector<ProcessId> at = {},
                       Duration timeout = seconds(60));
 
-  /// Runs until every up process has completed at least `k` rounds.
-  bool await_round(std::uint64_t k, Duration timeout = seconds(60));
-
   /// Runs until the cluster is quiesced: every process up, all delivery
   /// sequences equally long, and no unordered messages pending anywhere.
   /// (Crashed processes must be recovered by the caller first.) A quiesced
@@ -77,7 +74,6 @@ class Cluster {
   std::uint64_t trace_dropped();
 
   std::vector<ProcessId> all_processes() const;
-  std::vector<ProcessId> up_processes();
 
   /// Sum of log operations (stable-storage puts) across processes, split
   /// by layer scope. Reads each host's storage stats.

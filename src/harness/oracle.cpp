@@ -48,7 +48,6 @@ void Oracle::on_restart(ProcessId pid) {
 
 void Oracle::on_deliver(ProcessId pid, const core::AppMsg& msg) {
   ABCAST_CHECK(pid < n_);
-  deliver_upcalls_ += 1;
 
   // Validity: delivered implies broadcast.
   ABCAST_CHECK_MSG(broadcast_time_.count(msg.id) != 0,

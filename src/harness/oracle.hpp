@@ -79,9 +79,6 @@ class Oracle {
   bool all_delivered(const std::vector<MsgId>& ids,
                      const std::vector<ProcessId>& at) const;
 
-  std::uint64_t total_deliver_upcalls() const { return deliver_upcalls_; }
-  std::uint64_t broadcast_count() const { return broadcast_time_.size(); }
-
   /// Broadcast→first-global-delivery latencies of all delivered messages.
   const std::vector<Duration>& latencies() const { return latencies_; }
 
@@ -112,7 +109,6 @@ class Oracle {
   std::map<MsgId, TimePoint> first_delivery_;
   std::vector<Duration> latencies_;
   std::vector<TimedLatency> timed_latencies_;
-  std::uint64_t deliver_upcalls_ = 0;
 };
 
 }  // namespace abcast::harness

@@ -247,7 +247,6 @@ void MulticastService::try_deliver() {
     out.dest_groups = best->dests;
     done_proposed_.emplace(*best_id, best->proposed_ts);
     pending_.erase(*best_id);
-    delivered_count_ += 1;
     if (deliver_) deliver_(out);
   }
 }

@@ -122,7 +122,6 @@ class MulticastService final : public core::DeliverySink {
   // Introspection for tests/benches.
   std::uint64_t clock() const { return clock_; }
   std::size_t pending_count() const { return pending_.size(); }
-  std::uint64_t delivered_count() const { return delivered_count_; }
 
  private:
   struct Pending {
@@ -154,7 +153,6 @@ class MulticastService final : public core::DeliverySink {
   // be answered after delivery.
   std::map<McId, std::uint64_t> done_proposed_;
   std::set<McId> known_;  // PROPOSE dedup (pending or done)
-  std::uint64_t delivered_count_ = 0;
   std::uint64_t mcast_counter_ = 0;  // per-incarnation initiation counter
 };
 

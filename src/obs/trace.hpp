@@ -43,9 +43,7 @@ enum class EventKind : std::uint8_t {
                    // (the offline checker bounds these, see CheckOptions::
                    // max_state_chunk_bytes). Adoptions: detail=adopt_chunk
                    // (tail applied, arg=new total) | adopt_snap (peer app
-                   // checkpoint installed, arg=its count). Legacy one-shot
-                   // details (send|send_trim|adopt|adopt_trim) remain
-                   // recognized by the checker for old traces.
+                   // checkpoint installed, arg=its count).
   kCrash,          // process crashed (host event)
   kRecoverBegin,   // recovery starting (host event)
   kRecoverEnd,     // recovery finished               arg=replayed rounds

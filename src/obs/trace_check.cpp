@@ -24,8 +24,7 @@ namespace {
 
 bool is_adopt(const TraceEvent& e) {
   return e.kind == EventKind::kStateTransfer &&
-         (e.detail == "adopt" || e.detail == "adopt_trim" ||
-          e.detail == "adopt_chunk" || e.detail == "adopt_snap");
+         (e.detail == "adopt_chunk" || e.detail == "adopt_snap");
 }
 
 bool is_chunk_send(const TraceEvent& e) {
@@ -206,10 +205,9 @@ CheckReport check_trace(const std::vector<TraceEvent>& events,
             tally.reached = std::max(tally.reached, e.arg);
             // Installing a checkpoint wholesale-replaces the Agreed queue
             // on top of a fresh application state — a reset, so it opens a
-            // new delivery segment ("adopt" is the legacy one-shot install,
-            // "adopt_snap" the chunked snapshot install; trimmed/chunked
-            // tail adoptions only extend the sequence).
-            if (e.detail == "adopt" || e.detail == "adopt_snap") ++segment;
+            // new delivery segment (tail adoptions only extend the
+            // sequence).
+            if (e.detail == "adopt_snap") ++segment;
           }
           if (is_chunk_send(e) && options.max_state_chunk_bytes != 0 &&
               e.arg > options.max_state_chunk_bytes) {

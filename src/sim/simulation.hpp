@@ -152,11 +152,6 @@ class SimHost final : public Env {
   /// to schedule_after is multiplied by `scale` (> 0). scale > 1 is a slow
   /// clock (timers fire late), scale < 1 a fast one.
   void set_timer_scale(double scale) { timer_scale_ = scale; }
-  double timer_scale() const { return timer_scale_; }
-
-  /// Virtual time up to which this host is stalled on its (slow) storage;
-  /// sends/timers scheduled earlier are pushed past it. See DESIGN.md §12.
-  TimePoint busy_until() const { return busy_until_; }
 
   /// Converts a SimulatedCrash/StorageIoError that escaped into HARNESS
   /// code (e.g. a test calling broadcast() on a host with an armed

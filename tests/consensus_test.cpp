@@ -49,8 +49,8 @@ class ConsNode final : public NodeApp {
     });
   }
 
-  void start(bool recovering) override {
-    fd_.start(recovering);
+  void start(bool) override {
+    fd_.start();
     cons_->start(fd_.incarnation());
   }
   void on_message(ProcessId from, const Wire& msg) override {

@@ -14,7 +14,7 @@ class FdNode final : public NodeApp {
  public:
   explicit FdNode(Env& env) : fd_(env) {}
 
-  void start(bool recovering) override { fd_.start(recovering); }
+  void start(bool) override { fd_.start(); }
   void on_message(ProcessId from, const Wire& msg) override {
     if (fd_.handles(msg.type)) fd_.on_message(from, msg);
   }
@@ -157,7 +157,7 @@ namespace {
 class SuspectNode final : public NodeApp {
  public:
   explicit SuspectNode(Env& env) : fd_(env) {}
-  void start(bool recovering) override { fd_.start(recovering); }
+  void start(bool) override { fd_.start(); }
   void on_message(ProcessId from, const Wire& msg) override {
     if (fd_.handles(msg.type)) fd_.on_message(from, msg);
   }

@@ -144,7 +144,6 @@ TEST(GossipDigest, PriorIncarnationSurvivesRootOrderedFirst) {
   cfg.sim.net.drop_prob = 0;
   cfg.sim.net.dup_prob = 0;
   cfg.stack.ab.log_unordered = true;
-  cfg.stack.ab.incremental_unordered_log = true;
   Cluster c(cfg);
   c.start_all();
   std::vector<MsgId> ids;
@@ -207,7 +206,6 @@ TEST(GossipDigest, ChainInvariantUnderLossDupAndCrashRecovery) {
     // legitimately lose a broadcast whose sender crashes before any eager
     // copy survives the lossy link, making "every id delivers" seed-lucky.
     cfg.stack.ab.log_unordered = true;
-    cfg.stack.ab.incremental_unordered_log = true;
     Cluster c(cfg);
     c.start_all();
     Rng rng(seed * 31 + 7);
@@ -366,8 +364,8 @@ TEST(GossipDigest, FullSetGossipSendsOnEveryIdleTick) {
 }
 
 // The per-peer rate limiter: a duplicated digest must not double the delta
-// bytes a peer sends back (delta replies to one peer are spaced by
-// delta_reply_interval).
+// bytes a peer sends back (delta replies to one peer are spaced by a fixed
+// interval).
 TEST(GossipDigest, DeltaRepliesAreRateLimitedPerPeer) {
   ClusterConfig cfg = digest_config(904, /*eager=*/false);
   cfg.sim.net.drop_prob = 0;

@@ -27,7 +27,6 @@ ShardedKvOptions make_options() {
   // Durable submissions: a broadcast survives its sender's crash, so the
   // recovery assertions below are deterministic.
   o.stack.ab.log_unordered = true;
-  o.stack.ab.incremental_unordered_log = true;
   return o;
 }
 

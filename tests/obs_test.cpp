@@ -276,7 +276,7 @@ TEST(TraceJsonTest, RoundTripAllFields) {
   e.k = 9;
   e.msg = MsgId{1, 44};
   e.arg = 1000;
-  e.detail = "adopt_trim";
+  e.detail = "adopt_chunk";
 
   std::stringstream ss;
   ss << event_to_json(e) << '\n';

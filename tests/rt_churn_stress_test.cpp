@@ -74,7 +74,6 @@ TEST(RtChurnStress, ConcurrentBroadcastSurvivesCrashRecoverChurn) {
   cfg.trace_capacity = 1 << 12;
   core::StackConfig stack;
   stack.ab.log_unordered = true;
-  stack.ab.incremental_unordered_log = true;
 
   ChurnKv c(cfg, stack);
   c.cluster.start_all();

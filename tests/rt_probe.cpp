@@ -23,7 +23,6 @@ int main() {
     core::StackConfig scfg;
     // Durable Unordered set (§5.4): messages survive the broadcaster's crash.
     scfg.ab.log_unordered = true;
-    scfg.ab.incremental_unordered_log = true;
     return std::make_unique<apps::RsmNode>(
         env, scfg,
         [] { return std::make_unique<apps::KvStore>(); },

@@ -93,7 +93,6 @@ TEST(Rt, ToleratesLossyNetwork) {
 TEST(Rt, CrashRecoveryRebuildsReplica) {
   core::StackConfig stack;
   stack.ab.log_unordered = true;
-  stack.ab.incremental_unordered_log = true;
   RtKv c(rt::RtConfig{.n = 3, .seed = 3}, stack);
   c.cluster.start_all();
   for (int i = 0; i < 10; ++i) {
@@ -187,7 +186,6 @@ TEST(Rt, FileBackedStorageSurvives) {
     };
     core::StackConfig stack;
     stack.ab.log_unordered = true;
-    stack.ab.incremental_unordered_log = true;
     RtKv c(cfg, stack);
     c.cluster.start_all();
     for (int i = 0; i < 8; ++i) {

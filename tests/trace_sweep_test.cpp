@@ -127,7 +127,6 @@ void run_state_seed(std::uint64_t seed) {
   cfg.stack.ab.checkpoint_period = millis(40);
   cfg.stack.ab.delta = 2;
   cfg.sim.net.max_datagram_bytes = 512;  // several chunks even for tiny state
-  cfg.stack.ab.trimmed_state_transfer = (seed / 2) % 2;
   cfg.stack.ab.digest_gossip = (seed / 4) % 2;
   // Without application checkpoints the rejoiner's whole history streams
   // as tail chunks, so the corridor's 512 B limit actually binds; with them

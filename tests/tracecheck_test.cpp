@@ -166,9 +166,9 @@ TEST(TraceCheckTest, StateTransferAdoptAllowsPositionJump) {
        {std::pair{m0, 0u}, {m1, 1u}, {m2, 2u}}) {
     b.add(0, EventKind::kDeliver, 0, msg, pos);
   }
-  // Node 1 missed everything up to a checkpoint covering m0..m1 and adopts
-  // a state whose delivery starts at position 2.
-  b.add(1, EventKind::kStateTransfer, 1, MsgId{}, 2, "adopt_trim");
+  // Node 1 missed everything up to a checkpoint covering m0..m1 and installs
+  // it, so its delivery starts at position 2.
+  b.add(1, EventKind::kStateTransfer, 1, MsgId{}, 2, "adopt_snap");
   b.add(1, EventKind::kDeliver, 1, m2, 2);
   const auto report = check_trace(b.events, CheckOptions{});
   EXPECT_TRUE(report.ok());

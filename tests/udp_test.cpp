@@ -111,7 +111,6 @@ TEST(Udp, OrdersCommandsOverRealSockets) {
 TEST(Udp, CrashRecoveryOverRealSockets) {
   core::StackConfig stack;
   stack.ab.log_unordered = true;  // submissions survive the sender's crash
-  stack.ab.incremental_unordered_log = true;
   UdpKv c(3, 3, stack);
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(c.submit_add(0, 1));

@@ -1,5 +1,5 @@
-// VectorClock unit tests: covers/observe, merge, dominance, and the codec
-// round-trip (the clock travels inside checkpoints, §5.2).
+// VectorClock unit tests: covers/observe, per-incarnation supersession, and
+// the codec round-trip (the clock travels inside checkpoints, §5.2).
 #include <gtest/gtest.h>
 
 #include "common/codec.hpp"
@@ -38,43 +38,6 @@ TEST(VectorClockTest, ObserveMustAdvance) {
   EXPECT_THROW(vc.observe(MsgId{0, 1}), InvariantViolation);
 }
 
-TEST(VectorClockTest, MergeIsPointwiseMax) {
-  VectorClock a = make({3, 0, 7});
-  const VectorClock b = make({1, 5, 7});
-  a.merge(b);
-  EXPECT_EQ(a, make({3, 5, 7}));
-  // Merge is idempotent and absorbs the argument.
-  a.merge(b);
-  EXPECT_EQ(a, make({3, 5, 7}));
-  EXPECT_TRUE(a.dominates(b));
-}
-
-TEST(VectorClockTest, MergeWithSelfIsIdentity) {
-  VectorClock a = make({2, 4});
-  a.merge(a);
-  EXPECT_EQ(a, make({2, 4}));
-}
-
-TEST(VectorClockTest, Dominance) {
-  const VectorClock lo = make({1, 2, 3});
-  const VectorClock hi = make({2, 2, 4});
-  const VectorClock conc = make({9, 0, 0});
-
-  EXPECT_TRUE(hi.dominates(lo));
-  EXPECT_FALSE(lo.dominates(hi));
-
-  // Equal clocks dominate each other.
-  EXPECT_TRUE(lo.dominates(make({1, 2, 3})));
-  EXPECT_TRUE(make({1, 2, 3}).dominates(lo));
-
-  // Concurrent clocks: neither dominates.
-  EXPECT_FALSE(conc.dominates(lo));
-  EXPECT_FALSE(lo.dominates(conc));
-
-  // The zero clock is dominated by everything.
-  EXPECT_TRUE(lo.dominates(VectorClock(3)));
-}
-
 // Supersession is per-incarnation: a later incarnation's messages never
 // cover an earlier incarnation's — the property that keeps a recovered
 // sender's durably logged broadcasts deliverable after its new-incarnation
@@ -102,29 +65,6 @@ TEST(VectorClockTest, LaterIncarnationDoesNotCoverEarlierOne) {
   EXPECT_THROW(vc.observe(MsgId{0, make_seq(2, 1)}), InvariantViolation);
 }
 
-TEST(VectorClockTest, MergeAndDominanceArePerIncarnation) {
-  VectorClock a(1);
-  a.observe(MsgId{0, make_seq(1, 5)});
-  VectorClock b(1);
-  b.observe(MsgId{0, make_seq(2, 1)});
-  // Concurrent: each covers an incarnation the other lacks.
-  EXPECT_FALSE(a.dominates(b));
-  EXPECT_FALSE(b.dominates(a));
-
-  VectorClock m = a;
-  m.merge(b);
-  EXPECT_TRUE(m.covers(MsgId{0, make_seq(1, 5)}));
-  EXPECT_TRUE(m.covers(MsgId{0, make_seq(2, 1)}));
-  EXPECT_TRUE(m.dominates(a));
-  EXPECT_TRUE(m.dominates(b));
-  // Merge takes the per-incarnation maximum, not the overall maximum.
-  VectorClock c(1);
-  c.observe(MsgId{0, make_seq(1, 7)});
-  m.merge(c);
-  EXPECT_TRUE(m.covers(MsgId{0, make_seq(1, 7)}));
-  EXPECT_EQ(m.last_of(0), make_seq(2, 1));
-}
-
 TEST(VectorClockTest, MultiIncarnationCodecRoundTrip) {
   VectorClock vc(3);
   vc.observe(MsgId{0, make_seq(1, 9)});
@@ -138,13 +78,6 @@ TEST(VectorClockTest, MultiIncarnationCodecRoundTrip) {
   EXPECT_TRUE(back.covers(MsgId{0, make_seq(1, 9)}));
   EXPECT_FALSE(back.covers(MsgId{0, make_seq(2, 1)}));
   EXPECT_TRUE(back.covers(MsgId{0, make_seq(3, 2)}));
-}
-
-TEST(VectorClockTest, WidthMismatchIsAnError) {
-  VectorClock a(2);
-  const VectorClock b(3);
-  EXPECT_THROW(a.merge(b), InvariantViolation);
-  EXPECT_THROW((void)a.dominates(b), InvariantViolation);
 }
 
 TEST(VectorClockTest, CodecRoundTrip) {

@@ -55,6 +55,12 @@
 //                       bench/, examples/ or e2ebench/. A knob no caller
 //                       varies is a constant and belongs next to its use.
 //
+//   options-benched     Every field of `struct Options` (core::Options) is
+//                       assigned, by the patterns of config-field-set, in
+//                       some file under bench/. A protocol knob earns its
+//                       place with a bench row where it wins; one that only
+//                       tests or examples set has no such row.
+//
 // Usage:
 //   ablint [--root <repo-root>]   # scan; file:line diagnostics; exit 1 on
 //                                 # any violation
@@ -70,6 +76,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <regex>
 #include <set>
@@ -470,18 +477,14 @@ std::string data_member_name(const std::string& stmt) {
   return m[1].str();
 }
 
-// Every field of every `struct *Config` / `struct *Options` in src/ must be
-// assigned in some file other than its defining header: `.f =`, `->f =`,
-// a designated `.f =`, or reaching into the field with `.f.`. A field no
-// caller ever sets is a constant in disguise. Matched by field name, like
-// rule 4, over `users` (src/, tests/, bench/, examples/, e2ebench/).
-std::vector<Diag> check_config_fields_set(
-    const std::vector<SourceFile>& src, const std::vector<SourceFile>& users) {
-  static const std::regex config_re(R"(^\w*(?:Config|Options)$)");
+// Field name → the files of `users` that assign it: `.f =`, `->f =`, a
+// designated `.f =`, or reaching into the field with `.f.`. Matched by
+// field name, like rule 4.
+std::map<std::string, std::set<std::string>> assigned_fields(
+    const std::vector<SourceFile>& users) {
   static const std::regex assign_re(
       R"(\.([A-Za-z_]\w*)(?:\s*=(?!=)|(?=\.))|->([A-Za-z_]\w*)\s*=(?!=))");
-
-  std::map<std::string, std::set<std::string>> assigned_in;  // field → files
+  std::map<std::string, std::set<std::string>> assigned_in;
   for (const auto& f : users) {
     for (const auto& line : f.lines) {
       const std::string code = strip_line_comment(line);
@@ -492,6 +495,17 @@ std::vector<Diag> check_config_fields_set(
       }
     }
   }
+  return assigned_in;
+}
+
+// Every field of every `struct *Config` / `struct *Options` in src/ must be
+// assigned in some file of `users` (src/, tests/, bench/, examples/,
+// e2ebench/) other than its defining header. A field no caller ever sets
+// is a constant in disguise.
+std::vector<Diag> check_config_fields_set(
+    const std::vector<SourceFile>& src, const std::vector<SourceFile>& users) {
+  static const std::regex config_re(R"(^\w*(?:Config|Options)$)");
+  const auto assigned_in = assigned_fields(users);
 
   std::vector<Diag> out;
   walk_struct_members(
@@ -512,6 +526,35 @@ std::vector<Diag> check_config_fields_set(
                              "' is never assigned outside its header — "
                              "make it a constant next to its use"});
         }
+      });
+  return out;
+}
+
+// ---------------------------------------------------------------- rule 8
+
+// Every field of `struct Options` in src/ must be assigned in some file of
+// `users` under bench/: a protocol knob stays only while a bench row shows
+// where it wins (DESIGN.md "Knobs").
+std::vector<Diag> check_options_benched(const std::vector<SourceFile>& src,
+                                        const std::vector<SourceFile>& users) {
+  std::vector<SourceFile> bench;
+  std::copy_if(users.begin(), users.end(), std::back_inserter(bench),
+               [](const SourceFile& f) {
+                 return f.path.rfind("bench/", 0) == 0;
+               });
+  const auto assigned_in = assigned_fields(bench);
+
+  std::vector<Diag> out;
+  walk_struct_members(
+      src, [](const std::string& name) { return name == "Options"; },
+      [&](const SourceFile& f, std::size_t line, const std::string& name,
+          const std::string& stmt) {
+        const std::string field = data_member_name(stmt);
+        if (field.empty() || assigned_in.count(field) != 0) return;
+        out.push_back({f.path, line + 1, "options-benched",
+                       "'" + name + "::" + field +
+                           "' is assigned in no file under bench/ — add the "
+                           "bench row where it wins, or make it a constant"});
       });
   return out;
 }
@@ -812,6 +855,33 @@ int selftest() {
            "config-field-set");
   }
 
+  // options-benched: a seeded knob that only a test assigns.
+  {
+    const auto options = mem_file("src/core/options.hpp",
+                                  "struct Options {\n"
+                                  "  bool benched = false;\n"
+                                  "  bool tested = false;\n"
+                                  "  static Options all() {\n"
+                                  "    Options o;\n"
+                                  "    o.tested = true;  // own header\n"
+                                  "    return o;\n"
+                                  "  }\n"
+                                  "};\n");
+    const auto bench = mem_file("bench/bench_widget.cpp",
+                                "  cfg.stack.ab.benched = true;\n");
+    const auto test = mem_file("tests/widget_test.cpp",
+                               "  cfg.stack.ab.tested = true;\n");
+    const auto full = mem_file("bench/bench_widget.cpp",
+                               "  cfg.stack.ab.benched = true;\n"
+                               "  cfg.stack.ab.tested = true;\n");
+    expect("options-benched fires on a knob assigned only under tests/",
+           check_options_benched({options}, {options, bench, test}), 1,
+           "options-benched");
+    expect("options-benched clean once a bench assigns every knob",
+           check_options_benched({options}, {options, full, test}), 0,
+           "options-benched");
+  }
+
   if (failures == 0) {
     std::printf("ablint selftest: all rules fire on seeded violations\n");
     return 0;
@@ -871,5 +941,6 @@ int main(int argc, char** argv) {
     users.insert(users.end(), more.begin(), more.end());
   }
   add(check_config_fields_set(src, users));
+  add(check_options_benched(src, users));
   return report(diags);
 }
