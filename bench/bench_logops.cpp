@@ -185,7 +185,8 @@ struct UdpBenchCluster {
   UdpBenchCluster(std::uint64_t seed, const net::UdpBatchConfig& batch)
       : applied(3),
         registry(std::make_unique<obs::MetricsRegistry>()),
-        hosts(net::make_local_udp_cluster(3, seed, batch, registry.get())) {
+        hosts(net::make_local_udp_cluster(
+            3, {.seed = seed, .batch = batch, .registry = registry.get()})) {
     for (auto& a : applied) {
       a = std::make_unique<std::atomic<std::uint64_t>>(0);
     }

@@ -8,8 +8,9 @@
 # plain objects never mix.
 #
 # `thread` mode runs only tests carrying the `threaded` ctest label (real
-# OS threads: rt, net, event loop, obs, integration, group_rt, multicast,
-# the rt churn stress, and the rt_demo and udp_cluster examples). The
+# OS threads on the real-time host, UdpHost: udp, event loop, obs,
+# integration, group_rt, multicast, the churn stress, rt_probe and the
+# udp_cluster example). The
 # simulation-harness tests are single-threaded by construction, so running
 # them under TSan would only dilute the signal. Suppressions live in
 # tsan.supp at the repo root and are reserved for vetted third-party

@@ -2,8 +2,8 @@
 //
 // Protocol modules (failure detector, consensus, atomic broadcast, apps) are
 // written against Env + NodeApp only, so the same objects run under the
-// deterministic simulator (src/sim) and on the real-time hosts, which share
-// one event loop (src/rt: in-process channel; src/net: UDP sockets).
+// deterministic simulator (src/sim) and on the real-time host, UdpHost
+// (src/net: UDP sockets on the event loop of src/rt).
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,6 @@
 #include "net/udp_env.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -12,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 
 #include "common/check.hpp"
 #include "common/codec.hpp"
@@ -28,65 +28,42 @@ constexpr std::size_t kMaxFrame = 4 + kWireHeaderBytes + kUdpMaxDatagramBytes;
 /// receive ring holds this many buffers.
 constexpr std::uint32_t kBatch = 16;
 
-int make_udp_socket(const std::string& host, std::uint16_t port,
-                    std::uint16_t* bound_port) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+/// A non-blocking UDP socket bound to an ephemeral loopback port.
+int bind_loopback_socket(std::uint16_t* port) {
+  const int fd =
+      ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) throw std::runtime_error("socket() failed");
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
     ::close(fd);
-    throw std::runtime_error("bad address: " + host);
+    throw std::runtime_error("bind() failed on a loopback port");
   }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    throw std::runtime_error("bind() failed on " + host + ":" +
-                             std::to_string(port));
-  }
-  sockaddr_in actual{};
-  socklen_t len = sizeof actual;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&actual), &len);
-  *bound_port = ntohs(actual.sin_port);
+  *port = ntohs(addr.sin_port);
   return fd;
 }
 
 }  // namespace
 
-UdpHost::UdpHost(UdpConfig config)
+UdpHost::UdpHost(UdpConfig config, Clock::time_point epoch)
     : rt::EventLoop(config.self,
                     static_cast<std::uint32_t>(config.peers.size()),
                     config.seed * 7919 + config.self,
                     config.storage_factory
-                        ? config.storage_factory()
+                        ? config.storage_factory(config.self)
                         : std::make_unique<MemStableStorage>(),
-                    std::chrono::steady_clock::now()),
+                    epoch),
       config_(std::move(config)) {
   ABCAST_CHECK(config_.self < config_.peers.size());
-
-  if (config_.prebound_fd >= 0) {
-    // Adopt a socket bound by the caller (make_local_udp_cluster binds the
-    // whole peer table before constructing any host).
-    fd_ = config_.prebound_fd;
-    const int flags = ::fcntl(fd_, F_GETFL, 0);
-    ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-    sockaddr_in actual{};
-    socklen_t len = sizeof actual;
-    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&actual), &len);
-    local_port_ = ntohs(actual.sin_port);
-  } else {
-    const auto& me = config_.peers[config_.self];
-    fd_ = make_udp_socket(me.host, me.port, &local_port_);
-  }
+  ABCAST_CHECK(config_.prebound_fd >= 0);
 
   // Resolve peers once; index = pid.
   for (const auto& peer : config_.peers) {
     std::uint32_t ip = 0;
     if (::inet_pton(AF_INET, peer.host.c_str(), &ip) != 1) {
-      ::close(fd_);
       throw std::runtime_error("bad peer address: " + peer.host);
     }
     peer_addrs_.emplace_back(ip, peer.port);
@@ -115,6 +92,15 @@ UdpHost::UdpHost(UdpConfig config)
     metrics_group_.bind("net_recv_errors", labels, &metrics_.recv_errors);
   }
 
+  if (config_.trace_capacity > 0) {
+    recorder_ = std::make_unique<obs::TraceRecorder>(config_.self,
+                                                     config_.trace_capacity);
+    recorder_->set_clock([this] { return now(); });
+    tracing_storage_ = std::make_unique<TracingStorage>(
+        EventLoop::storage(), *recorder_, [this] { return now(); });
+  }
+
+  fd_ = config_.prebound_fd;
   start_loop(fd_);
 }
 
@@ -142,7 +128,12 @@ void UdpHost::queue_frame(ProcessId to, const SharedBytes& frame) {
     metrics_.send_failures += 1;  // UDP cannot carry it; drop (unreliable)
     return;
   }
+  // chance(0) returns before drawing: without injection, two compares.
+  if (rng().chance(config_.drop_prob)) return;
   send_queue_.push_back(PendingSend{to, frame});
+  if (rng().chance(config_.dup_prob)) {
+    send_queue_.push_back(PendingSend{to, frame});
+  }
 }
 
 void UdpHost::queue_self(const Wire& msg) {
@@ -248,43 +239,87 @@ void UdpHost::drain_input() {
   }
 }
 
+std::vector<std::unique_ptr<UdpHost>> make_local_udp_cluster(std::uint32_t n,
+                                                             UdpConfig proto) {
+  ABCAST_CHECK(n >= 1);
+  std::vector<int> fds;
+  std::vector<std::unique_ptr<UdpHost>> hosts;
+  hosts.reserve(n);  // push_back cannot throw once a host owns its fd
+  proto.peers.clear();
+  try {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::uint16_t port = 0;
+      fds.push_back(bind_loopback_socket(&port));
+      proto.peers.push_back(UdpPeer{"127.0.0.1", port});
+    }
+    const auto epoch = rt::EventLoop::Clock::now();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      proto.self = i;
+      proto.prebound_fd = fds[i];
+      hosts.push_back(std::make_unique<UdpHost>(proto, epoch));
+    }
+  } catch (...) {
+    // The built hosts close their own sockets as `hosts` dies.
+    for (std::size_t i = hosts.size(); i < fds.size(); ++i) ::close(fds[i]);
+    throw;
+  }
+  return hosts;
+}
+
 std::vector<std::unique_ptr<UdpHost>> make_local_udp_cluster(
     std::uint32_t n, std::uint64_t seed, const UdpBatchConfig& batch,
     obs::MetricsRegistry* registry,
     std::function<std::unique_ptr<StableStorage>()> storage_factory) {
-  ABCAST_CHECK(n >= 1);
-  // Bind every socket up front, then hand the live fds to the hosts via
-  // UdpConfig::prebound_fd. Each port is bound exactly once and never
-  // released, so the old reserve/close/rebind race (another process
-  // grabbing the port inside the window) cannot happen.
-  std::vector<int> fds(n, -1);
-  std::vector<std::uint16_t> ports(n, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    fds[i] = make_udp_socket("127.0.0.1", 0, &ports[i]);
+  UdpConfig proto{.seed = seed, .batch = batch, .registry = registry};
+  if (storage_factory) {
+    proto.storage_factory = [f = std::move(storage_factory)](ProcessId) {
+      return f();
+    };
   }
-  std::vector<UdpPeer> peers;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    peers.push_back(UdpPeer{"127.0.0.1", ports[i]});
+  return make_local_udp_cluster(n, std::move(proto));
+}
+
+// ------------------------------------------------------------- UdpCluster
+
+UdpCluster::UdpCluster(std::uint32_t n, UdpConfig proto) {
+  proto.registry = &registry_;
+  hosts_ = make_local_udp_cluster(n, std::move(proto));
+}
+
+UdpCluster::~UdpCluster() {
+  // Every loop stops before any socket closes: a port closed while its
+  // peers still send to it could meanwhile be bound by another process.
+  for (auto& h : hosts_) h->shutdown();
+}
+
+UdpHost& UdpCluster::host(ProcessId p) {
+  ABCAST_CHECK(p < hosts_.size());
+  return *hosts_[p];
+}
+
+void UdpCluster::start_all() {
+  for (ProcessId p = 0; p < n(); ++p) start(p);
+}
+
+void UdpCluster::start(ProcessId p) {
+  ABCAST_CHECK_MSG(static_cast<bool>(factory_), "node factory not set");
+  host(p).start_node(factory_, /*recovering=*/false);
+}
+
+void UdpCluster::recover(ProcessId p) {
+  ABCAST_CHECK_MSG(static_cast<bool>(factory_), "node factory not set");
+  host(p).start_node(factory_, /*recovering=*/true);
+}
+
+bool UdpCluster::wait_for(const std::function<bool()>& pred,
+                          Duration timeout) const {
+  const auto deadline =
+      rt::EventLoop::Clock::now() + std::chrono::nanoseconds(timeout);
+  while (rt::EventLoop::Clock::now() < deadline) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  std::vector<std::unique_ptr<UdpHost>> hosts;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    UdpConfig cfg;
-    cfg.self = i;
-    cfg.peers = peers;
-    cfg.seed = seed;
-    cfg.batch = batch;
-    cfg.prebound_fd = fds[i];
-    cfg.registry = registry;
-    cfg.storage_factory = storage_factory;
-    try {
-      hosts.push_back(std::make_unique<UdpHost>(cfg));
-    } catch (...) {
-      for (std::uint32_t j = i; j < n; ++j) ::close(fds[j]);
-      throw;
-    }
-    fds[i] = -1;  // ownership transferred
-  }
-  return hosts;
+  return pred();
 }
 
 }  // namespace abcast::net

@@ -1,4 +1,4 @@
-// Real network transport: the Env interface over UDP sockets.
+// The real-time host: the Env interface over UDP sockets.
 //
 // The paper's transport (§3.1) is an unreliable, duplicating, non-FIFO
 // datagram service with fair-lossy channels — which is exactly what UDP
@@ -7,20 +7,26 @@
 // and pulls, fill ticks) that the simulator exercised against injected
 // loss here covers genuine kernel-buffer drops and datagram loss.
 //
-// UdpHost is a transport on the shared rt::EventLoop, which owns the loop
-// thread, the timers, the node lifecycle and the per-pass barrier
-// (storage().flush() before any queued datagram is released). The socket is
-// the loop's input fd. Datagrams are framed as [u32 sender pid][Wire];
-// anything malformed or from an unknown peer is dropped (CodecError can
-// never propagate past the loop — unreliable transport semantics). A
-// message to self is neither framed nor sent: the loop delivers it after
-// the barrier (EventLoop::send_to_self).
+// UdpHost is a transport on rt::EventLoop, which owns the loop thread, the
+// timers, the node lifecycle and the per-pass barrier (storage().flush()
+// before any queued datagram is released). The socket is the loop's input
+// fd. Datagrams are framed as [u32 sender pid][Wire]; anything malformed or
+// from an unknown peer is dropped (CodecError can never propagate past the
+// loop — unreliable transport semantics). A message to self is neither
+// framed nor sent: the loop delivers it after the barrier
+// (EventLoop::send_to_self).
 //
 // I/O (DESIGN.md §16.2): send/multisend queue refcounted frames — a
 // multisend encodes once — and the barrier releases the queue with
 // sendmmsg(), each mmsghdr carrying its own destination. Inbound,
 // recvmmsg() drains into a preallocated buffer ring feeding the decode
 // path. UdpBatchConfig sets whether one syscall may carry many datagrams.
+//
+// Injected faults and tracing (UdpConfig): drop_prob and dup_prob drop or
+// duplicate each datagram bound for a peer as it is queued, drawn from the
+// host's seeded rng; a message to self is never touched. trace_capacity > 0
+// gives the host a TraceRecorder that outlives every crash, exposed as
+// tracer(), and wraps its storage in a TracingStorage.
 //
 // Limitations (inherent to UDP over IPv4): a datagram carries at most 65507
 // bytes, so a Wire payload at most max_datagram_bytes() = 65497. A larger
@@ -40,6 +46,7 @@
 #include "common/relaxed_counter.hpp"
 #include "env/env.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "rt/event_loop.hpp"
 #include "storage/mem_storage.hpp"
 
@@ -81,24 +88,33 @@ struct UdpConfig {
   ProcessId self = 0;
   std::vector<UdpPeer> peers;
   std::uint64_t seed = 1;
-  /// Stable storage for this host; defaults to MemStableStorage.
-  std::function<std::unique_ptr<StableStorage>()> storage_factory;
+  /// Stable storage of the host with the given process id; defaults to
+  /// MemStableStorage, which survives crash_node() but not the host.
+  std::function<std::unique_ptr<StableStorage>(ProcessId)> storage_factory;
   UdpBatchConfig batch;
-  /// An already-bound UDP socket to adopt instead of binding
-  /// peers[self] (ownership transfers; the host closes it). This is how
-  /// make_local_udp_cluster avoids the classic reserve/release/rebind port
-  /// race: every socket is bound exactly once, before any host starts.
+  /// The bound, non-blocking socket the host adopts. Once the constructor
+  /// returns, the host owns it and closes it when destroyed; a constructor
+  /// that throws leaves it to the caller. make_local_udp_cluster binds every
+  /// socket of a cluster before it constructs any host.
   int prebound_fd = -1;
   /// Optional registry for net_* counter bindings; must outlive the host.
   obs::MetricsRegistry* registry = nullptr;
+  /// Injected loss: each datagram bound for a peer is dropped with
+  /// probability drop_prob, and one that is kept is queued twice with
+  /// probability dup_prob. Messages to self are never touched.
+  double drop_prob = 0.0;
+  double dup_prob = 0.0;
+  /// Protocol trace ring capacity (events); 0 disables tracing.
+  std::size_t trace_capacity = 0;
 };
 
 class UdpHost final : public rt::EventLoop {
  public:
-  /// Binds a socket to peers[config.self] (port 0 = ephemeral; see
-  /// local_port()) — or adopts config.prebound_fd — and starts the event
-  /// loop. Throws std::runtime_error on socket errors.
-  explicit UdpHost(UdpConfig config);
+  /// Adopts config.prebound_fd and starts the event loop. `epoch` is time
+  /// zero for now(): the hosts of one cluster share it, so their traces
+  /// merge on one time base. Throws std::runtime_error on a bad peer
+  /// address.
+  UdpHost(UdpConfig config, Clock::time_point epoch);
   ~UdpHost() override;
 
   // Env (called from the event-loop thread only)
@@ -107,12 +123,19 @@ class UdpHost final : public rt::EventLoop {
   /// other peer, the entries sharing one refcounted frame; the copy to self
   /// goes to the loop.
   void multisend(const Wire& msg) override;
+  StableStorage& storage() override {
+    return tracing_storage_ ? *tracing_storage_ : EventLoop::storage();
+  }
+  /// This host's protocol trace, or nullptr when trace_capacity == 0. It
+  /// outlives every crash, and TraceRecorder is internally synchronized, so
+  /// any thread may read it.
+  obs::TraceRecorder* tracer() override { return recorder_.get(); }
   obs::MetricsRegistry* metrics_registry() override {
     return config_.registry;
   }
 
-  /// The actually bound port (useful when configured with port 0).
-  std::uint16_t local_port() const { return local_port_; }
+  /// The port of this host's socket.
+  std::uint16_t local_port() const { return config_.peers[self()].port; }
 
   /// Datagrams that failed to send (e.g. oversized) — observability for
   /// the UDP size limitation.
@@ -138,16 +161,18 @@ class UdpHost final : public rt::EventLoop {
   /// Hands a message to self to the loop, unless it is oversize.
   void queue_self(const Wire& msg);
   Bytes make_frame(const Wire& msg) const;
+  /// Queues a frame for a peer, through the injected drop and duplication.
   void queue_frame(ProcessId to, const SharedBytes& frame);
   void fill_dest(ProcessId to, sockaddr_in* addr) const;
 
   UdpConfig config_;
   int fd_ = -1;
-  std::uint16_t local_port_ = 0;
   std::vector<std::pair<std::uint32_t, std::uint16_t>> peer_addrs_;
 
   NetMetrics metrics_;
   obs::MetricsGroup metrics_group_;
+  std::unique_ptr<obs::TraceRecorder> recorder_;     // outlives crashes
+  std::unique_ptr<TracingStorage> tracing_storage_;  // wraps the storage
 
   // Event-loop thread only (Env serializes callbacks). The header arrays
   // are sized to the batch, so their sizes are the per-syscall limits.
@@ -158,13 +183,49 @@ class UdpHost final : public rt::EventLoop {
   std::vector<sockaddr_in> send_addrs_, recv_addrs_;
 };
 
-/// Convenience for tests and demos: builds n hosts on ephemeral localhost
-/// ports and wires their peer tables together. All sockets are bound before
-/// any host is constructed (via UdpConfig::prebound_fd), so there is no
-/// window where a reserved port could be lost to another process.
+/// Builds n hosts on ephemeral loopback ports from `proto`, whose self,
+/// peers and prebound_fd it sets. Every socket is bound before any host is
+/// constructed, so no port is ever released and rebound; if anything
+/// throws, every socket no host adopted is closed.
+std::vector<std::unique_ptr<UdpHost>> make_local_udp_cluster(std::uint32_t n,
+                                                             UdpConfig proto);
+
+/// The older form, kept only for e2ebench: `storage_factory` is called once
+/// per host, in process-id order.
 std::vector<std::unique_ptr<UdpHost>> make_local_udp_cluster(
-    std::uint32_t n, std::uint64_t seed = 1, const UdpBatchConfig& batch = {},
-    obs::MetricsRegistry* registry = nullptr,
-    std::function<std::unique_ptr<StableStorage>()> storage_factory = {});
+    std::uint32_t n, std::uint64_t seed, const UdpBatchConfig& batch,
+    obs::MetricsRegistry* registry,
+    std::function<std::unique_ptr<StableStorage>()> storage_factory);
+
+/// A loopback cluster (make_local_udp_cluster) run as one group: a node
+/// factory, the lifecycle calls, and one MetricsRegistry outside every crash
+/// boundary. What the threaded tests and the udp_cluster example drive.
+class UdpCluster {
+ public:
+  /// `proto` configures every host; its registry is the cluster's.
+  explicit UdpCluster(std::uint32_t n, UdpConfig proto = {});
+  ~UdpCluster();
+
+  void set_node_factory(NodeFactory factory) { factory_ = std::move(factory); }
+
+  void start_all();
+  void start(ProcessId p);
+  void crash(ProcessId p) { host(p).crash_node(); }
+  void recover(ProcessId p);
+
+  /// Blocks the calling thread until `pred` (evaluated on the caller, so it
+  /// must be thread-safe) holds or the wall-clock timeout expires.
+  bool wait_for(const std::function<bool()>& pred, Duration timeout) const;
+
+  UdpHost& host(ProcessId p);
+  std::uint32_t n() const { return static_cast<std::uint32_t>(hosts_.size()); }
+  /// Thread-safe; values accumulate across incarnations.
+  obs::MetricsRegistry& metrics_registry() { return registry_; }
+
+ private:
+  obs::MetricsRegistry registry_;  // outlives the hosts bound to it
+  NodeFactory factory_;
+  std::vector<std::unique_ptr<UdpHost>> hosts_;
+};
 
 }  // namespace abcast::net

@@ -95,11 +95,6 @@ std::size_t EventLoop::pending_timer_entries() const {
   return live_timers_.size();
 }
 
-void EventLoop::deliver_at(TimePoint due, ProcessId from, Wire msg) {
-  push(due, /*timer=*/false,
-       [this, from, m = std::move(msg)] { deliver(from, m); });
-}
-
 void EventLoop::deliver(ProcessId from, const Wire& msg) {
   if (node_ != nullptr) node_->on_message(from, msg);
 }

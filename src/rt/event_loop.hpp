@@ -1,5 +1,4 @@
-// The real-time event loop shared by the threaded hosts: rt::RtHost (an
-// in-process channel) and net::UdpHost (a UDP socket) are transports on it.
+// The real-time event loop under net::UdpHost, the real-time host.
 //
 // One thread per host runs every protocol callback (start, on_message,
 // timers, call() bodies), preserving the single-threaded execution model
@@ -13,8 +12,8 @@
 //      (SegmentedLogStorage in SyncMode::kDeferred) is externally
 //      indistinguishable from a synchronous one. Every send path queues;
 //      none bypasses this;
-//   2. the wait: poll() on the transport's input fd (if any) and a
-//      self-pipe, timing out at the earliest due task (rounded up to whole
+//   2. the wait: poll() on the transport's input fd and a self-pipe,
+//      timing out at the earliest due task (rounded up to whole
 //      milliseconds), or at once while the ready list is non-empty;
 //   3. drain_input(): the transport hands arrived datagrams to deliver();
 //   4. the ready list, handed to the node: a message to self never
@@ -28,10 +27,9 @@
 //
 // A transport derives from EventLoop, implements send() by queueing (a
 // message to self goes to send_to_self()) and the release_sends()/
-// drop_sends() hooks (plus drain_input() when it polls an fd), calls
-// start_loop() as the last statement of its constructor and shutdown() as
-// the first of its destructor: the loop thread only ever sees a fully built
-// transport.
+// drop_sends()/drain_input() hooks, calls start_loop() as the last
+// statement of its constructor and shutdown() as the first of its
+// destructor: the loop thread only ever sees a fully built transport.
 #pragma once
 
 #include <atomic>
@@ -98,11 +96,8 @@ class EventLoop : public Env {
   std::size_t pending_timer_entries() const;
 
  protected:
-  /// Starts the loop thread, polling `input_fd` (-1: none) for input.
-  void start_loop(int input_fd = -1);
-  /// Delivers `msg` from `from` at time `due` unless the node is down by
-  /// then. Any thread.
-  void deliver_at(TimePoint due, ProcessId from, Wire msg);
+  /// Starts the loop thread, polling `input_fd` for input.
+  void start_loop(int input_fd);
   /// Hands `msg` to the node if it is up. Loop thread only.
   void deliver(ProcessId from, const Wire& msg);
   /// Queues `msg` for this host's own node. The next barrier releases it
@@ -116,7 +111,7 @@ class EventLoop : public Env {
   /// Discards queued sends: they die with the crashed process.
   virtual void drop_sends() = 0;
   /// Reads what the input fd has ready and hands it to deliver().
-  virtual void drain_input() {}
+  virtual void drain_input() = 0;
 
  private:
   struct Task {

@@ -1,6 +1,5 @@
-// Contracts of the event loop the real-time hosts share (rt/event_loop.hpp),
-// checked on each of its transports: RtHost's in-process channel, and
-// UdpHost with batching off (batches of one) and on.
+// Contracts of the event loop under the real-time host (rt/event_loop.hpp),
+// checked on UdpHost with batching off (batches of one) and on.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,58 +10,29 @@
 #include <thread>
 
 #include "net/udp_env.hpp"
-#include "rt/rt_cluster.hpp"
 #include "storage/mem_storage.hpp"
 
 using namespace abcast;
 
 namespace {
 
-using StorageFactory = std::function<std::unique_ptr<StableStorage>(ProcessId)>;
-
-/// n RtHosts of one RtCluster.
-struct RtHosts {
-  static constexpr const char* kName = "RtHost";
-
-  RtHosts(std::uint32_t n, StorageFactory storage)
-      : cluster(rt::RtConfig{
-            .n = n, .seed = 31, .storage_factory = std::move(storage)}) {}
-  void start_all(NodeFactory factory) {
-    cluster.set_node_factory(std::move(factory));
-    cluster.start_all();
-  }
-  rt::RtHost& host(ProcessId p) { return cluster.host(p); }
-
-  rt::RtCluster cluster;
-};
-
 /// n UdpHosts on loopback ports, with UDP batching off or on.
 template <bool kBatched>
 struct UdpHosts {
   static constexpr const char* kName = kBatched ? "UdpBatched" : "UdpUnbatched";
 
-  UdpHosts(std::uint32_t n, StorageFactory storage)
-      : hosts(net::make_local_udp_cluster(n, 31, batch(), nullptr,
-                                          by_index(std::move(storage)))) {}
-  void start_all(const NodeFactory& factory) {
-    for (auto& h : hosts) h->start_node(factory, /*recovering=*/false);
+  UdpHosts(std::uint32_t n,
+           std::function<std::unique_ptr<StableStorage>(ProcessId)> storage)
+      : cluster(n, {.seed = 31,
+                    .storage_factory = std::move(storage),
+                    .batch = {.enabled = kBatched}}) {}
+  void start_all(NodeFactory factory) {
+    cluster.set_node_factory(std::move(factory));
+    cluster.start_all();
   }
-  net::UdpHost& host(ProcessId p) { return *hosts[p]; }
+  net::UdpHost& host(ProcessId p) { return cluster.host(p); }
 
-  static net::UdpBatchConfig batch() {
-    net::UdpBatchConfig b;
-    b.enabled = kBatched;
-    return b;
-  }
-  /// make_local_udp_cluster builds host i with the i-th factory call.
-  static std::function<std::unique_ptr<StableStorage>()> by_index(
-      StorageFactory storage) {
-    if (!storage) return {};
-    auto next = std::make_shared<ProcessId>(0);
-    return [storage = std::move(storage), next] { return storage((*next)++); };
-  }
-
-  std::vector<std::unique_ptr<net::UdpHost>> hosts;
+  net::UdpCluster cluster;
 };
 
 /// Counts the puts and erases issued since the last flush(): what a
@@ -124,7 +94,7 @@ struct HostKindName {
   }
 };
 
-using HostKinds = ::testing::Types<RtHosts, UdpHosts<false>, UdpHosts<true>>;
+using HostKinds = ::testing::Types<UdpHosts<false>, UdpHosts<true>>;
 TYPED_TEST_SUITE(HostLoop, HostKinds, HostKindName);
 
 }  // namespace
@@ -189,18 +159,16 @@ TYPED_TEST(HostLoop, SelfSendArrivesAfterTheBarrier) {
   EXPECT_EQ(seen.load(), 0);
 }
 
-namespace {
-
 // Regression test for the cancelled-timer leak: a grow-only list of
 // cancelled ids, pruned only when the timer it named popped, kept a
 // tombstone forever for every cancel-after-fire (the common pattern: a
 // protocol cancels its retry timer from the handler that timer triggered)
 // and made every pop an O(tombstones) scan. The live-timer table keeps the
 // bookkeeping bounded by OUTSTANDING timers.
-template <typename Hosts>
-void expect_timer_table_bounded() {
-  Hosts c(1, {});
-  c.start_all([](Env&) { return std::make_unique<IdleApp>(); });
+TEST(Udp, TimerBookkeepingBoundedUnderCancelAfterFireLoop) {
+  net::UdpCluster c(1, {.seed = 31});
+  c.set_node_factory([](Env&) { return std::make_unique<IdleApp>(); });
+  c.start_all();
   auto& h = c.host(0);
   for (int i = 0; i < 500; ++i) {
     TimerId fired_id = 0;
@@ -222,14 +190,4 @@ void expect_timer_table_bounded() {
   // 1000 cancels later, nothing may linger (IdleApp schedules no timers of
   // its own). The grow-only list held ~500 tombstones here.
   EXPECT_EQ(h.pending_timer_entries(), 0u);
-}
-
-}  // namespace
-
-TEST(Rt, TimerBookkeepingBoundedUnderCancelAfterFireLoop) {
-  expect_timer_table_bounded<RtHosts>();
-}
-
-TEST(Udp, TimerBookkeepingBoundedUnderCancelAfterFireLoop) {
-  expect_timer_table_bounded<UdpHosts<false>>();
 }

@@ -1,8 +1,8 @@
-// Multi-group stacks over the threaded runtimes: the same ShardedKvNode
-// running on RtCluster event-loop threads and over real UDP sockets. The
-// envelope demux is the only thing the transports see — these tests prove
-// the wrapping survives real concurrency, real datagrams, and real
-// crash/recovery, not just the simulator. (ctest label: threaded.)
+// Multi-group stacks on the real-time host: the same ShardedKvNode on
+// UdpCluster event-loop threads over real UDP sockets. The envelope demux
+// is the only thing the transport sees — these tests prove the wrapping
+// survives real concurrency, real datagrams, and real crash/recovery, not
+// just the simulator. (ctest label: threaded.)
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,11 +10,11 @@
 #include "apps/kv_store.hpp"
 #include "group/sharded_kv.hpp"
 #include "net/udp_env.hpp"
-#include "rt/rt_cluster.hpp"
 
 using namespace abcast;
 using namespace abcast::group;
 using apps::KvCommand;
+using net::UdpCluster;
 
 namespace {
 
@@ -37,8 +37,7 @@ NodeFactory sharded_factory() {
 }
 
 /// Reads `key` from its owning shard at host `p`; empty string if absent.
-template <typename Host>
-std::string read_key(Host& h, const std::string& key) {
+std::string read_key(net::UdpHost& h, const std::string& key) {
   std::string out;
   h.call([&h, &key, &out] {
     auto* n = static_cast<ShardedKvNode*>(h.node_unsafe());
@@ -48,16 +47,16 @@ std::string read_key(Host& h, const std::string& key) {
   return out;
 }
 
-template <typename Host>
-bool submit_put(Host& h, const std::string& key, const std::string& value) {
+bool submit_put(net::UdpHost& h, const std::string& key,
+                const std::string& value) {
   return h.call([&h, &key, &value] {
     static_cast<ShardedKvNode*>(h.node_unsafe())
         ->submit(key, KvCommand::put(key, value));
   });
 }
 
-template <typename Host>
-bool submit_pair(Host& h, const std::string& key_a, const std::string& va,
+bool submit_pair(net::UdpHost& h, const std::string& key_a,
+                 const std::string& va,
                  const std::string& key_b, const std::string& vb) {
   return h.call([&] {
     static_cast<ShardedKvNode*>(h.node_unsafe())
@@ -80,7 +79,7 @@ std::pair<std::string, std::string> split_keys() {
 }  // namespace
 
 TEST(GroupRt, OrdersShardedCommandsAcrossThreads) {
-  rt::RtCluster cluster(rt::RtConfig{.n = kN, .seed = 21});
+  UdpCluster cluster(kN, {.seed = 21});
   cluster.set_node_factory(sharded_factory());
   cluster.start_all();
   for (std::uint32_t i = 0; i < 12; ++i) {
@@ -104,7 +103,7 @@ TEST(GroupRt, OrdersShardedCommandsAcrossThreads) {
 }
 
 TEST(GroupRt, CrossShardPairCommitsUnderCrashRecovery) {
-  rt::RtCluster cluster(rt::RtConfig{.n = kN, .seed = 22});
+  UdpCluster cluster(kN, {.seed = 22});
   cluster.set_node_factory(sharded_factory());
   cluster.start_all();
   const auto [key_a, key_b] = split_keys();
@@ -126,49 +125,41 @@ TEST(GroupRt, CrossShardPairCommitsUnderCrashRecovery) {
 }
 
 TEST(GroupUdp, ShardedStacksOverRealSockets) {
-  auto hosts = net::make_local_udp_cluster(kN, 23);
-  NodeFactory factory = sharded_factory();
-  for (auto& h : hosts) h->start_node(factory, /*recovering=*/false);
+  UdpCluster cluster(kN, {.seed = 23});
+  cluster.set_node_factory(sharded_factory());
+  cluster.start_all();
   const auto [key_a, key_b] = split_keys();
 
-  for (int i = 0; i < 6; ++i) {
+  for (std::uint32_t i = 0; i < 6; ++i) {
     const std::string key = "key-" + std::to_string(i);
-    ASSERT_TRUE(submit_put(*hosts[static_cast<std::size_t>(i) % kN], key,
-                           "v" + std::to_string(i)));
+    ASSERT_TRUE(submit_put(cluster.host(i % kN), key, "v" + std::to_string(i)));
   }
-  ASSERT_TRUE(submit_pair(*hosts[1], key_a, "L", key_b, "R"));
+  ASSERT_TRUE(submit_pair(cluster.host(1), key_a, "L", key_b, "R"));
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
   const auto converged = [&] {
-    for (auto& h : hosts) {
+    for (ProcessId p = 0; p < kN; ++p) {
       for (int i = 0; i < 6; ++i) {
         const std::string key = "key-" + std::to_string(i);
-        if (read_key(*h, key) != "v" + std::to_string(i)) return false;
+        if (read_key(cluster.host(p), key) != "v" + std::to_string(i)) {
+          return false;
+        }
       }
-      if (read_key(*h, key_a) != "L" || read_key(*h, key_b) != "R") {
+      if (read_key(cluster.host(p), key_a) != "L" ||
+          read_key(cluster.host(p), key_b) != "R") {
         return false;
       }
     }
     return true;
   };
-  while (!converged() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_TRUE(converged());
+  EXPECT_TRUE(cluster.wait_for(converged, seconds(60)));
 
   // Crash/recover over sockets: the rejoined node reconverges.
-  hosts[2]->crash_node();
-  EXPECT_FALSE(hosts[2]->is_up());
-  hosts[2]->start_node(factory, /*recovering=*/true);
-  const auto deadline2 =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  cluster.crash(2);
+  EXPECT_FALSE(cluster.host(2).is_up());
+  cluster.recover(2);
   const auto back = [&] {
-    return read_key(*hosts[2], key_a) == "L" &&
-           read_key(*hosts[2], key_b) == "R";
+    return read_key(cluster.host(2), key_a) == "L" &&
+           read_key(cluster.host(2), key_b) == "R";
   };
-  while (!back() && std::chrono::steady_clock::now() < deadline2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_TRUE(back());
+  EXPECT_TRUE(cluster.wait_for(back, seconds(60)));
 }

@@ -20,7 +20,6 @@
 #include "multicast/multicast.hpp"
 #include "multicast/multicast_wire.hpp"
 #include "net/udp_env.hpp"
-#include "rt/rt_cluster.hpp"
 #include "sim/simulation.hpp"
 
 using namespace abcast;
@@ -434,10 +433,8 @@ TEST(Multicast, DropsFillNamingUnknownDestination) {
 
 TEST(Multicast, RunsOnTheRealTimeRuntime) {
   // The multicast node is Env-agnostic: the same code runs over threads
-  // and the steady clock, here on the in-process lossy channel...
-  rt::RtConfig cfg{.n = 6, .seed = 30};
-  cfg.net.drop_prob = 0.05;
-  rt::RtCluster cluster(cfg);
+  // and the steady clock, here with 5% of the datagrams dropped...
+  net::UdpCluster cluster(6, {.seed = 30, .drop_prob = 0.05});
   std::vector<rt::EventLoop*> hosts;
   for (ProcessId p = 0; p < 6; ++p) hosts.push_back(&cluster.host(p));
   expect_one_order_of_six(run_on_real_time_hosts(hosts));
@@ -445,7 +442,7 @@ TEST(Multicast, RunsOnTheRealTimeRuntime) {
 
 TEST(Multicast, RunsOverUdpSockets) {
   // ...and here with every envelope and FILL crossing a loopback socket.
-  auto udp = net::make_local_udp_cluster(6, 31);
+  auto udp = net::make_local_udp_cluster(6, {.seed = 31});
   std::vector<rt::EventLoop*> hosts;
   for (auto& host : udp) hosts.push_back(host.get());
   expect_one_order_of_six(run_on_real_time_hosts(hosts));

@@ -1,4 +1,4 @@
-// Multi-threaded churn stress for the rt runtime — the TSan workhorse.
+// Multi-threaded churn stress for the real-time host — the TSan workhorse.
 //
 // Several external threads hammer the cluster at once, exercising exactly
 // the cross-thread surfaces ThreadSanitizer needs to see exercised:
@@ -22,7 +22,7 @@
 #include "apps/kv_store.hpp"
 #include "apps/rsm.hpp"
 #include "obs/metrics.hpp"
-#include "rt/rt_cluster.hpp"
+#include "net/udp_env.hpp"
 
 using namespace abcast;
 using namespace abcast::apps;
@@ -30,8 +30,8 @@ using namespace abcast::apps;
 namespace {
 
 struct ChurnKv {
-  explicit ChurnKv(rt::RtConfig cfg, core::StackConfig stack)
-      : applied(cfg.n), cluster(cfg) {
+  ChurnKv(std::uint32_t n, net::UdpConfig cfg, core::StackConfig stack)
+      : applied(n), cluster(n, std::move(cfg)) {
     for (auto& a : applied) a = std::make_unique<std::atomic<std::uint64_t>>(0);
     cluster.set_node_factory([this, stack](Env& env) {
       const ProcessId pid = env.self();
@@ -60,22 +60,21 @@ struct ChurnKv {
   }
 
   // `applied` outlives `cluster`: host threads increment the counters via
-  // the apply callback until ~RtCluster joins them.
+  // the apply callback until ~UdpCluster joins them.
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> applied;
-  rt::RtCluster cluster;
+  net::UdpCluster cluster;
 };
 
 }  // namespace
 
 TEST(RtChurnStress, ConcurrentBroadcastSurvivesCrashRecoverChurn) {
-  rt::RtConfig cfg{.n = 3, .seed = 11};
-  cfg.net.drop_prob = 0.05;  // a little real loss keeps retransmit paths hot
-  cfg.net.dup_prob = 0.05;
-  cfg.trace_capacity = 1 << 12;
+  net::UdpConfig cfg{.seed = 11, .trace_capacity = 1 << 12};
+  cfg.drop_prob = 0.05;  // a little injected loss keeps retransmit paths hot
+  cfg.dup_prob = 0.05;
   core::StackConfig stack;
   stack.ab.log_unordered = true;
 
-  ChurnKv c(cfg, stack);
+  ChurnKv c(3, cfg, stack);
   c.cluster.start_all();
 
   constexpr int kPerSubmitter = 25;
@@ -111,7 +110,7 @@ TEST(RtChurnStress, ConcurrentBroadcastSurvivesCrashRecoverChurn) {
       const auto snap = c.cluster.metrics_registry().snapshot();
       (void)snap.sum_by_name("ab_delivered");
       for (ProcessId p = 0; p < 3; ++p) {
-        if (auto* rec = c.cluster.host(p).recorder()) (void)rec->events();
+        if (auto* rec = c.cluster.host(p).tracer()) (void)rec->events();
       }
       snapshots += 1;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -154,9 +153,8 @@ TEST(RtChurnStress, ConcurrentBroadcastSurvivesCrashRecoverChurn) {
 // protocol traffic to hide behind — this isolates the event loop's task
 // queue and up_/node_ handoff discipline.
 TEST(RtChurnStress, LifecycleCallSnapshotInterleaving) {
-  rt::RtConfig cfg{.n = 2, .seed = 13};
   core::StackConfig stack;
-  ChurnKv c(cfg, stack);
+  ChurnKv c(2, {.seed = 13}, stack);
   c.cluster.start_all();
 
   std::atomic<bool> done{false};

@@ -5,19 +5,16 @@
 
 #include "apps/kv_store.hpp"
 #include "apps/rsm.hpp"
-#include "rt/rt_cluster.hpp"
+#include "net/udp_env.hpp"
 
 using namespace abcast;
 
 int main() {
-  rt::RtConfig cfg;
-  cfg.n = 3;
-  cfg.net.drop_prob = 0.05;
   // Declared before the cluster so the counters outlive the host threads,
-  // which increment them until ~RtCluster joins.
+  // which increment them until ~UdpCluster joins.
   std::atomic<std::uint64_t> applied[3];
   for (auto& a : applied) a = 0;
-  rt::RtCluster cluster(cfg);
+  net::UdpCluster cluster(3, {.drop_prob = 0.05});
   cluster.set_node_factory([&](Env& env) {
     const ProcessId pid = env.self();
     core::StackConfig scfg;

@@ -427,8 +427,9 @@ TEST(SegLog, CrashPointSweepRecoversIdenticallyToMemReference) {
       op.is_erase = script.chance(0.2);
       op.key = "k/" + std::to_string(script.uniform(0, 9));
       if (!op.is_erase) {
-        op.value = bytes_of("v-" + std::to_string(script.uniform(0, 1000)) +
-                            std::string(script.uniform(0, 64), 'z'));
+        op.value = bytes_of(
+            "v-" + std::to_string(script.uniform(0, 1000)) +
+            std::string(static_cast<std::size_t>(script.uniform(0, 64)), 'z'));
       }
       ops.push_back(std::move(op));
     }

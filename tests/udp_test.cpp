@@ -1,103 +1,212 @@
-// Tests for the UDP transport: the same protocol stacks over real sockets
-// on localhost. UDP *is* the paper's §3.1 transport (unreliable datagrams,
-// fair-lossy), so no loss injection is needed — the retransmission
-// machinery covers whatever the kernel drops.
+// Tests for the real-time host: the same protocol stacks over threads, the
+// steady clock and real sockets on localhost. UDP *is* the paper's §3.1
+// transport (unreliable datagrams, fair-lossy); the injected drop and
+// duplication add loss on top of whatever the kernel drops. Crash/recovery
+// semantics, file-backed durability, traces and the UDP framing limits.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <filesystem>
+#include <iterator>
+#include <thread>
 
 #include "apps/kv_store.hpp"
 #include "apps/rsm.hpp"
 #include "common/check.hpp"
 #include "net/udp_env.hpp"
+#include "obs/trace_check.hpp"
+#include "storage/segment_log_storage.hpp"
 
 using namespace abcast;
 using namespace abcast::net;
 using namespace abcast::apps;
+namespace fs = std::filesystem;
 
 namespace {
 
+/// A KvStore replica (RsmNode) started on every host of a UdpCluster.
 struct UdpKv {
-  explicit UdpKv(std::uint32_t n, std::uint64_t seed,
-                 core::StackConfig stack = {}, UdpBatchConfig batch = {})
-      : applied(n),
-        registry(std::make_unique<obs::MetricsRegistry>()),
-        hosts(make_local_udp_cluster(n, seed, batch, registry.get())) {
+  explicit UdpKv(std::uint32_t n, UdpConfig cfg = {},
+                 core::StackConfig stack = {})
+      : applied(n), cluster(n, std::move(cfg)) {
     for (auto& a : applied) {
       a = std::make_unique<std::atomic<std::uint64_t>>(0);
     }
-    factory = [this, stack](Env& env) {
+    cluster.set_node_factory([this, stack](Env& env) {
       const ProcessId pid = env.self();
+      // Count applies per host position; the counter survives crashes.
       return std::make_unique<RsmNode>(
           env, stack, [] { return std::make_unique<KvStore>(); },
           [this, pid](const core::AppMsg&) { applied[pid]->fetch_add(1); });
-    };
-    for (auto& h : hosts) h->start_node(factory, /*recovering=*/false);
+    });
+    cluster.start_all();
+  }
+
+  /// Runs `fn(node)` on p's host thread; false if p is down.
+  bool with_node(ProcessId p, const std::function<void(RsmNode&)>& fn) {
+    auto& h = cluster.host(p);
+    return h.call([&h, &fn] {
+      fn(*static_cast<RsmNode*>(h.node_unsafe()));
+    });
   }
 
   bool submit_add(ProcessId via, std::int64_t delta) {
-    auto& h = *hosts[via];
-    return h.call([&h, delta] {
-      static_cast<RsmNode*>(h.node_unsafe())
-          ->submit(KvCommand::add("n", delta));
+    return with_node(via, [delta](RsmNode& n) {
+      n.submit(KvCommand::add("n", delta));
     });
   }
 
   bool submit_put(ProcessId via, std::string key, std::string value) {
-    auto& h = *hosts[via];
-    return h.call([&h, &key, &value] {
-      static_cast<RsmNode*>(h.node_unsafe())
-          ->submit(KvCommand::put(key, value));
+    return with_node(via, [&key, &value](RsmNode& n) {
+      n.submit(KvCommand::put(key, value));
     });
   }
 
-  std::int64_t read_n(ProcessId at) {
-    std::int64_t v = -1;
-    auto& h = *hosts[at];
-    h.call([&h, &v] {
-      v = static_cast<KvStore&>(
-              static_cast<RsmNode*>(h.node_unsafe())->rsm().machine())
-              .get_int("n");
+  std::int64_t read_int(ProcessId p, const std::string& key = "n") {
+    std::int64_t out = -1;
+    with_node(p, [&](RsmNode& n) {
+      out = static_cast<KvStore&>(n.rsm().machine()).get_int(key);
     });
-    return v;
+    return out;
   }
 
-  bool wait_for(const std::function<bool()>& pred, Duration timeout) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::nanoseconds(timeout);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (pred()) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    return pred();
-  }
-
-  // `applied` and `registry` are declared before `hosts` so they are
-  // destroyed after them: ~UdpHost joins the loop thread, which runs the
-  // apply callback that increments these counters right up until the join,
-  // and unbinds its net_* metrics group (TSan-verified).
+  // `applied` outlives `cluster`: host threads increment the counters via
+  // the apply callback until ~UdpCluster joins them (TSan-verified).
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> applied;
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::vector<std::unique_ptr<UdpHost>> hosts;
-  NodeFactory factory;
+  UdpCluster cluster;
 };
 
 }  // namespace
 
 TEST(Udp, ClusterBindsDistinctEphemeralPorts) {
-  auto hosts = make_local_udp_cluster(3, 1);
+  auto hosts = make_local_udp_cluster(3, {});
   EXPECT_NE(hosts[0]->local_port(), 0);
   EXPECT_NE(hosts[0]->local_port(), hosts[1]->local_port());
   EXPECT_NE(hosts[1]->local_port(), hosts[2]->local_port());
 }
 
+// Building a cluster must not leak the sockets it bound before a failure.
+// With RLIMIT_NOFILE lowered so that exactly one more descriptor fits, the
+// second socket() fails (EMFILE) and the first must be closed by the time
+// the throw reaches the caller.
+TEST(Udp, FailedClusterBuildClosesTheSocketsItBound) {
+  const auto open_fds = [] {
+    return std::distance(fs::directory_iterator("/proc/self/fd"),
+                         fs::directory_iterator{});
+  };
+  const auto before = open_fds();
+  int first_free = 0;
+  while (::fcntl(first_free, F_GETFD) != -1) ++first_free;
+  int second_free = first_free + 1;
+  while (::fcntl(second_free, F_GETFD) != -1) ++second_free;
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(second_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  EXPECT_THROW(make_local_udp_cluster(3, {}), std::runtime_error);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(open_fds(), before);
+}
+
+namespace {
+
+/// Per host, how many messages arrived with each tag (the first payload
+/// byte).
+using Seen = std::array<std::array<std::atomic<int>, 32>, 2>;
+
+struct TagCounter final : NodeApp {
+  explicit TagCounter(std::array<std::atomic<int>, 32>& seen) : seen_(seen) {}
+  void start(bool) override {}
+  void on_message(ProcessId, const Wire& msg) override {
+    seen_[msg.payload.get().at(0)].fetch_add(1);
+  }
+  std::array<std::atomic<int>, 32>& seen_;
+};
+
+/// Starts a TagCounter on both hosts of `c`.
+void start_counters(UdpCluster& c, Seen& seen) {
+  c.set_node_factory([&seen](Env& env) {
+    return std::make_unique<TagCounter>(seen[env.self()]);
+  });
+  c.start_all();
+}
+
+Wire tagged(std::uint8_t tag) { return Wire{MsgType::kAbGossip, Bytes{tag}}; }
+
+}  // namespace
+
+// drop_prob = 1 loses every datagram bound for a peer, and never a message
+// to self: host 0's sends to itself and its multisends' self copies still
+// arrive, after the barrier of the pass that sent them.
+TEST(Udp, InjectedDropSparesMessagesToSelf) {
+  Seen seen{};
+  UdpCluster c(2, {.seed = 41, .drop_prob = 1.0});
+  start_counters(c, seen);
+  UdpHost& h0 = c.host(0);
+  ASSERT_TRUE(h0.call([&h0, &seen] {
+    for (std::uint8_t i = 0; i < 10; ++i) {
+      h0.send(1, tagged(i));
+      h0.multisend(tagged(10 + i));
+      h0.send(0, tagged(20 + i));
+    }
+    EXPECT_EQ(seen[0][10].load(), 0);  // not inside the sending pass
+  }));
+  ASSERT_TRUE(c.wait_for(
+      [&] { return seen[0][19].load() == 1 && seen[0][29].load() == 1; },
+      seconds(10)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (std::uint8_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(seen[0][10 + i].load(), 1) << "multisend " << int{i};
+    EXPECT_EQ(seen[0][20 + i].load(), 1) << "send to self " << int{i};
+  }
+  for (const auto& n : seen[1]) EXPECT_EQ(n.load(), 0);
+  EXPECT_EQ(h0.net_metrics().send_datagrams.load(), 0u);
+  EXPECT_EQ(c.host(1).net_metrics().recv_datagrams.load(), 0u);
+}
+
+// dup_prob = 1 sends every datagram bound for a peer twice, and a message
+// to self once.
+TEST(Udp, InjectedDuplicationSendsEveryPeerDatagramTwice) {
+  Seen seen{};
+  UdpCluster c(2, {.seed = 42, .dup_prob = 1.0});
+  start_counters(c, seen);
+  UdpHost& h0 = c.host(0);
+  ASSERT_TRUE(h0.call([&h0] {
+    for (std::uint8_t i = 0; i < 10; ++i) {
+      h0.send(1, tagged(i));
+      h0.multisend(tagged(10 + i));
+    }
+  }));
+  const auto all_arrived = [&seen] {
+    for (std::uint8_t i = 0; i < 20; ++i) {
+      if (seen[1][i].load() < 2) return false;
+    }
+    return true;
+  };
+  ASSERT_TRUE(c.wait_for(all_arrived, seconds(10)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (std::uint8_t i = 0; i < 20; ++i) {
+    EXPECT_EQ(seen[1][i].load(), 2) << "tag " << int{i};
+  }
+  for (std::uint8_t i = 10; i < 20; ++i) {
+    EXPECT_EQ(seen[0][i].load(), 1) << "self copy " << int{i};
+  }
+  EXPECT_EQ(h0.net_metrics().send_datagrams.load(), 2u * 20);
+}
+
 TEST(Udp, OrdersCommandsOverRealSockets) {
-  UdpKv c(3, 2);
+  UdpKv c(3, {.seed = 2});
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(c.submit_add(static_cast<ProcessId>(i % 3), 1));
   }
-  ASSERT_TRUE(c.wait_for(
+  ASSERT_TRUE(c.cluster.wait_for(
       [&] {
         for (ProcessId p = 0; p < 3; ++p) {
           if (c.applied[p]->load() < 12) return false;
@@ -105,24 +214,25 @@ TEST(Udp, OrdersCommandsOverRealSockets) {
         return true;
       },
       seconds(60)));
-  for (ProcessId p = 0; p < 3; ++p) EXPECT_EQ(c.read_n(p), 12);
+  for (ProcessId p = 0; p < 3; ++p) EXPECT_EQ(c.read_int(p), 12);
 }
 
 TEST(Udp, CrashRecoveryOverRealSockets) {
   core::StackConfig stack;
   stack.ab.log_unordered = true;  // submissions survive the sender's crash
-  UdpKv c(3, 3, stack);
+  UdpKv c(3, {.seed = 3}, stack);
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(c.submit_add(0, 1));
   }
-  ASSERT_TRUE(c.wait_for(
+  ASSERT_TRUE(c.cluster.wait_for(
       [&] { return c.applied[2]->load() >= 6; }, seconds(60)));
-  c.hosts[2]->crash_node();
-  EXPECT_FALSE(c.hosts[2]->is_up());
+  c.cluster.crash(2);
+  EXPECT_FALSE(c.cluster.host(2).is_up());
   EXPECT_FALSE(c.submit_add(2, 1));  // call() refuses on a down node
-  c.hosts[2]->start_node(c.factory, /*recovering=*/true);
+  c.cluster.recover(2);
   // Recovery replays from this host's surviving storage.
-  ASSERT_TRUE(c.wait_for([&] { return c.read_n(2) == 6; }, seconds(60)));
+  ASSERT_TRUE(
+      c.cluster.wait_for([&] { return c.read_int(2) == 6; }, seconds(60)));
 }
 
 // Regression test for the >64 KiB catch-up livelock: a peer that lags past
@@ -137,10 +247,10 @@ TEST(Udp, LargeStateCatchUpAfterTruncation) {
   stack.ab = core::Options::alternative();
   stack.ab.checkpoint_period = millis(100);
   stack.ab.delta = 2;
-  UdpKv c(3, 5, stack);
+  UdpKv c(3, {.seed = 5}, stack);
 
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(c.submit_add(0, 1));
-  ASSERT_TRUE(c.wait_for(
+  ASSERT_TRUE(c.cluster.wait_for(
       [&] {
         for (ProcessId p = 0; p < 3; ++p) {
           if (c.applied[p]->load() < 3) return false;
@@ -149,7 +259,7 @@ TEST(Udp, LargeStateCatchUpAfterTruncation) {
       },
       seconds(60)));
 
-  c.hosts[2]->crash_node();
+  c.cluster.crash(2);
   // Grow the surviving replicas' state well past one UDP frame: ~100 KiB of
   // key-value payload, folded into the application checkpoint as the
   // alternative protocol checkpoints and truncates.
@@ -158,7 +268,7 @@ TEST(Udp, LargeStateCatchUpAfterTruncation) {
     ASSERT_TRUE(c.submit_put(static_cast<ProcessId>(i % 2),
                              "blob-" + std::to_string(i), blob));
   }
-  ASSERT_TRUE(c.wait_for(
+  ASSERT_TRUE(c.cluster.wait_for(
       [&] {
         return c.applied[0]->load() >= 103 && c.applied[1]->load() >= 103;
       },
@@ -167,10 +277,10 @@ TEST(Udp, LargeStateCatchUpAfterTruncation) {
   // past what the rejoining peer could replay.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
 
-  c.hosts[2]->start_node(c.factory, /*recovering=*/true);
-  ASSERT_TRUE(c.wait_for(
+  c.cluster.recover(2);
+  ASSERT_TRUE(c.cluster.wait_for(
       [&] {
-        auto& h = *c.hosts[2];
+        auto& h = c.cluster.host(2);
         bool converged = false;
         h.call([&h, &converged] {
           const auto& kv = static_cast<const KvStore&>(
@@ -183,7 +293,7 @@ TEST(Udp, LargeStateCatchUpAfterTruncation) {
 }
 
 TEST(Udp, OversizedDatagramsAreCountedNotFatal) {
-  auto hosts = make_local_udp_cluster(2, 4);
+  auto hosts = make_local_udp_cluster(2, {.seed = 4});
   struct Blaster final : NodeApp {
     explicit Blaster(Env& env) : env_(env) {}
     void start(bool) override {
@@ -209,11 +319,11 @@ TEST(Udp, OversizedDatagramsAreCountedNotFatal) {
 TEST(Udp, BatchedModeOrdersCommandsAndCoalescesSyscalls) {
   UdpBatchConfig batch;
   batch.enabled = true;
-  UdpKv c(3, 7, {}, batch);
+  UdpKv c(3, {.seed = 7, .batch = batch});
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(c.submit_add(static_cast<ProcessId>(i % 3), 1));
   }
-  ASSERT_TRUE(c.wait_for(
+  ASSERT_TRUE(c.cluster.wait_for(
       [&] {
         for (ProcessId p = 0; p < 3; ++p) {
           if (c.applied[p]->load() < 12) return false;
@@ -221,12 +331,12 @@ TEST(Udp, BatchedModeOrdersCommandsAndCoalescesSyscalls) {
         return true;
       },
       seconds(60)));
-  for (ProcessId p = 0; p < 3; ++p) EXPECT_EQ(c.read_n(p), 12);
+  for (ProcessId p = 0; p < 3; ++p) EXPECT_EQ(c.read_int(p), 12);
 
   std::uint64_t syscalls = 0, datagrams = 0;
-  for (const auto& h : c.hosts) {
-    syscalls += h->net_metrics().send_syscalls.load();
-    datagrams += h->net_metrics().send_datagrams.load();
+  for (ProcessId p = 0; p < 3; ++p) {
+    syscalls += c.cluster.host(p).net_metrics().send_syscalls.load();
+    datagrams += c.cluster.host(p).net_metrics().send_datagrams.load();
   }
   EXPECT_GT(datagrams, 0u);
   // Gossip/consensus traffic is dominated by 3-way multisends, each of
@@ -236,7 +346,7 @@ TEST(Udp, BatchedModeOrdersCommandsAndCoalescesSyscalls) {
             0.8 * static_cast<double>(datagrams));
 
   // The same counters are visible through the registry (net_* bindings).
-  const auto snap = c.registry->snapshot();
+  const auto snap = c.cluster.metrics_registry().snapshot();
   EXPECT_EQ(snap.sum_by_name("net_send_datagrams"),
             static_cast<std::int64_t>(datagrams));
   EXPECT_GT(snap.sum_by_name("net_recv_datagrams"), 0);
@@ -252,7 +362,7 @@ TEST(Udp, OversizeFrameFailsAlone) {
     std::atomic<int> small_received{0};
     UdpBatchConfig batch;
     batch.enabled = batched;
-    auto hosts = make_local_udp_cluster(2, 10, batch);
+    auto hosts = make_local_udp_cluster(2, {.seed = 10, .batch = batch});
     struct Sink final : NodeApp {
       explicit Sink(std::atomic<int>& small) : small_(small) {}
       void start(bool) override {}
@@ -296,7 +406,7 @@ TEST(Udp, PayloadOfExactlyTheLimitArrives) {
     std::atomic<int> full_received{0}, small_received{0};
     UdpBatchConfig batch;
     batch.enabled = batched;
-    auto hosts = make_local_udp_cluster(2, 12, batch);
+    auto hosts = make_local_udp_cluster(2, {.seed = 12, .batch = batch});
     UdpHost& h0 = *hosts[0];
     const std::size_t limit = h0.max_datagram_bytes();
     struct Sink final : NodeApp {
@@ -351,7 +461,7 @@ TEST(Udp, BatchedFlushSendsInChunksOf16) {
   }
   UdpBatchConfig batch;
   batch.enabled = true;
-  auto hosts = make_local_udp_cluster(3, 11, batch);
+  auto hosts = make_local_udp_cluster(3, {.seed = 11, .batch = batch});
   struct Counter final : NodeApp {
     explicit Counter(std::atomic<int>& n) : n_(n) {}
     void start(bool) override {}
@@ -397,7 +507,7 @@ TEST(Udp, BatchedFlushSendsInChunksOf16) {
 // surface in the registry snapshot like every other counter.
 TEST(Udp, SendFailuresVisibleInMetricsRegistry) {
   obs::MetricsRegistry registry;
-  auto hosts = make_local_udp_cluster(2, 8, {}, &registry);
+  auto hosts = make_local_udp_cluster(2, {.seed = 8, .registry = &registry});
   struct Blaster final : NodeApp {
     explicit Blaster(Env& env) : env_(env) {}
     void start(bool) override {
@@ -427,9 +537,9 @@ TEST(Udp, SendFailuresVisibleInMetricsRegistry) {
 TEST(Udp, BurstBeyondOneDatagramConverges) {
   UdpBatchConfig batch;
   batch.enabled = true;
-  UdpKv c(3, 11, {}, batch);
+  UdpKv c(3, {.seed = 11, .batch = batch});
   constexpr std::uint64_t kPuts = 10'000;
-  auto& h0 = *c.hosts[0];
+  auto& h0 = c.cluster.host(0);
   ASSERT_TRUE(h0.call([&h0] {
     auto* node = static_cast<RsmNode*>(h0.node_unsafe());
     const std::string value(64, 'v');
@@ -437,7 +547,7 @@ TEST(Udp, BurstBeyondOneDatagramConverges) {
       node->submit(KvCommand::put("k" + std::to_string(i), value));
     }
   }));
-  EXPECT_TRUE(c.wait_for(
+  EXPECT_TRUE(c.cluster.wait_for(
       [&] {
         for (ProcessId p = 0; p < 3; ++p) {
           if (c.applied[p]->load() < kPuts) return false;
@@ -447,18 +557,18 @@ TEST(Udp, BurstBeyondOneDatagramConverges) {
       seconds(30)));
   for (ProcessId p = 0; p < 3; ++p) {
     EXPECT_EQ(c.applied[p]->load(), kPuts) << "p" << p;
-    EXPECT_EQ(c.hosts[p]->send_failures(), 0u) << "p" << p;
+    EXPECT_EQ(c.cluster.host(p).send_failures(), 0u) << "p" << p;
   }
 }
 
 // A command too big for admission is the caller's error: call() rethrows
 // RequestRefused on the submitting thread, and the host orders on.
 TEST(Udp, RefusedCommandReachesTheCallerAndTheLoopRunsOn) {
-  UdpKv c(3, 13);
+  UdpKv c(3, {.seed = 13});
   EXPECT_THROW(c.submit_put(0, "big", std::string(70'000, 'x')),
                RequestRefused);
   ASSERT_TRUE(c.submit_put(0, "small", std::string(64, 's')));
-  EXPECT_TRUE(c.wait_for(
+  EXPECT_TRUE(c.cluster.wait_for(
       [&] {
         for (ProcessId p = 0; p < 3; ++p) {
           if (c.applied[p]->load() < 1) return false;
@@ -477,7 +587,7 @@ TEST(Udp, RefusedCommandReachesTheCallerAndTheLoopRunsOn) {
 TEST(Udp, ConcurrentSubmittersWithBatchingConverge) {
   UdpBatchConfig batch;
   batch.enabled = true;
-  UdpKv c(3, 9, {}, batch);
+  UdpKv c(3, {.seed = 9, .batch = batch});
   constexpr int kPerThread = 8;
   std::vector<std::thread> submitters;
   for (ProcessId p = 0; p < 3; ++p) {
@@ -488,7 +598,7 @@ TEST(Udp, ConcurrentSubmittersWithBatchingConverge) {
     });
   }
   for (auto& t : submitters) t.join();
-  ASSERT_TRUE(c.wait_for(
+  ASSERT_TRUE(c.cluster.wait_for(
       [&] {
         for (ProcessId p = 0; p < 3; ++p) {
           if (c.applied[p]->load() < 3 * kPerThread) return false;
@@ -496,5 +606,172 @@ TEST(Udp, ConcurrentSubmittersWithBatchingConverge) {
         return true;
       },
       seconds(60)));
-  for (ProcessId p = 0; p < 3; ++p) EXPECT_EQ(c.read_n(p), 3 * kPerThread);
+  for (ProcessId p = 0; p < 3; ++p) EXPECT_EQ(c.read_int(p), 3 * kPerThread);
+}
+
+// ------------------------------------------- the real-time runtime, end to end
+
+TEST(Rt, OrdersCommandsAcrossThreads) {
+  UdpKv c(3, {.seed = 1});
+  for (int i = 0; i < 15; ++i) {
+    ASSERT_TRUE(c.with_node(static_cast<ProcessId>(i % 3), [](RsmNode& n) {
+      n.submit(KvCommand::add("n", 1));
+    }));
+  }
+  ASSERT_TRUE(c.cluster.wait_for(
+      [&] {
+        for (ProcessId p = 0; p < 3; ++p) {
+          if (c.applied[p]->load() < 15) return false;
+        }
+        return true;
+      },
+      seconds(30)));
+  for (ProcessId p = 0; p < 3; ++p) EXPECT_EQ(c.read_int(p, "n"), 15);
+}
+
+TEST(Rt, ToleratesLossyNetwork) {
+  UdpKv c(3, {.seed = 2, .drop_prob = 0.2, .dup_prob = 0.1});
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(c.with_node(0, [](RsmNode& n) {
+      n.submit(KvCommand::add("n", 1));
+    }));
+  }
+  ASSERT_TRUE(c.cluster.wait_for(
+      [&] { return c.applied[2]->load() >= 10; }, seconds(60)));
+  EXPECT_EQ(c.read_int(2, "n"), 10);
+}
+
+TEST(Rt, CrashRecoveryRebuildsReplica) {
+  core::StackConfig stack;
+  stack.ab.log_unordered = true;
+  UdpKv c(3, {.seed = 3}, stack);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(c.with_node(0, [](RsmNode& n) {
+      n.submit(KvCommand::add("n", 1));
+    }));
+  }
+  ASSERT_TRUE(c.cluster.wait_for(
+      [&] { return c.applied[2]->load() >= 10; }, seconds(30)));
+  c.cluster.crash(2);
+  EXPECT_FALSE(c.cluster.host(2).is_up());
+  EXPECT_FALSE(c.with_node(2, [](RsmNode&) {}));  // call() refuses when down
+  c.cluster.recover(2);
+  ASSERT_TRUE(c.cluster.wait_for(
+      [&] { return c.read_int(2, "n") == 10; }, seconds(30)));
+}
+
+// The offline checker audits real threaded runs where the in-process
+// oracle cannot see: enable per-host trace rings, run through a
+// crash/recovery, and verify the merged trace upholds the AB properties.
+TEST(Rt, TraceRecorderAuditsThreadedRun) {
+  const UdpConfig cfg{.seed = 7, .trace_capacity = 1 << 14};
+  core::StackConfig stack;
+  stack.ab.log_unordered = true;
+  UdpKv c(3, cfg, stack);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(c.with_node(static_cast<ProcessId>(i % 3), [](RsmNode& n) {
+      n.submit(KvCommand::add("n", 1));
+    }));
+  }
+  ASSERT_TRUE(c.cluster.wait_for(
+      [&] { return c.applied[0]->load() >= 10; }, seconds(30)));
+  c.cluster.crash(1);
+  c.cluster.recover(1);
+  ASSERT_TRUE(c.cluster.wait_for(
+      [&] {
+        for (ProcessId p = 0; p < 3; ++p) {
+          if (c.read_int(p, "n") != 10) return false;
+        }
+        return true;
+      },
+      seconds(60)));
+
+  std::vector<obs::TraceEvent> merged;
+  for (ProcessId p = 0; p < 3; ++p) {
+    auto* rec = c.cluster.host(p).tracer();
+    ASSERT_NE(rec, nullptr);
+    auto events = rec->events();
+    EXPECT_FALSE(events.empty()) << "node " << p << " recorded nothing";
+    merged.insert(merged.end(), events.begin(), events.end());
+  }
+  // The run may still have stragglers in flight, so keep the lax
+  // (non-quiesced) Validity/Termination semantics.
+  const auto report = obs::check_trace(merged);
+  for (const auto& v : report.violations) ADD_FAILURE() << obs::to_string(v);
+  EXPECT_EQ(report.stats.nodes, 3u);
+  EXPECT_GT(report.stats.delivers, 0u);
+  EXPECT_GT(report.stats.log_writes, 0u);  // log_unordered => ab/ writes
+}
+
+TEST(Rt, DurableUnorderedSurvivesBroadcasterCrash) {
+  core::StackConfig stack;
+  stack.ab.log_unordered = true;
+  UdpKv c(3, {.seed = 4}, stack);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(c.with_node(2, [](RsmNode& n) {
+      n.submit(KvCommand::add("n", 1));
+    }));
+  }
+  c.cluster.crash(2);  // possibly before ordering completed
+  c.cluster.recover(2);
+  ASSERT_TRUE(c.cluster.wait_for(
+      [&] { return c.read_int(0, "n") == 5; }, seconds(60)));
+}
+
+TEST(Rt, FileBackedStorageSurvives) {
+  const fs::path dir =
+      fs::temp_directory_path() / ("abcast_rt_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    UdpConfig cfg{.seed = 5};
+    cfg.storage_factory = [dir](ProcessId p) {
+      // The production log: records sync at each loop pass's barrier.
+      SegmentedLogConfig log;
+      log.dir = dir / ("node" + std::to_string(p));
+      log.sync = SyncMode::kDeferred;
+      return std::make_unique<SegmentedLogStorage>(log);
+    };
+    core::StackConfig stack;
+    stack.ab.log_unordered = true;
+    UdpKv c(3, cfg, stack);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(c.with_node(0, [](RsmNode& n) {
+        n.submit(KvCommand::add("n", 1));
+      }));
+    }
+    ASSERT_TRUE(c.cluster.wait_for(
+        [&] { return c.read_int(1, "n") == 8; }, seconds(30)));
+    c.cluster.crash(1);
+    c.cluster.recover(1);
+    ASSERT_TRUE(c.cluster.wait_for(
+        [&] { return c.read_int(1, "n") == 8; }, seconds(30)));
+  }
+  // The consensus log is actually on disk.
+  EXPECT_FALSE(fs::is_empty(dir / "node0"));
+  fs::remove_all(dir);
+}
+
+TEST(Rt, TimersFireAndCancel) {
+  UdpCluster cluster(1, {.seed = 6});
+  std::atomic<int> fired{0};
+  struct TimerNode final : NodeApp {
+    TimerNode(Env& env, std::atomic<int>& counter)
+        : env_(env), counter_(counter) {}
+    void start(bool) override {
+      env_.schedule_after(millis(10), [this] { counter_ += 1; });
+      const TimerId id =
+          env_.schedule_after(millis(10), [this] { counter_ += 100; });
+      env_.cancel_timer(id);
+    }
+    void on_message(ProcessId, const Wire&) override {}
+    Env& env_;
+    std::atomic<int>& counter_;
+  };
+  cluster.set_node_factory([&fired](Env& env) {
+    return std::make_unique<TimerNode>(env, fired);
+  });
+  cluster.start_all();
+  ASSERT_TRUE(cluster.wait_for([&] { return fired.load() >= 1; }, seconds(5)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(fired.load(), 1);
 }
