@@ -121,7 +121,7 @@ void EngineBase::propose(InstanceId k, const Bytes& value) {
     // First proposal for k: log it before any other action, so the same
     // value is re-proposed after any crash (paper §4.3).
     storage_.put(consensus_keys::inst_key("prop", k), seal_record(value));
-    trace(obs::EventKind::kPropose, k, crc32(value));
+    if (tracer_ != nullptr) trace(obs::EventKind::kPropose, k, crc32(value));
     it = proposals_.emplace(k, value).first;
     metrics_.proposals += 1;
   }
@@ -169,8 +169,10 @@ void EngineBase::learn_decision(InstanceId k, const Bytes& value,
   // Log before announcing: Uniform Agreement must hold even if we crash
   // immediately after the callback runs.
   storage_.put(consensus_keys::inst_key("dec", k), seal_record(value));
-  trace(obs::EventKind::kDecide, k, crc32(value),
-        i_decided ? "local" : "learned");
+  if (tracer_ != nullptr) {  // the CRC reads the whole value: only if traced
+    trace(obs::EventKind::kDecide, k, crc32(value),
+          i_decided ? "local" : "learned");
+  }
   trim_decisions(kDecisionCache - 1);
   const Bytes& logged = decisions_.emplace(k, value).first->second;
   mark_decided(k);

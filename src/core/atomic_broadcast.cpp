@@ -28,8 +28,8 @@ constexpr std::uint32_t kGossipKeepalivePeriods = 8;
 /// burst one pull triggers, and so how many rounds one round trip closes.
 constexpr std::uint32_t kOfferWindow = 64;
 
-/// Minimum spacing of delta replies, and of pulls, to one peer: bounds the
-/// bytes a duplicated digest can trigger.
+/// Minimum spacing of delta replies, and of the pulls no applied window
+/// clocks, to one peer: bounds the bytes a duplicated digest can trigger.
 constexpr Duration kDeltaReplyInterval = millis(8);
 
 // §5.3 catch-up session timing.
@@ -281,14 +281,20 @@ void AtomicBroadcast::prune_unordered() {
 void AtomicBroadcast::maybe_propose() {
   // The sequencer task of Fig. 2: round k_ is proposed once, and round
   // k_ + 1 only after k_ decides (DESIGN.md §14). Propose whenever anything
-  // is pending, or when gossip revealed we lag (an empty proposal is safe
-  // there: the decision is locked without our input).
+  // is pending, or when gossip revealed we lag. Lagging, propose the empty
+  // batch: round k_ is decided without our input, so the backlog cannot win
+  // it; it stays in Unordered for the first round we are current in.
   if (cons_.proposed(k_) || cons_.decided(k_)) return;
-  if (unordered_.empty() && gossip_k_ <= k_) return;
+  const bool lagging = gossip_k_ > k_;
+  if (unordered_.empty() && !lagging) return;
   BufWriter w;
-  const std::size_t count =
-      encode_unordered(w, cons_.max_value_bytes() - 4,
-                       static_cast<ProcessId>(k_ % env_.group_size()));
+  std::size_t count = 0;
+  if (lagging) {
+    w.u32(0);
+  } else {
+    count = encode_unordered(w, cons_.max_value_bytes() - 4,
+                             static_cast<ProcessId>(k_ % env_.group_size()));
+  }
   metrics_.proposals += 1;
   if (count == 0) metrics_.empty_proposals += 1;
   cons_.propose(k_, std::move(w).take());
@@ -335,12 +341,14 @@ void AtomicBroadcast::on_decided(InstanceId k) {
   if (k > k_ && commit_gap_hist_ != nullptr) {
     // Decided above the contiguous prefix: this value parks until the gap
     // at k_ closes. Record the park-buffer depth (decided-but-undeliverable
-    // rounds up to the newly decided one).
-    std::uint64_t depth = 0;
-    for (std::uint64_t j = k_ + 1; j <= k; ++j) {
-      if (cons_.decided(j)) depth += 1;
+    // rounds). Each round is looked up once, for the decisions recovery
+    // loaded without this callback; later ones arrive through it.
+    for (std::uint64_t j = std::max(k_, parked_walked_) + 1; j < k; ++j) {
+      if (cons_.decided(j)) parked_.insert(j);
     }
-    commit_gap_hist_->observe(depth);
+    parked_walked_ = std::max(parked_walked_, k);
+    parked_.insert(k);
+    commit_gap_hist_->observe(parked_.size());
   }
   drain();
 }
@@ -350,14 +358,18 @@ void AtomicBroadcast::drain() {
   while (auto decided = cons_.decision(k_)) {
     apply_batch(*decided);
   }
+  parked_.erase(parked_.begin(), parked_.lower_bound(k_));
   if (k_ > k_before && gossip_k_ > k_) {
-    // Still behind after applying a window: pull the next one now from the
-    // peer furthest ahead (it answers with an offer, see handle_round_info).
+    // Still behind after applying decisions: pull from the peer furthest
+    // ahead (it answers with an offer, see handle_round_info). Once the
+    // whole window the last pull asked for is applied, the next pull
+    // leaves at once, so catch-up runs at apply speed.
     const auto ahead = std::max_element(
         peers_.begin(), peers_.end(),
         [](const PeerView& a, const PeerView& b) { return a.k < b.k; });
     if (ahead != peers_.end() && ahead->k > k_) {
-      maybe_send_pull(static_cast<ProcessId>(ahead - peers_.begin()));
+      maybe_send_pull(static_cast<ProcessId>(ahead - peers_.begin()),
+                      /*window_applied=*/k_ >= pull_window_end_);
     }
   }
   maybe_propose();
@@ -615,24 +627,29 @@ std::size_t AtomicBroadcast::merge_delta(std::vector<AppMsg> msgs) {
   return rejected;
 }
 
-void AtomicBroadcast::maybe_send_pull(ProcessId to) {
-  // Advertise our true round and cover to `to` now (rate-limited per peer)
-  // instead of a gossip period later: after a rejected delta the sender
-  // re-plans its delta from our cover, and when we lag it offers the
-  // decisions we miss (handle_round_info).
+void AtomicBroadcast::maybe_send_pull(ProcessId to, bool window_applied) {
+  // Advertise our true round and cover to `to` now instead of a gossip
+  // period later: after a rejected delta the sender re-plans its delta from
+  // our cover, and when we lag it offers the decisions we miss
+  // (handle_round_info). Pulls are spaced per peer, except the one an
+  // applied window clocks: a duplicated datagram applies no new round, so
+  // it cannot trigger that one.
   PeerView& view = peers_[to];
   const TimePoint now = env_.now();
-  if (now < view.next_pull_ok) return;
+  if (!window_applied && now < view.next_pull_ok) return;
   view.next_pull_ok = now + kDeltaReplyInterval;
+  pull_window_end_ = k_ + kOfferWindow;
   send_digest(to, /*want_reply=*/true, "pull");
 }
 
 void AtomicBroadcast::handle_round_info(ProcessId from, std::uint64_t peer_k,
                                         std::uint64_t peer_total) {
+  // multisend hands us our own gossip back, with a round we have since left.
+  if (from == env_.self()) return;
   if (peer_k > k_) {
     const bool newly_behind = peer_k > gossip_k_;
     gossip_k_ = std::max(gossip_k_, peer_k);  // the sender is ahead
-    if (newly_behind && from != env_.self() && from < peers_.size()) {
+    if (newly_behind && from < peers_.size()) {
       // Solicit the missing decisions now, not when the sender's next
       // gossip hears our round.
       maybe_send_pull(from);
@@ -641,8 +658,13 @@ void AtomicBroadcast::handle_round_info(ProcessId from, std::uint64_t peer_k,
     state_pump_for(from, peer_total);  // Fig. 3 line d: sender lags far behind
   } else if (peer_k < k_) {
     // The sender lags within Δ (or state transfer is off): offer it the
-    // decisions it is missing.
+    // decisions it is missing. Deeper than one window, follow the window
+    // with our digest, so it learns how far behind it is now rather than at
+    // our next gossip, and keeps pulling.
     cons_.offer_decisions(from, peer_k, kOfferWindow);
+    if (k_ > peer_k + kOfferWindow) {
+      send_digest(from, /*want_reply=*/false, "deep_offer");
+    }
   }
 }
 

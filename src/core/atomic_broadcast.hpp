@@ -25,6 +25,7 @@
 
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -166,7 +167,7 @@ class AtomicBroadcast {
     /// root jumps are planned only from here (see plan_delta).
     std::vector<std::uint64_t> confirmed;
     TimePoint next_delta_ok = 0;       // delta-reply rate limiter
-    TimePoint next_pull_ok = 0;        // reorder-repair pull rate limiter
+    TimePoint next_pull_ok = 0;        // pull spacing (see maybe_send_pull)
   };
 
   /// Sender-side state of one §5.3 catch-up session: a stop-and-wait burst
@@ -201,7 +202,10 @@ class AtomicBroadcast {
                          const std::vector<const AppMsg*>& plan,
                          const char* detail);
   void maybe_send_delta_reply(ProcessId to);
-  void maybe_send_pull(ProcessId to);
+  /// A pull: our digest to `to`, spaced by kDeltaReplyInterval per peer
+  /// unless `window_applied` (we applied the whole window the last pull
+  /// asked for and still lag).
+  void maybe_send_pull(ProcessId to, bool window_applied = false);
   /// Returns the number of messages the contiguity guard rejected.
   std::size_t merge_delta(std::vector<AppMsg> msgs);
   void handle_round_info(ProcessId from, std::uint64_t peer_k,
@@ -274,6 +278,9 @@ class AtomicBroadcast {
 
   std::uint64_t k_ = 0;          // round counter kp
   std::uint64_t gossip_k_ = 0;   // highest round seen via gossip
+  /// The round the last pull's offer window reaches (k_ + kOfferWindow when
+  /// it left): applying up to it clocks the next pull.
+  std::uint64_t pull_window_end_ = 0;
   AgreedLog agreed_;
   std::map<MsgId, AppMsg> unordered_;
   std::uint64_t incarnation_ = 0;
@@ -309,6 +316,10 @@ class AtomicBroadcast {
   /// Depth of the decided-but-undeliverable park buffer, observed whenever
   /// a decide lands above the contiguous prefix (log2 buckets).
   obs::Histogram* commit_gap_hist_ = nullptr;  // registry-owned; may be null
+  /// The decided rounds in (k_, parked_walked_], kept while
+  /// commit_gap_hist_ is bound: the park buffer.
+  std::set<InstanceId> parked_;
+  std::uint64_t parked_walked_ = 0;
   bool started_ = false;
   // Declared last: unbinds the metrics_ fields from the registry before the
   // slots above are destroyed (crash destroys this object, not the registry).

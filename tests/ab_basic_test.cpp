@@ -3,9 +3,15 @@
 // sequencer's one round in flight (batches bounded by the datagram limit
 // under competing proposers, crashes mid-round, decisions parked above a
 // lagging round), admission and fair selection of what a datagram carries,
-// and the four correctness properties in targeted scenarios.
+// per-instance catch-up of a replica far behind, and the four correctness
+// properties in targeted scenarios.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <utility>
+
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "core/gossip_wire.hpp"
 #include "harness/fixture.hpp"
@@ -60,6 +66,115 @@ std::vector<MsgId> order_rounds_without_p2(Cluster& c, int rounds) {
   }
   return ids;
 }
+
+/// How p2 catches up after sleeping through 1,000 rounds: n = 3,
+/// Options::basic(), `engine`, 50–200 µs links losing `drop` of their
+/// datagrams, and p0 and p1 each broadcasting every 2 ms throughout, also
+/// while p2 catches up; p2 broadcasts nothing. `took` runs from p2's
+/// recovery until it reaches the round p0 held then. The proposal counts
+/// are p2's up to that moment, read off its trace when `count_proposals`:
+/// those for a round below the highest one a peer's gossip had shown it,
+/// and of those the ones carrying more than the empty batch.
+struct CatchUp {
+  bool done = false;
+  Duration took = 0;
+  std::uint64_t lagging_proposals = 0;
+  std::uint64_t lagging_backlogs = 0;
+};
+
+CatchUp catch_up_after(ConsensusKind engine, std::uint64_t seed, double drop,
+                       bool count_proposals) {
+  ClusterConfig cfg = basic_config(3, seed);
+  cfg.stack.engine = engine;
+  cfg.sim.net.delay_min = micros(50);
+  cfg.sim.net.delay_max = micros(200);
+  cfg.sim.net.drop_prob = drop;
+  if (count_proposals) cfg.sim.trace_capacity = 1u << 16;
+  Cluster c(cfg);
+  c.start_all();
+  std::function<void()> load = [&] {
+    c.broadcast(0);
+    c.broadcast(1);
+    c.sim().after(millis(2), load);
+  };
+  load();
+  c.sim().crash(2);
+  const std::uint64_t from = c.stack(0)->ab().round();
+  CatchUp out;
+  if (!c.sim().run_until_pred(
+          [&] { return c.stack(0)->ab().round() >= from + 1000; },
+          c.sim().now() + seconds(120)) ||
+      !c.sim().recover(2)) {
+    return out;
+  }
+  const std::uint64_t target = c.stack(0)->ab().round();
+  const TimePoint recovered = c.sim().now();
+  out.done = c.sim().run_until_pred(
+      [&] { return c.stack(2)->ab().round() >= target; },
+      recovered + seconds(10));
+  out.took = c.sim().now() - recovered;
+  c.oracle().check();
+
+  if (!count_proposals) return out;
+  const auto events = c.sim().host(2).recorder()->events();
+  EXPECT_LT(events.front().t, recovered);  // the ring kept every later one
+  const std::uint32_t empty_batch = crc32(Bytes(4, 0));  // a u32 count of 0
+  std::uint64_t gossip_k = 0;
+  for (const auto& e : events) {
+    if (e.t < recovered) continue;
+    if (e.kind == obs::EventKind::kGossipRecv && e.arg != 2) {
+      gossip_k = std::max(gossip_k, e.k);
+    } else if (e.kind == obs::EventKind::kPropose && e.k < gossip_k) {
+      out.lagging_proposals += 1;
+      if (e.arg != empty_batch) out.lagging_backlogs += 1;
+    }
+  }
+  return out;
+}
+
+/// A basic-mode stack that gets its own full-set gossip back only once its
+/// round has moved past the one it held when the copy arrived, as a
+/// real-time host may hand it back one event-loop pass later. Counts, in
+/// `self_decided` (which outlives crashes), the decisions the stack then
+/// receives from itself.
+class LateSelfGossip final : public NodeApp {
+ public:
+  LateSelfGossip(Env& env, std::uint64_t& self_decided)
+      : env_(env), stack_(env, core::StackConfig{}, sink_),
+        self_decided_(self_decided) {}
+
+  void start(bool recovering) override { stack_.start(recovering); }
+  void on_message(ProcessId from, const Wire& msg) override {
+    if (from == env_.self() && msg.type == MsgType::kPaxosDecided) {
+      self_decided_ += 1;
+    }
+    if (from == env_.self() && msg.type == MsgType::kAbGossip) {
+      held_.emplace_back(stack_.ab().round(), msg);
+      return;
+    }
+    stack_.on_message(from, msg);
+    auto held = std::move(held_);
+    held_.clear();
+    for (auto& [round, gossip] : held) {
+      if (stack_.ab().round() > round) {
+        stack_.on_message(env_.self(), gossip);
+      } else {
+        held_.emplace_back(round, std::move(gossip));
+      }
+    }
+  }
+  core::AtomicBroadcast& ab() { return stack_.ab(); }
+
+ private:
+  struct NullSink final : core::DeliverySink {
+    void deliver(const core::AppMsg&) override {}
+  };
+  Env& env_;
+  NullSink sink_;
+  core::NodeStack stack_;
+  std::uint64_t& self_decided_;
+  std::vector<std::pair<std::uint64_t, Wire>> held_;
+};
 
 /// Storage ops of p0's and p1's consensus layers that read a record.
 std::uint64_t server_cons_gets(Cluster& c) {
@@ -621,6 +736,72 @@ TEST(AbBasic, LaggardPullsDecisionsOlderThanTheCache) {
   EXPECT_GE(server_cons_gets(c) - gets_before, rounds - 256);
   EXPECT_EQ(c.oracle().position(2), 400u);
   c.oracle().check();
+}
+
+// p2 sleeps through 1,000 rounds and recovers while the load goes on. The
+// first offer it gets tells it how deep it lags, each window of decisions
+// it applies clocks its next pull, and every round gossip shows decided
+// gets the empty batch from it, never its backlog. When the next pull
+// waited out the 8 ms pull spacing and p2 proposed its backlog, this took
+// 210-226 ms under Paxos and 61-90 ms under coord; it takes ~5 ms.
+TEST(AbBasic, DeepLaggardCatchesUpAtApplySpeed) {
+  for (const auto engine : {ConsensusKind::kPaxos, ConsensusKind::kCoord}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << to_string(engine) << " seed " << seed);
+      const CatchUp r = catch_up_after(engine, seed, 0.0, true);
+      ASSERT_TRUE(r.done);
+      EXPECT_LE(r.took, millis(30));
+      EXPECT_GT(r.lagging_proposals, 0u);
+      EXPECT_EQ(r.lagging_backlogs, 0u);
+    }
+  }
+}
+
+// The same catch-up loses 5% of its datagrams: a lost window or pull leaves
+// p2 short of the round its next pull waits for, and the spaced pulls and
+// gossip must still take it the rest of the way. It takes 180-360 ms under
+// Paxos and 13-61 ms under coord (240-450 and 73-134 ms with pulls spaced
+// 8 ms and backlog proposals).
+void catches_up_under_loss(ConsensusKind engine) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    EXPECT_TRUE(catch_up_after(engine, seed, 0.05, false).done);
+  }
+}
+TEST(AbBasic, DeepLaggardCatchesUpUnderLossPaxos) {
+  catches_up_under_loss(ConsensusKind::kPaxos);
+}
+TEST(AbBasic, DeepLaggardCatchesUpUnderLossCoord) {
+  catches_up_under_loss(ConsensusKind::kCoord);
+}
+
+// A recovering p2 gets its first gossip back after it has applied a window
+// of decisions, so the copy shows it behind itself. It must not offer
+// itself the decisions in between: they would be 64 DECIDED datagrams per
+// gossip that carry nothing new.
+TEST(AbBasic, LaggardOffersItselfNoDecisions) {
+  sim::Simulation sim(
+      {.n = 3, .seed = 43, .net = {.delay_min = micros(50),
+                                   .delay_max = micros(200)}});
+  std::array<std::uint64_t, 3> self_decided{};
+  sim.set_node_factory([&](Env& env) {
+    return std::make_unique<LateSelfGossip>(env, self_decided[env.self()]);
+  });
+  const auto ab = [&](ProcessId p) -> core::AtomicBroadcast& {
+    return static_cast<LateSelfGossip*>(sim.node(p))->ab();
+  };
+  sim.start_all();
+  sim.crash(2);
+  for (int i = 0; i < 300; ++i) {
+    ab(0).broadcast({});
+    sim.run_for(micros(500));
+  }
+  ASSERT_TRUE(sim.recover(2));
+  const std::uint64_t target = ab(0).round();
+  ASSERT_GE(target, 200u);
+  ASSERT_TRUE(sim.run_until_pred([&] { return ab(2).round() >= target; },
+                                 sim.now() + seconds(10)));
+  EXPECT_EQ(self_decided[2], 0u);
 }
 
 // FaultyStorage's read rot flips a bit in the copy a get() returns, never
