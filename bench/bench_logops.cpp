@@ -88,7 +88,7 @@ void run_table() {
 // E15a — logged-ops throughput of the segmented log (wall clock, real disk).
 //
 // One writer logs `ops` sealed records in passes of `per_pass`, calling
-// flush() after each pass: the shape of rt::EventLoop's barrier, which
+// flush() after each pass: the shape of UdpHost's barrier, which
 // flushes storage once per loop pass before any datagram leaves.
 // seglog-eachput pays one append+fdatasync per put (its flush has nothing
 // left to sync); seglog-deferred appends, and the flush shares one

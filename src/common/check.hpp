@@ -19,8 +19,8 @@ class InvariantViolation : public std::logic_error {
 
 /// Thrown when the library refuses a caller's request, such as a broadcast
 /// payload no datagram can carry. The caller's error, not a bug: the
-/// library's state is unchanged, and the real-time hosts hand it to the
-/// thread that made the call (rt::EventLoop::call).
+/// library's state is unchanged, and the real-time host hands it to the
+/// thread that made the call (net::UdpHost::call).
 class RequestRefused : public std::invalid_argument {
  public:
   explicit RequestRefused(const std::string& what)

@@ -3,7 +3,7 @@
 // Protocol modules (failure detector, consensus, atomic broadcast, apps) are
 // written against Env + NodeApp only, so the same objects run under the
 // deterministic simulator (src/sim) and on the real-time host, UdpHost
-// (src/net: UDP sockets on the event loop of src/rt).
+// (src/net: an event loop over UDP sockets).
 #pragma once
 
 #include <cstddef>

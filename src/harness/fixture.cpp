@@ -93,7 +93,7 @@ bool Cluster::await_quiesced(Duration timeout) {
 std::vector<obs::TraceEvent> Cluster::collect_trace() {
   std::vector<obs::TraceEvent> merged;
   for (ProcessId p = 0; p < sim_.n(); ++p) {
-    auto* rec = sim_.host(p).recorder();
+    auto* rec = sim_.host(p).tracer();
     ABCAST_CHECK_MSG(rec != nullptr,
                      "collect_trace requires sim.trace_capacity > 0");
     auto events = rec->events();
@@ -105,7 +105,7 @@ std::vector<obs::TraceEvent> Cluster::collect_trace() {
 std::uint64_t Cluster::trace_dropped() {
   std::uint64_t dropped = 0;
   for (ProcessId p = 0; p < sim_.n(); ++p) {
-    if (auto* rec = sim_.host(p).recorder()) dropped += rec->dropped();
+    if (auto* rec = sim_.host(p).tracer()) dropped += rec->dropped();
   }
   return dropped;
 }

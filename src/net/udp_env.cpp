@@ -1,17 +1,19 @@
 #include "net/udp_env.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
+#include <future>
+#include <iterator>
 #include <stdexcept>
-#include <thread>
 
 #include "common/check.hpp"
 #include "common/codec.hpp"
@@ -49,14 +51,9 @@ int bind_loopback_socket(std::uint16_t* port) {
 }  // namespace
 
 UdpHost::UdpHost(UdpConfig config, Clock::time_point epoch)
-    : rt::EventLoop(config.self,
-                    static_cast<std::uint32_t>(config.peers.size()),
-                    config.seed * 7919 + config.self,
-                    config.storage_factory
-                        ? config.storage_factory(config.self)
-                        : std::make_unique<MemStableStorage>(),
-                    epoch),
-      config_(std::move(config)) {
+    : config_(std::move(config)),
+      epoch_(epoch),
+      rng_(config_.seed * 7919 + config_.self) {
   ABCAST_CHECK(config_.self < config_.peers.size());
   ABCAST_CHECK(config_.prebound_fd >= 0);
 
@@ -92,21 +89,210 @@ UdpHost::UdpHost(UdpConfig config, Clock::time_point epoch)
     metrics_group_.bind("net_recv_errors", labels, &metrics_.recv_errors);
   }
 
+  storage_ = config_.storage_factory ? config_.storage_factory(config_.self)
+                                     : std::make_unique<MemStableStorage>();
+  ABCAST_CHECK(storage_ != nullptr);
   if (config_.trace_capacity > 0) {
     recorder_ = std::make_unique<obs::TraceRecorder>(config_.self,
                                                      config_.trace_capacity);
     recorder_->set_clock([this] { return now(); });
     tracing_storage_ = std::make_unique<TracingStorage>(
-        EventLoop::storage(), *recorder_, [this] { return now(); });
+        *storage_, *recorder_, [this] { return now(); });
   }
 
+  // Both ends non-blocking: a full pipe already guarantees a wakeup, so a
+  // failed write loses nothing and never stalls the writer.
+  if (::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
+    throw std::runtime_error("pipe2() failed");
+  }
   fd_ = config_.prebound_fd;
-  start_loop(fd_);
+  try {
+    thread_ = std::thread([this] { run(); });
+  } catch (...) {
+    ::close(wake_fds_[0]);
+    ::close(wake_fds_[1]);
+    throw;  // the socket stays the caller's
+  }
 }
 
 UdpHost::~UdpHost() {
-  shutdown();  // the loop stops before any transport member dies
+  shutdown();  // the loop stops before any member dies
   ::close(fd_);
+  ::close(wake_fds_[0]);
+  ::close(wake_fds_[1]);
+}
+
+void UdpHost::shutdown() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  wake();
+  if (thread_.joinable()) thread_.join();
+}
+
+void UdpHost::wake() {
+  const char b = 1;
+  [[maybe_unused]] const auto n = ::write(wake_fds_[1], &b, 1);
+}
+
+TimePoint UdpHost::now() const {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                              epoch_)
+      .count();
+}
+
+std::uint64_t UdpHost::push(TimePoint due, bool timer,
+                            std::function<void()> fn) {
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    seq = next_seq_++;
+    if (timer) live_timers_.insert(seq);
+    tasks_.push(Task{due, seq, timer, std::move(fn)});
+  }
+  wake();
+  return seq;
+}
+
+TimerId UdpHost::schedule_after(Duration delay, std::function<void()> fn) {
+  return push(now() + std::max<Duration>(delay, 0), /*timer=*/true,
+              std::move(fn));
+}
+
+void UdpHost::cancel_timer(TimerId id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Erasing both cancels the timer and bounds the table: the id of a timer
+  // that already fired (or died with its incarnation) is simply absent, so
+  // cancel-after-fire leaves nothing behind.
+  live_timers_.erase(id);
+}
+
+std::size_t UdpHost::pending_timer_entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return live_timers_.size();
+}
+
+template <typename Fn>
+void UdpHost::run_on_loop(Fn&& fn) {
+  // From the loop thread this would wait on itself forever.
+  ABCAST_CHECK(std::this_thread::get_id() != thread_.get_id());
+  std::promise<void> done;
+  push(now(), /*timer=*/false, [&fn, &done] {
+    try {
+      fn();
+    } catch (const RequestRefused&) {
+      // The caller's error, so the caller's to handle; the loop goes on.
+      // Any other exception ends the process here (StorageIoError: the
+      // log either completes or the process dies).
+      done.set_exception(std::current_exception());
+      return;
+    }
+    done.set_value();
+  });
+  done.get_future().get();
+}
+
+void UdpHost::start_node(const NodeFactory& factory, bool recovering) {
+  run_on_loop([this, &factory, recovering] {
+    ABCAST_CHECK_MSG(node_ == nullptr, "process already up");
+    obs::TraceRecorder* rec = recovering ? tracer() : nullptr;
+    if (rec) rec->record(obs::EventKind::kRecoverBegin, now());
+    node_ = factory(*this);
+    up_.store(true);
+    node_->start(recovering);
+    if (rec) rec->record(obs::EventKind::kRecoverEnd, now());
+  });
+}
+
+void UdpHost::crash_node() {
+  run_on_loop([this] {
+    ABCAST_CHECK_MSG(node_ != nullptr, "process already down");
+    up_.store(false);
+    node_.reset();        // volatile state dies here
+    send_queue_.clear();  // and so do the messages it had not delivered
+    self_sent_.clear();
+    self_ready_.clear();
+    if (obs::TraceRecorder* rec = tracer()) {
+      rec->record(obs::EventKind::kCrash, now());
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    live_timers_.clear();  // ids are never reused: no pending timer fires
+  });
+}
+
+bool UdpHost::call(const std::function<void()>& fn) {
+  bool ran = false;
+  run_on_loop([this, &fn, &ran] {
+    if (node_ == nullptr) return;
+    fn();
+    ran = true;
+  });
+  return ran;
+}
+
+void UdpHost::run() {
+  for (;;) {
+    // The barrier: everything the previous pass logged becomes durable,
+    // THEN everything it queued leaves, or is ready for this node. A
+    // throwing flush follows the StorageIoError contract: the log either
+    // completes or the process dies.
+    storage().flush();
+    release_sends();
+    self_ready_.insert(self_ready_.end(),
+                       std::make_move_iterator(self_sent_.begin()),
+                       std::make_move_iterator(self_sent_.end()));
+    self_sent_.clear();
+
+    int timeout_ms = 1000;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stop_) return;
+      if (!self_ready_.empty()) {
+        timeout_ms = 0;
+      } else if (!tasks_.empty()) {
+        const Duration wait = tasks_.top().due - now();
+        timeout_ms = wait <= 0 ? 0 : static_cast<int>(wait / 1'000'000 + 1);
+      }
+    }
+
+    pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
+    if (::poll(fds, 2, timeout_ms) < 0) {
+      if (errno == EINTR) continue;
+      // revents are unspecified on failure: clear them so due tasks still
+      // run, rather than reading garbage.
+      fds[0].revents = 0;
+      fds[1].revents = 0;
+    }
+    if (fds[1].revents & POLLIN) {
+      char sink[64];
+      while (::read(wake_fds_[0], sink, sizeof sink) > 0) {
+      }
+    }
+    if (fds[0].revents & POLLIN) drain_input();
+    for (const Wire& msg : self_ready_) {
+      if (node_ != nullptr) node_->on_message(self(), msg);
+    }
+    self_ready_.clear();
+
+    for (;;) {
+      Task task;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (stop_) return;
+        if (tasks_.empty() || tasks_.top().due > now()) break;
+        task = tasks_.top();
+        tasks_.pop();
+        // A timer fires only if it is still live (erasing it here keeps the
+        // table bounded) and its node is up.
+        if (task.timer &&
+            (live_timers_.erase(task.seq) == 0 || node_ == nullptr)) {
+          continue;
+        }
+      }
+      task.fn();
+    }
+  }
 }
 
 Bytes UdpHost::make_frame(const Wire& msg) const {
@@ -129,9 +315,9 @@ void UdpHost::queue_frame(ProcessId to, const SharedBytes& frame) {
     return;
   }
   // chance(0) returns before drawing: without injection, two compares.
-  if (rng().chance(config_.drop_prob)) return;
+  if (rng_.chance(config_.drop_prob)) return;
   send_queue_.push_back(PendingSend{to, frame});
-  if (rng().chance(config_.dup_prob)) {
+  if (rng_.chance(config_.dup_prob)) {
     send_queue_.push_back(PendingSend{to, frame});
   }
 }
@@ -142,7 +328,7 @@ void UdpHost::queue_self(const Wire& msg) {
     metrics_.send_failures += 1;
     return;
   }
-  send_to_self(msg);
+  self_sent_.push_back(msg);
 }
 
 void UdpHost::send(ProcessId to, const Wire& msg) {
@@ -204,8 +390,8 @@ void UdpHost::handle_datagram(const std::uint8_t* data, std::size_t size) {
     const ProcessId from = r.u32();
     const Wire wire = Wire::decode(r);
     r.expect_done();
-    if (from >= config_.peers.size()) return;
-    deliver(from, wire);
+    if (from >= config_.peers.size() || node_ == nullptr) return;
+    node_->on_message(from, wire);
   } catch (const CodecError&) {
     // Malformed datagram (stray traffic): drop, as UDP semantics allow.
   }
@@ -252,7 +438,7 @@ std::vector<std::unique_ptr<UdpHost>> make_local_udp_cluster(std::uint32_t n,
       fds.push_back(bind_loopback_socket(&port));
       proto.peers.push_back(UdpPeer{"127.0.0.1", port});
     }
-    const auto epoch = rt::EventLoop::Clock::now();
+    const auto epoch = UdpHost::Clock::now();
     for (std::uint32_t i = 0; i < n; ++i) {
       proto.self = i;
       proto.prebound_fd = fds[i];
@@ -314,8 +500,8 @@ void UdpCluster::recover(ProcessId p) {
 bool UdpCluster::wait_for(const std::function<bool()>& pred,
                           Duration timeout) const {
   const auto deadline =
-      rt::EventLoop::Clock::now() + std::chrono::nanoseconds(timeout);
-  while (rt::EventLoop::Clock::now() < deadline) {
+      UdpHost::Clock::now() + std::chrono::nanoseconds(timeout);
+  while (UdpHost::Clock::now() < deadline) {
     if (pred()) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }

@@ -7,14 +7,35 @@
 // and pulls, fill ticks) that the simulator exercised against injected
 // loss here covers genuine kernel-buffer drops and datagram loss.
 //
-// UdpHost is a transport on rt::EventLoop, which owns the loop thread, the
-// timers, the node lifecycle and the per-pass barrier (storage().flush()
-// before any queued datagram is released). The socket is the loop's input
-// fd. Datagrams are framed as [u32 sender pid][Wire]; anything malformed or
+// One thread per host runs every protocol callback (start, on_message,
+// timers, call() bodies), preserving the single-threaded execution model
+// the stacks assume. Each pass of the loop runs, in this order:
+//
+//   1. the barrier: storage().flush(), THEN the queued datagrams leave,
+//      THEN the messages the node sent to itself move to the ready list.
+//      Whatever the previous pass logged is durable before any message
+//      that could reveal it leaves the process or reaches the node (§3.2:
+//      stable storage is all that survives a crash), so a deferred-sync
+//      backend (SegmentedLogStorage in SyncMode::kDeferred) is externally
+//      indistinguishable from a synchronous one. Every send path queues;
+//      none bypasses this;
+//   2. the wait: poll() on the socket and a self-pipe, timing out at the
+//      earliest due task (rounded up to whole milliseconds), or at once
+//      while the ready list is non-empty;
+//   3. the socket, drained: each datagram goes to the node;
+//   4. the ready list, handed to the node: a message to self is neither
+//      framed nor sent;
+//   5. every due task, in (due, seq) order.
+//
+// A timer fires only if its id is still in the live-timer table, which
+// holds the ids scheduled and neither fired nor cancelled: it stays bounded
+// by outstanding timers whatever the cancel/fire interleaving. crash_node()
+// empties it and ids are never reused, so no timer of a crashed
+// incarnation fires.
+//
+// Datagrams are framed as [u32 sender pid][Wire]; anything malformed or
 // from an unknown peer is dropped (CodecError can never propagate past the
-// loop — unreliable transport semantics). A message to self is neither
-// framed nor sent: the loop delivers it after the barrier
-// (EventLoop::send_to_self).
+// loop — unreliable transport semantics).
 //
 // I/O (DESIGN.md §16.2): send/multisend queue refcounted frames — a
 // multisend encodes once — and the barrier releases the queue with
@@ -36,18 +57,25 @@
 // AtomicBroadcast::broadcast refuses a payload that could not ride alone.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <queue>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/relaxed_counter.hpp"
+#include "common/rng.hpp"
 #include "env/env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rt/event_loop.hpp"
 #include "storage/mem_storage.hpp"
 
 // Forward-declared here so the header stays free of <sys/socket.h>; defined
@@ -108,24 +136,35 @@ struct UdpConfig {
   std::size_t trace_capacity = 0;
 };
 
-class UdpHost final : public rt::EventLoop {
+class UdpHost final : public Env {
  public:
-  /// Adopts config.prebound_fd and starts the event loop. `epoch` is time
+  using Clock = std::chrono::steady_clock;
+
+  /// Adopts config.prebound_fd and starts the loop thread. `epoch` is time
   /// zero for now(): the hosts of one cluster share it, so their traces
   /// merge on one time base. Throws std::runtime_error on a bad peer
-  /// address.
+  /// address or when the wake pipe cannot be created; a constructor that
+  /// throws closes every descriptor it opened.
   UdpHost(UdpConfig config, Clock::time_point epoch);
   ~UdpHost() override;
 
-  // Env (called from the event-loop thread only)
+  // Env (loop thread only, except now() and tracer())
+  ProcessId self() const override { return config_.self; }
+  std::uint32_t group_size() const override {
+    return static_cast<std::uint32_t>(config_.peers.size());
+  }
+  TimePoint now() const override;
+  TimerId schedule_after(Duration delay, std::function<void()> fn) override;
+  void cancel_timer(TimerId id) override;
   void send(ProcessId to, const Wire& msg) override;
   /// Frames the datagram once ([u32 self][Wire]) and queues it for every
   /// other peer, the entries sharing one refcounted frame; the copy to self
   /// goes to the loop.
   void multisend(const Wire& msg) override;
   StableStorage& storage() override {
-    return tracing_storage_ ? *tracing_storage_ : EventLoop::storage();
+    return tracing_storage_ ? *tracing_storage_ : *storage_;
   }
+  Rng& rng() override { return rng_; }
   /// This host's protocol trace, or nullptr when trace_capacity == 0. It
   /// outlives every crash, and TraceRecorder is internally synchronized, so
   /// any thread may read it.
@@ -133,6 +172,32 @@ class UdpHost final : public rt::EventLoop {
   obs::MetricsRegistry* metrics_registry() override {
     return config_.registry;
   }
+
+  // ---- lifecycle (external threads) --------------------------------------
+  /// Constructs the protocol stack via `factory` (passing this host as its
+  /// Env) and starts it. A recovering start is bracketed by kRecoverBegin /
+  /// kRecoverEnd when tracer() is set.
+  void start_node(const NodeFactory& factory, bool recovering);
+  /// Crash: destroys the stack (volatile state dies), discards the sends
+  /// and messages to self not yet delivered and empties the live-timer
+  /// table. Records kCrash when tracer() is set. Input arriving while down
+  /// is dropped.
+  void crash_node();
+  /// Runs `fn` on the loop thread and waits for it; returns false (without
+  /// running it) if the node is down. A RequestRefused thrown by `fn` is
+  /// rethrown here and the loop runs on; any other exception ends the
+  /// process.
+  bool call(const std::function<void()>& fn);
+  /// Stops the loop and joins its thread (idempotent). A node that is up
+  /// stays alive, for inspection, until the host is destroyed.
+  void shutdown();
+
+  bool is_up() const { return up_.load(); }
+  /// The hosted protocol stack. Loop thread only: use it inside a call()
+  /// body, where it is non-null. Cast to the factory's concrete NodeApp.
+  NodeApp* node_unsafe() { return node_.get(); }
+  /// Timer-table entries alive (scheduled, neither fired nor cancelled).
+  std::size_t pending_timer_entries() const;
 
   /// The port of this host's socket.
   std::uint16_t local_port() const { return config_.peers[self()].port; }
@@ -152,13 +217,34 @@ class UdpHost final : public rt::EventLoop {
     SharedBytes frame;
   };
 
-  /// Hands the queue to the kernel in sendmmsg chunks.
-  void release_sends() override;
-  void drop_sends() override { send_queue_.clear(); }
+  /// A timer, or a call()/lifecycle body (timer == false, never gated).
+  struct Task {
+    TimePoint due = 0;
+    std::uint64_t seq = 0;
+    bool timer = false;
+    std::function<void()> fn;
+
+    bool operator>(const Task& o) const {
+      return std::tie(due, seq) > std::tie(o.due, o.seq);
+    }
+  };
+
+  void run();
+  /// Queues `fn` at `due` (a timer when `timer`) and wakes the loop.
+  std::uint64_t push(TimePoint due, bool timer, std::function<void()> fn);
+  /// Runs `fn` on the loop thread and blocks until it has run; forwards a
+  /// RequestRefused it throws.
+  template <typename Fn>
+  void run_on_loop(Fn&& fn);
+  void wake();
+
+  /// The barrier's transmit step: hands the queue to the kernel in
+  /// sendmmsg chunks.
+  void release_sends();
   /// Drains the socket in recvmmsg chunks.
-  void drain_input() override;
+  void drain_input();
   void handle_datagram(const std::uint8_t* data, std::size_t size);
-  /// Hands a message to self to the loop, unless it is oversize.
+  /// Queues a message to self for the next barrier, unless it is oversize.
   void queue_self(const Wire& msg);
   Bytes make_frame(const Wire& msg) const;
   /// Queues a frame for a peer, through the injected drop and duplication.
@@ -166,21 +252,41 @@ class UdpHost final : public rt::EventLoop {
   void fill_dest(ProcessId to, sockaddr_in* addr) const;
 
   UdpConfig config_;
-  int fd_ = -1;
+  const Clock::time_point epoch_;
+  Rng rng_;
   std::vector<std::pair<std::uint32_t, std::uint16_t>> peer_addrs_;
+  int fd_ = -1;                 // the socket, adopted last in the constructor
+  int wake_fds_[2] = {-1, -1};  // self-pipe that interrupts poll()
 
   NetMetrics metrics_;
   obs::MetricsGroup metrics_group_;
+  std::unique_ptr<StableStorage> storage_;
   std::unique_ptr<obs::TraceRecorder> recorder_;     // outlives crashes
-  std::unique_ptr<TracingStorage> tracing_storage_;  // wraps the storage
+  std::unique_ptr<TracingStorage> tracing_storage_;  // wraps storage_
 
-  // Event-loop thread only (Env serializes callbacks). The header arrays
-  // are sized to the batch, so their sizes are the per-syscall limits.
+  mutable std::mutex mu_;
+  std::priority_queue<Task, std::vector<Task>, std::greater<>> tasks_;
+  std::uint64_t next_seq_ = 1;
+  std::unordered_set<std::uint64_t> live_timers_;
+  bool stop_ = false;
+
+  // Loop thread only (Env serializes callbacks). Messages to self sent
+  // since the last barrier, and those it released, which the pass delivers
+  // after its poll. The header arrays are sized to the batch, so their
+  // sizes are the per-syscall limits.
   std::vector<PendingSend> send_queue_;
+  std::vector<Wire> self_sent_;
+  std::vector<Wire> self_ready_;
   std::vector<Bytes> recv_ring_;  // preallocated datagram buffers
   std::vector<mmsghdr> send_hdrs_, recv_hdrs_;
   std::vector<iovec> send_iovs_, recv_iovs_;
   std::vector<sockaddr_in> send_addrs_, recv_addrs_;
+
+  std::atomic<bool> up_{false};
+  // Loop thread only. Declared after everything it may use, so it dies
+  // before the storage, the trace recorder and the timer table.
+  std::unique_ptr<NodeApp> node_;
+  std::thread thread_;
 };
 
 /// Builds n hosts on ephemeral loopback ports from `proto`, whose self,

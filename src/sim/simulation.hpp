@@ -131,9 +131,6 @@ class SimHost final : public Env {
   bool is_up() const { return node_ != nullptr; }
   const HostStats& stats() const { return stats_; }
 
-  /// This host's protocol trace, or nullptr when trace_capacity == 0.
-  obs::TraceRecorder* recorder() { return recorder_.get(); }
-
   /// The fault-injection decorator every storage op flows through; arm
   /// crash-points / set per-host profiles here.
   FaultyStorage& faulty_storage() { return *storage_; }

@@ -8,7 +8,7 @@
 //                           "log completes before returning", one sync per
 //                           op, for a caller that never flushes);
 //   * SyncMode::kDeferred — put never syncs; the host calls flush() at its
-//                           I/O barrier (rt::EventLoop, once per pass,
+//                           I/O barrier (net::UdpHost, once per pass,
 //                           before any datagram leaves), which coalesces one
 //                           fdatasync across every record the pass appended;
 //   * SyncMode::kNone     — no syncing (benchmarks, simulator backends).

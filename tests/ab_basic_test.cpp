@@ -116,7 +116,7 @@ CatchUp catch_up_after(ConsensusKind engine, std::uint64_t seed, double drop,
   c.oracle().check();
 
   if (!count_proposals) return out;
-  const auto events = c.sim().host(2).recorder()->events();
+  const auto events = c.sim().host(2).tracer()->events();
   EXPECT_LT(events.front().t, recovered);  // the ring kept every later one
   const std::uint32_t empty_batch = crc32(Bytes(4, 0));  // a u32 count of 0
   std::uint64_t gossip_k = 0;

@@ -1,12 +1,12 @@
-// Contracts of the event loop under the real-time host (rt/event_loop.hpp),
-// checked on UdpHost with batching off (batches of one) and on.
+// Contracts of the real-time host's event loop (net/udp_env.hpp): the
+// barrier, run with UDP batching off (batches of one) and on, and the
+// live-timer table.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <string>
 #include <thread>
 
 #include "net/udp_env.hpp"
@@ -15,25 +15,6 @@
 using namespace abcast;
 
 namespace {
-
-/// n UdpHosts on loopback ports, with UDP batching off or on.
-template <bool kBatched>
-struct UdpHosts {
-  static constexpr const char* kName = kBatched ? "UdpBatched" : "UdpUnbatched";
-
-  UdpHosts(std::uint32_t n,
-           std::function<std::unique_ptr<StableStorage>(ProcessId)> storage)
-      : cluster(n, {.seed = 31,
-                    .storage_factory = std::move(storage),
-                    .batch = {.enabled = kBatched}}) {}
-  void start_all(NodeFactory factory) {
-    cluster.set_node_factory(std::move(factory));
-    cluster.start_all();
-  }
-  net::UdpHost& host(ProcessId p) { return cluster.host(p); }
-
-  net::UdpCluster cluster;
-};
 
 /// Counts the puts and erases issued since the last flush(): what a
 /// deferred-sync backend would still lose to a crash.
@@ -84,18 +65,22 @@ struct IdleApp final : NodeApp {
   void on_message(ProcessId, const Wire&) override {}
 };
 
-template <typename Hosts>
-class HostLoop : public ::testing::Test {};
-
-struct HostKindName {
-  template <typename Hosts>
-  static std::string GetName(int) {
-    return Hosts::kName;
+/// The barrier's contracts, with UDP batching off (batches of one) and on.
+class HostLoop : public ::testing::TestWithParam<bool> {
+ protected:
+  /// Host p logs into a CountingStorage over unflushed[p].
+  template <std::size_t N>
+  net::UdpConfig config(std::array<std::atomic<int>, N>& unflushed) const {
+    return {.seed = 31,
+            .storage_factory =
+                [&unflushed](ProcessId p) {
+                  return std::make_unique<CountingStorage>(unflushed[p]);
+                },
+            .batch = {.enabled = GetParam()}};
   }
 };
 
-using HostKinds = ::testing::Types<UdpHosts<false>, UdpHosts<true>>;
-TYPED_TEST_SUITE(HostLoop, HostKinds, HostKindName);
+INSTANTIATE_TEST_SUITE_P(Batching, HostLoop, ::testing::Bool());
 
 }  // namespace
 
@@ -106,15 +91,14 @@ TYPED_TEST_SUITE(HostLoop, HostKinds, HostKindName);
 // handler; node 1 reads how many of node 0's writes were unflushed when the
 // datagram arrived. A host that transmits from inside send() lets it arrive
 // during the hold, before any barrier, and reads 1.
-TYPED_TEST(HostLoop, StorageFlushedBeforeEverySend) {
+TEST_P(HostLoop, StorageFlushedBeforeEverySend) {
   std::array<std::atomic<int>, 2> unflushed{};
   std::atomic<int> seen{-1};
-  TypeParam c(2, [&unflushed](ProcessId p) {
-    return std::make_unique<CountingStorage>(unflushed[p]);
-  });
-  c.start_all([&unflushed, &seen](Env&) {
+  net::UdpCluster c(2, config(unflushed));
+  c.set_node_factory([&unflushed, &seen](Env&) {
     return std::make_unique<DurabilityProbe>(unflushed[0], seen);
   });
+  c.start_all();
 
   auto& sender = c.host(0);
   ASSERT_TRUE(sender.call([&sender] {
@@ -122,26 +106,21 @@ TYPED_TEST(HostLoop, StorageFlushedBeforeEverySend) {
     sender.send(1, Wire{MsgType::kAbGossip, Bytes{2}});
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }));
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (seen.load() < 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  c.wait_for([&seen] { return seen.load() >= 0; }, seconds(10));
   EXPECT_EQ(seen.load(), 0);
 }
 
 // A message to self obeys the same barrier without leaving the process:
 // node 0 logs, sends to itself and holds its loop; it must see its own
 // message only after the write is flushed, never inside the send.
-TYPED_TEST(HostLoop, SelfSendArrivesAfterTheBarrier) {
+TEST_P(HostLoop, SelfSendArrivesAfterTheBarrier) {
   std::array<std::atomic<int>, 1> unflushed{};
   std::atomic<int> seen{-1};
-  TypeParam c(1, [&unflushed](ProcessId p) {
-    return std::make_unique<CountingStorage>(unflushed[p]);
-  });
-  c.start_all([&unflushed, &seen](Env&) {
+  net::UdpCluster c(1, config(unflushed));
+  c.set_node_factory([&unflushed, &seen](Env&) {
     return std::make_unique<DurabilityProbe>(unflushed[0], seen);
   });
+  c.start_all();
 
   auto& host = c.host(0);
   ASSERT_TRUE(host.call([&host, &seen] {
@@ -151,11 +130,7 @@ TYPED_TEST(HostLoop, SelfSendArrivesAfterTheBarrier) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     EXPECT_EQ(seen.load(), -1);  // not delivered inside the pass
   }));
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (seen.load() < 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  c.wait_for([&seen] { return seen.load() >= 0; }, seconds(10));
   EXPECT_EQ(seen.load(), 0);
 }
 
@@ -190,4 +165,36 @@ TEST(Udp, TimerBookkeepingBoundedUnderCancelAfterFireLoop) {
   // 1000 cancels later, nothing may linger (IdleApp schedules no timers of
   // its own). The grow-only list held ~500 tombstones here.
   EXPECT_EQ(h.pending_timer_entries(), 0u);
+}
+
+// A crash ends every timer the crashed stack scheduled, even one whose
+// closure outlives the stack: crash_node() empties the live-timer table and
+// ids are never reused. Each incarnation schedules a 200 ms timer on a
+// counter of its own that outlives every stack; the host crashes and
+// recovers at once, so the first timer is still pending when the second
+// is scheduled. Tasks run in due order, so once the second has fired the
+// first is past its due time.
+TEST(Udp, TimersDieWithTheirIncarnation) {
+  std::array<std::atomic<int>, 2> fired{};  // by incarnation
+  struct OneTimer final : NodeApp {
+    OneTimer(Env& env, std::array<std::atomic<int>, 2>& fired)
+        : env_(env), fired_(fired) {}
+    void start(bool recovering) override {
+      env_.schedule_after(millis(200), [&count = fired_[recovering ? 1 : 0]] {
+        count += 1;
+      });
+    }
+    void on_message(ProcessId, const Wire&) override {}
+    Env& env_;
+    std::array<std::atomic<int>, 2>& fired_;
+  };
+  net::UdpCluster c(1, {.seed = 6});
+  c.set_node_factory(
+      [&fired](Env& env) { return std::make_unique<OneTimer>(env, fired); });
+  c.start(0);
+  c.crash(0);
+  c.recover(0);
+  ASSERT_TRUE(c.wait_for([&fired] { return fired[1].load() == 1; },
+                         seconds(5)));
+  EXPECT_EQ(fired[0].load(), 0);
 }

@@ -6,15 +6,13 @@
 // delivered in the same relative order at every destination; (c) liveness
 // through initiator crashes, member crashes, loss and partitions; (d) the
 // network boundary: datagrams from outside a group and FILLs naming unknown
-// groups are dropped, never ordered; (e) the same node over real threads and
-// real UDP sockets.
+// groups are dropped, never ordered; (e) the same node on the real-time
+// host, over threads and UDP sockets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "core/ab_wire.hpp"
 #include "multicast/multicast.hpp"
@@ -137,57 +135,6 @@ Wire fill_wire(std::uint32_t from_group, std::vector<std::uint32_t> dests) {
   fill.proposed_ts = 1;
   fill.dests = std::move(dests);
   return make_wire(MsgType::kMgFill, fill);
-}
-
-/// Six multicasts to both groups of two_groups(), one per initiator, on six
-/// real-time hosts (loop threads and the wall clock). Returns each process's
-/// delivery sequence once all six arrived everywhere or 60 s passed, with
-/// the hosts' loops already stopped.
-std::vector<std::vector<McId>> run_on_real_time_hosts(
-    const std::vector<rt::EventLoop*>& hosts) {
-  const GroupConfig layout = two_groups();
-  std::mutex mu;
-  std::vector<std::vector<McId>> delivered(hosts.size());
-  const NodeFactory factory = [&](Env& env) {
-    const ProcessId pid = env.self();
-    return std::make_unique<MulticastNode>(
-        env, layout, [&mu, &delivered, pid](const McDelivery& d) {
-          std::lock_guard<std::mutex> lock(mu);
-          delivered[pid].push_back(d.id);
-        });
-  };
-  for (auto* host : hosts) host->start_node(factory, /*recovering=*/false);
-
-  std::size_t sent = 0;
-  for (auto* host : hosts) {
-    const bool ran = host->call([host] {
-      static_cast<MulticastNode*>(host->node_unsafe())->mcast({}, {0, 1});
-    });
-    if (ran) sent += 1;
-  }
-  const auto all_arrived = [&] {
-    std::lock_guard<std::mutex> lock(mu);
-    for (const auto& seq : delivered) {
-      if (seq.size() < sent) return false;
-    }
-    return true;
-  };
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (!all_arrived() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  for (auto* host : hosts) host->shutdown();
-  return delivered;
-}
-
-/// Every process delivered all six multicasts, in one order.
-void expect_one_order_of_six(const std::vector<std::vector<McId>>& delivered) {
-  ASSERT_EQ(delivered.size(), 6u);
-  EXPECT_EQ(delivered[0].size(), 6u);
-  for (ProcessId p = 1; p < 6; ++p) {
-    EXPECT_EQ(delivered[p], delivered[0]) << "p" << p;
-  }
 }
 
 }  // namespace
@@ -429,23 +376,43 @@ TEST(Multicast, DropsFillNamingUnknownDestination) {
   c.check_order();
 }
 
-// --------------------------------------- multicast on the real-time hosts
+// ---------------------------------------- multicast on the real-time host
 
+// The multicast node is Env-agnostic: the same code runs over threads, the
+// steady clock and loopback sockets, here with 5% of the datagrams dropped.
+// Six multicasts to both groups, one per initiator: every process delivers
+// all six, in one order.
 TEST(Multicast, RunsOnTheRealTimeRuntime) {
-  // The multicast node is Env-agnostic: the same code runs over threads
-  // and the steady clock, here with 5% of the datagrams dropped...
+  const GroupConfig layout = two_groups();
+  std::mutex mu;
+  std::vector<std::vector<McId>> delivered(6);
   net::UdpCluster cluster(6, {.seed = 30, .drop_prob = 0.05});
-  std::vector<rt::EventLoop*> hosts;
-  for (ProcessId p = 0; p < 6; ++p) hosts.push_back(&cluster.host(p));
-  expect_one_order_of_six(run_on_real_time_hosts(hosts));
-}
-
-TEST(Multicast, RunsOverUdpSockets) {
-  // ...and here with every envelope and FILL crossing a loopback socket.
-  auto udp = net::make_local_udp_cluster(6, {.seed = 31});
-  std::vector<rt::EventLoop*> hosts;
-  for (auto& host : udp) hosts.push_back(host.get());
-  expect_one_order_of_six(run_on_real_time_hosts(hosts));
+  cluster.set_node_factory([&](Env& env) {
+    const ProcessId pid = env.self();
+    return std::make_unique<MulticastNode>(
+        env, layout, [&mu, &delivered, pid](const McDelivery& d) {
+          std::lock_guard<std::mutex> lock(mu);
+          delivered[pid].push_back(d.id);
+        });
+  });
+  cluster.start_all();
+  for (ProcessId p = 0; p < 6; ++p) {
+    auto& host = cluster.host(p);
+    ASSERT_TRUE(host.call([&host] {
+      static_cast<MulticastNode*>(host.node_unsafe())->mcast({}, {0, 1});
+    }));
+  }
+  const auto all_arrived = [&mu, &delivered] {
+    std::lock_guard<std::mutex> lock(mu);
+    return std::all_of(delivered.begin(), delivered.end(),
+                       [](const auto& seq) { return seq.size() >= 6; });
+  };
+  ASSERT_TRUE(cluster.wait_for(all_arrived, seconds(60)));
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(delivered[0].size(), 6u);
+  for (ProcessId p = 1; p < 6; ++p) {
+    EXPECT_EQ(delivered[p], delivered[0]) << "p" << p;
+  }
 }
 
 TEST(Multicast, DeterministicAcrossRuns) {
